@@ -1,14 +1,13 @@
 //! # aqt-bench
 //!
 //! Criterion benchmark harness. One bench target per experiment of
-//! `EXPERIMENTS.md` (E1–E10) plus an engine-throughput microbenchmark;
-//! each bench also *prints* the experiment's paper-vs-measured table,
-//! so `cargo bench | tee bench_output.txt` regenerates every number
-//! quoted there.
+//! `EXPERIMENTS.md` (E1–E13); each bench also *prints* the
+//! experiment's paper-vs-measured table, so
+//! `cargo bench | tee bench_output.txt` regenerates every number
+//! quoted there. Engine throughput is measured by the repository
+//! benchmark in `crates/benchmark`.
 
 use aqt_analysis::Table;
-
-pub mod report;
 
 /// Render any experiment table to stdout with a separating banner —
 /// Criterion interleaves its own output, so make ours easy to grep.

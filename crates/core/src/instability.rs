@@ -322,7 +322,6 @@ impl InstabilityConstruction {
                 validate: self.cfg.validate.then(|| AdversaryModelSpec::rate(rate)),
                 validate_reroutes: self.cfg.validate,
                 sample_every,
-                ..Default::default()
             },
         );
 

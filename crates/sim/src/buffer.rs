@@ -14,16 +14,16 @@
 //!   instability runs spends most of its time in regimes where a
 //!   handful of the graph's edges hold enormous backlogs and every
 //!   other buffer is empty (gadget boundaries, drain phases). Scanning
-//!   all `E` buffers per step — the pre-refactor behaviour, retained
-//!   as [`crate::EngineConfig::reference_pipeline`] — is O(E) of pure
-//!   overhead in exactly the runs that need the most steps. The store
+//!   all `E` buffers per step — what the oracle's
+//!   [`crate::ReferenceModel`] does — is O(E) of pure overhead in
+//!   exactly the runs that need the most steps. The store
 //!   therefore maintains the invariant *every nonempty buffer is in
 //!   an active list*; substep 1 iterates only those lists.
 //! * **Edge shards.** Under the sharded engine (`crate::shard`), the
 //!   store keeps one active list *per shard* — edge `e` is listed in
 //!   `lists[shard_of[e]]` — so each shard's send substep walks only its
 //!   own list and the lists can be maintained concurrently through the
-//!   disjoint raw view ([`BufferStore::sharded_view`]). Unsharded
+//!   disjoint raw view (`BufferStore::sharded_view`). Unsharded
 //!   stores have exactly one list; the partition is representation
 //!   only and never affects trajectories.
 //!
@@ -274,9 +274,9 @@ impl BufferStore {
 
     /// Entries in the active list (valid between `begin_step` calls).
     /// Single-list (unsharded) stores only; the sharded send path walks
-    /// per-shard lists through [`BufferStore::sharded_view`], and the
+    /// per-shard lists through `BufferStore::sharded_view`, and the
     /// sharded *sequential* fallback uses
-    /// [`BufferStore::merged_active`].
+    /// `BufferStore::merged_active`.
     #[inline]
     pub fn active_count(&self) -> usize {
         debug_assert_eq!(self.lists.len(), 1);
@@ -328,8 +328,8 @@ impl BufferStore {
 
     /// Heap bytes committed to packet storage: the *capacity* (not
     /// length) of every buffer times the packet size. This is the
-    /// buffer side of the peak bytes-per-queued-packet metric in
-    /// `BENCH_engine.json`; the interned route storage is accounted by
+    /// buffer side of the benchmark's `sim.bytes_per_packet` metric
+    /// (`crates/benchmark`); the interned route storage is accounted by
     /// [`crate::RouteTable::heap_bytes`].
     pub fn heap_bytes(&self) -> u64 {
         self.queues

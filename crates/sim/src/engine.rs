@@ -75,14 +75,6 @@ pub struct EngineConfig {
     pub validate_reroutes: bool,
     /// Sample the backlog series every this many steps (0 = never).
     pub sample_every: Time,
-    /// Run the retained pre-refactor step loop instead of the staged
-    /// pipeline: scan **every** edge buffer each step and always go
-    /// through the virtual [`Protocol::select`], ignoring both the
-    /// active-edge set and the protocol's declared [`Discipline`].
-    /// The trajectories are identical (the equivalence proptests pin
-    /// this); only the cost differs. Used by those proptests and by
-    /// the engine benchmark's "before" measurements.
-    pub reference_pipeline: bool,
 }
 
 /// Errors surfaced by the engine. After an error the engine state is
@@ -638,7 +630,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Heap bytes currently committed to packet storage: buffer
     /// capacity plus the interned route storage. The numerator of the
-    /// peak bytes-per-queued-packet metric in `BENCH_engine.json`.
+    /// benchmark's `sim.bytes_per_packet` metric (`crates/benchmark`).
     pub fn packet_heap_bytes(&self) -> u64 {
         self.buffers.heap_bytes() + self.routes.heap_bytes()
     }
@@ -949,10 +941,10 @@ impl<P: Protocol> Engine<P> {
     ///
     /// The step is a pipeline of substages, in model order: send
     /// (substep 1), wire faults, receive (substep 2a), inject
-    /// (substep 2b), burst faults, oracle, sample, sentinel. Each
-    /// substage is a method so the equivalence proptests and the
-    /// reference loop ([`EngineConfig::reference_pipeline`]) can pin
-    /// the composition. The oracle and sentinel stages are no-ops
+    /// (substep 2b), burst faults, oracle, sample, sentinel. The
+    /// oracle stage steps the naive [`ReferenceModel`] alongside and
+    /// diffs it against the engine, which is how the equivalence tests
+    /// pin this composition. The oracle and sentinel stages are no-ops
     /// unless attached.
     pub fn step<I>(&mut self, injections: I) -> Result<(), EngineError>
     where
@@ -983,7 +975,7 @@ impl<P: Protocol> Engine<P> {
         let absorbed0 = self.metrics.absorbed;
         let injected0 = self.metrics.injected;
         let (sent, delivered_len);
-        let use_sharded = self.shards.is_some() && !faults_active && !self.cfg.reference_pipeline;
+        let use_sharded = self.shards.is_some() && !faults_active;
         if use_sharded {
             // Fused parallel send + receive with the deterministic
             // barrier in between; wire faults are inactive this step,
@@ -1046,18 +1038,12 @@ impl<P: Protocol> Engine<P> {
             // send|receive are each one `Instant`, not two — so a
             // sampled step costs 6 clock reads end to end instead of
             // the former ~10.
-            if !self.cfg.reference_pipeline {
-                let deactivated = self.buffers.begin_step();
-                if tel_counters && deactivated > 0 {
-                    self.telemetry.counters.buffers_compacted += deactivated as u64;
-                }
+            let deactivated = self.buffers.begin_step();
+            if tel_counters && deactivated > 0 {
+                self.telemetry.counters.buffers_compacted += deactivated as u64;
             }
             let send_t0 = tel_timing.then(std::time::Instant::now);
-            if self.cfg.reference_pipeline {
-                self.substep_send_reference(t, faults_active)?;
-            } else {
-                self.substep_send(t, faults_active)?;
-            }
+            self.substep_send(t, faults_active)?;
             sent = self.in_transit.len() as u64;
             let wire_t0 = tel_timing.then(std::time::Instant::now);
             self.substep_wire_faults(t, faults_active);
@@ -1116,7 +1102,7 @@ impl<P: Protocol> Engine<P> {
             c.packets_forwarded += delivered_len.saturating_sub(absorbed_delta);
             c.packets_injected += self.metrics.injected - injected0;
             // A sharded engine that stepped sequentially this step
-            // (fault-active or reference pipeline) is a fallback.
+            // (fault-active) is a fallback.
             if !use_sharded && self.shards.is_some() {
                 c.shard_seq_fallbacks += 1;
             }
@@ -1235,31 +1221,8 @@ impl<P: Protocol> Engine<P> {
         self.finish_send(t, ei, edge, idx)
     }
 
-    /// Substep 1, pre-refactor form: scan every edge buffer and always
-    /// dispatch through [`Protocol::select`]. Kept verbatim so the
-    /// equivalence proptests have a second, independent implementation
-    /// to compare against and the benchmark has an honest "before".
-    fn substep_send_reference(&mut self, t: Time, faults_active: bool) -> Result<(), EngineError> {
-        for ei in 0..self.buffers.edge_count() {
-            let edge = EdgeId(ei as u32);
-            if self.buffers.len(ei) == 0 {
-                continue;
-            }
-            if faults_active && self.faults.as_ref().is_some_and(|f| f.edge_down(edge, t)) {
-                self.fault_log
-                    .push(FaultEvent::OutageSuppressedSend { time: t, edge });
-                continue;
-            }
-            let idx = self
-                .protocol
-                .select(t, edge, self.buffers.queue(ei), &self.graph);
-            self.finish_send(t, ei, edge, idx)?;
-        }
-        Ok(())
-    }
-
-    /// Shared tail of both send substeps: pop the selected packet,
-    /// record the send, put the packet on the wire.
+    /// Tail of [`Engine::send_one`]: pop the selected packet, record
+    /// the send, put the packet on the wire.
     #[inline]
     fn finish_send(
         &mut self,

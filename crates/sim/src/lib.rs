@@ -75,7 +75,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod source;
 pub mod telemetry;
-pub mod trace;
 
 pub use buffer::BufferStore;
 pub use checkpoint::Checkpoint;

@@ -133,7 +133,7 @@ pub struct SpanRec {
 }
 
 /// The engine-owned observatory state. Constructed disabled; all
-/// preallocation happens in [`Observe::configure`], so the step loop
+/// preallocation happens in `Observe::configure`, so the step loop
 /// stays heap-free with the observatory attached.
 pub struct Observe {
     enabled: bool,

@@ -227,10 +227,11 @@ pub struct SentinelConfig {
 impl Default for SentinelConfig {
     /// All invariants at [`Severity::Halt`], cadence 1024 with the
     /// per-packet checks every 64 cadences and the round-trip check
-    /// every 512 (the < 5% overhead point on the engine benchmark's
-    /// workloads: the O(backlog) scans are what hurt when a step costs
-    /// tens of nanoseconds, so they are strided far apart by default;
-    /// shorten the cadence and strides for debugging runs).
+    /// every 512 (the < 5% overhead point measured by the benchmark's
+    /// `sim.sentinel_ns_per_step`, `crates/benchmark`: the O(backlog)
+    /// scans are what hurt when a step costs tens of nanoseconds, so
+    /// they are strided far apart by default; shorten the cadence and
+    /// strides for debugging runs).
     fn default() -> Self {
         SentinelConfig {
             cadence: 1024,

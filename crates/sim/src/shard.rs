@@ -45,7 +45,7 @@
 //! and the worker pool's phase barrier (a mutex + condvar handshake)
 //! orders the send-phase writes before the receive-phase reads. The
 //! raw-pointer views ([`crate::buffer`]'s `ShardedBuffers`, the
-//! [`SharedMut`] wrappers here) exist so each thread forms `&mut` only
+//! `SharedMut` wrappers here) exist so each thread forms `&mut` only
 //! to the slots its shard owns; the safety argument is local to each
 //! use site.
 

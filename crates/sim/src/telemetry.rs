@@ -303,7 +303,7 @@ pub struct WorkloadCounters {
     pub attempts_issued: u64,
     /// Attempts beyond each request's first (the retry storm measure).
     pub attempts_retried: u64,
-    /// Attempts rejected at admission by the [`Shed`] policy (shed
+    /// Attempts rejected at admission by the `Shed` policy (shed
     /// behaviors live in `aqt-workload`).
     pub attempts_shed: u64,
     /// Replies that arrived after their client stopped waiting —

@@ -1,8 +1,8 @@
-//! Peak packet-storage accounting on the benchmark workloads: how many
+//! Peak packet-storage accounting on representative workloads: how many
 //! heap bytes the engine commits per queued packet at the backlog peak
 //! (buffer capacity plus route-table storage). Prints one line per
-//! workload; the engine benchmark records the same quantity in
-//! BENCH_engine.json.
+//! workload; the benchmark (`crates/benchmark`) reports the same
+//! quantity as `sim.bytes_per_packet`.
 
 use std::sync::Arc;
 

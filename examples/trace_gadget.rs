@@ -2,20 +2,51 @@
 //!
 //! Runs a small bootstrap on `F_n`, tracing one seeded packet through
 //! the thinning (its crossings slow down edge by edge, exactly the
-//! `R_i` ladder of Claim 3.9), and prints the backlog sparkline.
+//! `R_i` ladder of Claim 3.9), and prints the backlog sparkline. The
+//! trace comes from the queue observatory's lifecycle spans, so every
+//! hop is stamped with the exact step it happened at.
 //!
 //! ```sh
 //! cargo run --release --example trace_gadget
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use adversarial_queuing::adversary::{lemma315, GadgetParams};
 use adversarial_queuing::analysis::series::sparkline_fit;
-use adversarial_queuing::graph::{FnGadget, Route};
+use adversarial_queuing::graph::{EdgeId, FnGadget, Route};
 use adversarial_queuing::protocols::Fifo;
-use adversarial_queuing::sim::trace::{TraceEvent, TraceRecorder};
-use adversarial_queuing::sim::{AdversaryModelSpec, Engine, EngineConfig};
+use adversarial_queuing::sim::{
+    AdversaryModelSpec, Engine, EngineConfig, ObserveConfig, SpanKind, TelemetryEvent,
+    TelemetrySink, Time,
+};
+
+/// One lifecycle span: (time, packet, op, edge, hop, wait).
+type Span = (Time, u64, SpanKind, u32, u32, Time);
+
+/// Keeps every sampled lifecycle span in memory.
+#[derive(Clone, Default)]
+struct SpanLog(Arc<Mutex<Vec<Span>>>);
+
+impl TelemetrySink for SpanLog {
+    fn record(&mut self, event: &TelemetryEvent<'_>) {
+        if let TelemetryEvent::Span {
+            time,
+            packet,
+            op,
+            edge,
+            hop,
+            wait,
+            ..
+        } = *event
+        {
+            self.0
+                .lock()
+                .expect("no span-log holder panics")
+                .push((time, packet, op, edge, hop, wait));
+        }
+    }
+}
 
 fn main() {
     let params = GadgetParams::new(1, 4); // r = 3/4
@@ -36,92 +67,49 @@ fn main() {
             validate: Some(AdversaryModelSpec::rate(params.rate)),
             validate_reroutes: true,
             sample_every: (2 * s + params.n as u64) / 64,
-            ..Default::default()
         },
     );
+    // 1-in-64 span sampling with seed 0 samples the residue class of
+    // id 0, so the very first seeded packet is traced.
+    eng.attach_observatory(ObserveConfig::default().with_span_sample_every(64));
+    let spans = SpanLog::default();
+    eng.set_telemetry_sink(Box::new(spans.clone()));
     let unit = Route::single(&graph, gadget.handles.ingress).expect("route");
     for _ in 0..2 * s {
         eng.seed(unit.clone(), 0).expect("seed");
     }
 
     let boot = lemma315::build(&graph, &gadget.handles, &params, s, 0, 8).expect("build");
-    let finish = boot.finish;
+    boot.schedule.run(&mut eng, boot.finish).expect("legal");
 
-    // Trace the very first seeded packet (id 0) with an observation
-    // after every simulated step — fine at this scale.
-    let mut tracer = TraceRecorder::new(&eng);
-    let mut schedule = boot.schedule;
-    // replay manually so we can observe between steps
-    let mut last_obs = 0u64;
-    {
-        // Schedule::run consumes the engine loop; instead we use its
-        // public pieces: run in chunks of 64 steps and observe.
-        let chunk = 64;
-        let mut upto = chunk;
-        while upto <= finish {
-            schedule = {
-                let (head, tail) = split_schedule(schedule, upto);
-                head.run(&mut eng, upto).expect("legal");
-                tail
-            };
-            tracer.observe(&eng);
-            last_obs = upto;
-            upto += chunk;
-        }
-        if last_obs < finish {
-            schedule.run(&mut eng, finish).expect("legal");
-            tracer.observe(&eng);
-        }
-    }
-
-    println!("packet #0's journey (coarse, 64-step observations):");
-    for ev in tracer.history(0) {
-        match ev {
-            TraceEvent::Injected { time, edge, .. } => {
-                println!("  t={time:>6}  appeared at {}", graph.edge_name(*edge))
+    let spans = spans.0.lock().expect("no span-log holder panics");
+    let edge = |e: u32| graph.edge_name(EdgeId(e));
+    println!("packet #0's journey (exact step of every hop):");
+    for &(time, _, op, e, hop, wait) in spans.iter().filter(|s| s.1 == 0) {
+        match op {
+            SpanKind::Inject => println!("  t={time:>6}  injected at {}", edge(e)),
+            SpanKind::Send => {
+                println!(
+                    "  t={time:>6}  crossed {} (hop {hop}, wait {wait})",
+                    edge(e)
+                )
             }
-            TraceEvent::Moved { time, from, to, .. } => println!(
-                "  t={time:>6}  {} -> {}",
-                graph.edge_name(*from),
-                graph.edge_name(*to)
-            ),
-            TraceEvent::Absorbed { time, from, .. } => {
-                println!("  t={time:>6}  absorbed after {}", graph.edge_name(*from))
+            SpanKind::Enqueue => println!("  t={time:>6}  queued at {}", edge(e)),
+            SpanKind::Absorb => {
+                println!("  t={time:>6}  absorbed after {} (latency {wait})", edge(e))
             }
             // No faults are installed in this example.
-            TraceEvent::Dropped { .. }
-            | TraceEvent::Duplicated { .. }
-            | TraceEvent::EdgeDown { .. }
-            | TraceEvent::Burst { .. } => {}
+            SpanKind::Drop | SpanKind::Duplicate => {}
         }
     }
 
     let backlog: Vec<u64> = eng.metrics().series().iter().map(|p| p.backlog).collect();
     println!("\nbacklog: {}", sparkline_fit(&backlog, 64));
     println!(
-        "final backlog {} (S' target {}), {} events traced",
+        "final backlog {} (S' target {}), {} spans traced, {} dropped",
         eng.backlog(),
         boot.s_prime,
-        tracer.events.len()
+        spans.len(),
+        eng.observatory().spans_dropped()
     );
-}
-
-/// Split a schedule into ops at/before `upto` and the rest.
-fn split_schedule(
-    s: adversarial_queuing::sim::Schedule,
-    upto: u64,
-) -> (
-    adversarial_queuing::sim::Schedule,
-    adversarial_queuing::sim::Schedule,
-) {
-    let mut head = adversarial_queuing::sim::Schedule::new();
-    let mut tail = adversarial_queuing::sim::Schedule::new();
-    for op in s.ops() {
-        if op.time() <= upto {
-            head.push(op.clone());
-        } else {
-            tail.push(op.clone());
-        }
-    }
-    (head, tail)
 }

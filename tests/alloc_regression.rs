@@ -3,12 +3,13 @@
 //! The hot step loop must not touch the heap once warm: packets are
 //! `Copy`, routes live in the append-only `RouteTable`, and the
 //! engine's transit scratch buffers are reused across steps. A counting
-//! global allocator (wrapping the system allocator) measures the drain
-//! workload — the benchmark's steady-state shape — and asserts zero
-//! allocations per step after warm-up. Any future change that sneaks a
-//! per-step allocation into send/receive (a route clone, a fresh
-//! scratch `Vec`, an accidental `Arc` bump-and-drop) fails here before
-//! it shows up as a throughput regression in `BENCH_engine.json`.
+//! global allocator (wrapping the system allocator) measures a drain
+//! workload — the steady state of every instability iteration — and
+//! asserts zero allocations per step after warm-up. Any future change
+//! that sneaks a per-step allocation into send/receive (a route clone,
+//! a fresh scratch `Vec`, an accidental `Arc` bump-and-drop) fails here
+//! before it shows up in the benchmark's `sim.*_ns_per_step` figures
+//! (`crates/benchmark`).
 #![cfg(feature = "alloc-counter")]
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -162,6 +162,9 @@ proptest! {
             .filter(|s| s.2 == "inject")
             .map(|s| s.1)
             .collect();
+        // The seeded cohort is one batched admission, yet every packet
+        // gets its own id and its own inject span.
+        prop_assert_eq!(injected.len() as u64, m.injected());
         for s in seq_spans.iter().filter(|s| s.2 == "absorb") {
             if !injected.contains(&s.1) {
                 continue;
@@ -256,4 +259,43 @@ fn observatory_series_margin_and_shard_load() {
     quiet.run_quiet(20).unwrap();
     assert_eq!(quiet.observatory().ticks(), 0);
     assert_eq!(quiet.observatory().spans_emitted(), 0);
+
+    // An engine on `line(edges)` sampling every packet's spans.
+    let spanned = |edges: usize| {
+        let g = Arc::new(topologies::line(edges));
+        let protocol = by_name("FIFO", 3).unwrap();
+        let mut eng = Engine::new(Arc::clone(&g), protocol, EngineConfig::default());
+        eng.attach_observatory(ObserveConfig::default().with_span_sample_every(1));
+        let collector = SpanCollector(Arc::new(Mutex::new(Vec::new())));
+        eng.set_telemetry_sink(Box::new(collector.clone()));
+        (g, eng, collector)
+    };
+
+    // Attached but idle: no packet, no span.
+    let (_, mut idle, spans) = spanned(1);
+    idle.run_quiet(20).unwrap();
+    assert!(spans.0.lock().unwrap().is_empty());
+
+    // One packet over two edges: its whole lifecycle, in time order.
+    let (g, mut one, spans) = spanned(2);
+    let route = Route::new(&g, g.edge_ids().collect::<Vec<_>>()).expect("line edges");
+    one.step([Injection::new(route, 0)]).unwrap();
+    one.run_quiet(2).unwrap();
+    let journey: Vec<(u64, &str, u32, u32)> = spans
+        .0
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|&(t, _, op, edge, hop, _, _)| (t, op, edge, hop))
+        .collect();
+    assert_eq!(
+        journey,
+        [
+            (1, "inject", 0, 0),
+            (2, "send", 0, 0),
+            (2, "enqueue", 1, 1),
+            (3, "send", 1, 1),
+            (3, "absorb", 1, 1),
+        ]
+    );
 }

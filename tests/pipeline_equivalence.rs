@@ -1,10 +1,14 @@
-//! The staged step pipeline (active-edge iteration + discipline fast
-//! paths) must be trajectory-identical to the retained pre-refactor
-//! reference loop (`EngineConfig::reference_pipeline`): same buffers,
-//! same metrics counters and series, same fault log, for every
-//! protocol, schedule, and fault plan. These tests are the license for
-//! the engine's fast path — if one fails, the optimization changed the
-//! model.
+//! The staged step pipeline (active-edge iteration, discipline fast
+//! paths, batched cohort admission) must be trajectory-identical to the
+//! model semantics, for every protocol, schedule, and fault plan. Each
+//! test drives one engine with the lockstep oracle attached
+//! (`Engine::attach_oracle`): its naive `ReferenceModel` scans every
+//! buffer each step and always dispatches through `Protocol::select`,
+//! and it diffs clock, id counter, conservation counters, route tables
+//! and every queued packet against the engine. With no sentinel
+//! attached a divergence halts the step with an `oracle-divergence`
+//! error. These tests are the license for the engine's fast path — if
+//! one fails, the optimization changed the model.
 
 use std::sync::Arc;
 
@@ -25,12 +29,38 @@ fn ring_route(g: &Arc<Graph>, start: u64) -> Route {
     Route::new(g, ids).expect("contiguous ring edges")
 }
 
-fn config(reference: bool) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
         sample_every: 3,
-        reference_pipeline: reference,
         ..Default::default()
     }
+}
+
+/// An engine running protocol `name` with an identically seeded oracle
+/// diffing it every step.
+fn checked_engine(g: &Arc<Graph>, name: &str, seed: u64) -> Engine<Box<dyn Protocol>> {
+    let mut eng = Engine::new(Arc::clone(g), by_name(name, seed).unwrap(), config());
+    eng.attach_oracle(by_name(name, seed).unwrap(), 1);
+    eng
+}
+
+/// One step, failing the test with the oracle's report on divergence.
+fn step<P: Protocol>(eng: &mut Engine<P>, packets: Vec<Injection>) {
+    let t = eng.time() + 1;
+    if let Err(e) = eng.step(packets) {
+        panic!("step {t}: {e}");
+    }
+}
+
+/// The final full diff: the oracle's model equals the engine's state.
+fn assert_oracle_agrees<P: Protocol>(eng: &Engine<P>) {
+    let oracle = eng.oracle().expect("oracle attached");
+    assert_eq!(
+        oracle.model().time(),
+        eng.time(),
+        "oracle stepped in lockstep"
+    );
+    assert_eq!(oracle.model().diff(eng), None);
 }
 
 /// Drive `steps` steps, injecting per the decoded plan: at step `t`,
@@ -42,7 +72,7 @@ fn drive<P: Protocol>(eng: &mut Engine<P>, g: &Arc<Graph>, inj: &[(u64, u64)], s
             .filter(|&&(at, _)| at == t)
             .map(|&(_, start)| Injection::new(ring_route(g, start), start as u32))
             .collect();
-        eng.step(packets).unwrap();
+        step(eng, packets);
     }
 }
 
@@ -61,9 +91,9 @@ fn assert_counters_equal(a: &Metrics, b: &Metrics) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random schedules x all protocols x random fault plans: the two
-    /// pipelines produce the same snapshot, metrics, fault log, and
-    /// the books balance.
+    /// Random schedules x all protocols x random fault plans: the
+    /// engine matches the oracle's model at every step, and the books
+    /// balance.
     #[test]
     fn pipelines_agree_on_random_runs(
         proto in 0usize..9,
@@ -96,39 +126,24 @@ proptest! {
             );
         }
 
-        let mut fast = Engine::new(
-            Arc::clone(&g),
-            by_name(name, 11).unwrap(),
-            config(false),
-        );
-        let mut slow = Engine::new(
-            Arc::clone(&g),
-            by_name(name, 11).unwrap(),
-            config(true),
-        );
-        fast.install_faults(plan.clone()).unwrap();
-        slow.install_faults(plan).unwrap();
-
-        drive(&mut fast, &g, &inj, 70);
-        drive(&mut slow, &g, &inj, 70);
-
-        prop_assert_eq!(snapshot::capture(&fast), snapshot::capture(&slow));
-        prop_assert_eq!(fast.fault_log(), slow.fault_log());
-        assert_counters_equal(fast.metrics(), slow.metrics());
+        let mut eng = checked_engine(&g, name, 11);
+        eng.install_faults(plan).unwrap();
+        drive(&mut eng, &g, &inj, 70);
+        assert_oracle_agrees(&eng);
 
         // packet conservation, independently recounted
-        let live: u64 = g.edge_ids().map(|e| fast.queue_len(e) as u64).sum();
-        let m = fast.metrics();
+        let live: u64 = g.edge_ids().map(|e| eng.queue_len(e) as u64).sum();
+        let m = eng.metrics();
         prop_assert_eq!(m.injected() + m.duplicated(), m.absorbed() + m.dropped() + live);
     }
 
     /// Random cohort bursts x all protocols x random fault plans: a
     /// single `Injection::cohort(route, tag, n)` must be
     /// trajectory-identical to `n` consecutive singleton injections at
-    /// the same step — through the staged pipeline AND through the
-    /// reference loop. This pins the batched admission path (one route
-    /// intern, one buffer range-extend) to the one-packet-at-a-time
-    /// semantics of the model.
+    /// the same step, and both runs must match the oracle, which admits
+    /// every cohort one packet at a time. This pins the batched
+    /// admission path (one route intern, one buffer range-extend) to
+    /// the one-packet-at-a-time semantics of the model.
     #[test]
     fn cohorts_are_identical_to_singleton_injections(
         proto in 0usize..9,
@@ -148,12 +163,8 @@ proptest! {
             plan = plan.with_drop(EdgeId((d % 6) as u32), 1 + d / 6);
         }
 
-        let run = |batched: bool, reference: bool| {
-            let mut eng = Engine::new(
-                Arc::clone(&g),
-                by_name(name, 11).unwrap(),
-                config(reference),
-            );
+        let run = |batched: bool| {
+            let mut eng = checked_engine(&g, name, 11);
             eng.install_faults(plan.clone()).unwrap();
             let seed_route = ring_route(&g, 0);
             if batched {
@@ -178,25 +189,17 @@ proptest! {
                         }
                     })
                     .collect();
-                eng.step(packets).unwrap();
+                step(&mut eng, packets);
             }
+            assert_oracle_agrees(&eng);
             eng
         };
 
-        let batched_fast = run(true, false);
-        let singles_fast = run(false, false);
-        let batched_slow = run(true, true);
+        let batched = run(true);
+        let singles = run(false);
 
-        prop_assert_eq!(
-            snapshot::capture(&batched_fast),
-            snapshot::capture(&singles_fast)
-        );
-        prop_assert_eq!(
-            snapshot::capture(&batched_fast),
-            snapshot::capture(&batched_slow)
-        );
-        assert_counters_equal(batched_fast.metrics(), singles_fast.metrics());
-        assert_counters_equal(batched_fast.metrics(), batched_slow.metrics());
+        prop_assert_eq!(snapshot::capture(&batched), snapshot::capture(&singles));
+        assert_counters_equal(batched.metrics(), singles.metrics());
     }
 }
 
@@ -206,33 +209,35 @@ proptest! {
 fn pipelines_agree_for_every_protocol_through_a_drain() {
     let g = Arc::new(topologies::ring(6));
     for &name in protocol_names() {
-        let mut fast = Engine::new(Arc::clone(&g), by_name(name, 5).unwrap(), config(false));
-        let mut slow = Engine::new(Arc::clone(&g), by_name(name, 5).unwrap(), config(true));
-        for eng in [&mut fast, &mut slow] {
-            for t in 1..=40u64 {
-                let inj: Vec<Injection> = (0..(t % 4))
-                    .map(|k| Injection::new(ring_route(&g, t + k), t as u32))
-                    .collect();
-                eng.step(inj).unwrap();
-            }
-            // quiet drain: the active-edge set shrinks to nothing
-            eng.run_quiet(60).unwrap();
+        let mut eng = checked_engine(&g, name, 5);
+        for t in 1..=40u64 {
+            let inj: Vec<Injection> = (0..(t % 4))
+                .map(|k| Injection::new(ring_route(&g, t + k), t as u32))
+                .collect();
+            step(&mut eng, inj);
         }
-        assert_eq!(
-            snapshot::capture(&fast),
-            snapshot::capture(&slow),
-            "{name}: snapshots diverge"
-        );
-        assert_counters_equal(fast.metrics(), slow.metrics());
-        assert_eq!(fast.backlog(), 0, "{name}: drain must complete");
+        // quiet drain: the active-edge set shrinks to nothing
+        if let Err(e) = eng.run_quiet(60) {
+            panic!("{name} drain: {e}");
+        }
+        assert_oracle_agrees(&eng);
+        assert_eq!(eng.backlog(), 0, "{name}: drain must complete");
     }
 }
 
 /// The recorded Theorem 3.17 adversary (which exercises `Extend` ops —
 /// the Lemma 3.3 reroutes — plus massive single-edge backlogs) replays
-/// identically through both pipelines.
+/// identically through the engine and the oracle. The oracle is
+/// attached before seeding, so it mirrors the seeded cohort packet by
+/// packet — pinning batched seeding to singleton seeding on the
+/// heavyweight fixture as well — and every `Extend`. A full diff of
+/// the deep FIFO backlogs costs O(backlog) (at `k = 1` this test runs
+/// ~10× slower; `tests/sentinel.rs` already replays the fixture at
+/// `k = 1`), so the replay diffs every `DIFF_EVERY` steps and once
+/// more at the end.
 #[test]
 fn pipelines_agree_on_a_recorded_instability_run() {
+    const DIFF_EVERY: u64 = 64;
     let mut cfg = InstabilityConfig::new(1, 4);
     cfg.iterations = 1;
     cfg.s0_safety = 1.0;
@@ -246,29 +251,16 @@ fn pipelines_agree_on_a_recorded_instability_run() {
     let ingress = construction.geps.ingress();
     let unit = Route::single(&graph, ingress).expect("unit route");
 
-    // The fast replica seeds its initial set as one cohort, the
-    // reference replica packet by packet — pinning batched seeding to
-    // singleton seeding on the heavyweight fixture as well.
-    let replay = |reference: bool| {
-        let mut eng = Engine::new(Arc::clone(&graph), Fifo, config(reference));
-        if reference {
-            for _ in 0..run.s_star {
-                eng.seed(unit.clone(), 0).expect("seeding");
-            }
-        } else {
-            eng.seed_cohort(unit.clone(), 0, run.s_star)
-                .expect("seeding");
-        }
-        let sched: Schedule = run.recorded.clone();
-        sched.run(&mut eng, run.total_steps).expect("replay");
-        eng
-    };
-    let fast = replay(false);
-    let slow = replay(true);
-
-    assert_eq!(snapshot::capture(&fast), snapshot::capture(&slow));
-    assert_counters_equal(fast.metrics(), slow.metrics());
-    // and both match the driver's own measurement of the final queue
+    let mut eng = Engine::new(Arc::clone(&graph), Fifo, config());
+    eng.attach_oracle(Box::new(Fifo), DIFF_EVERY);
+    eng.seed_cohort(unit, 0, run.s_star).expect("seeding");
+    let sched: Schedule = run.recorded.clone();
+    if let Err(e) = sched.run(&mut eng, run.total_steps) {
+        panic!("replay: {e}");
+    }
+    assert_oracle_agrees(&eng);
+    // and the engine matches the driver's own measurement of the final
+    // queue
     let s_end = run.iterations.last().expect("one iteration").s_end;
-    assert_eq!(fast.backlog(), s_end);
+    assert_eq!(eng.backlog(), s_end);
 }

@@ -8,6 +8,17 @@
 //! the engine are the model semantics themselves (send one per
 //! nonempty buffer; receive/absorb; inject; transit-before-injection
 //! arrival order, transits ordered by sending edge).
+//!
+//! Why this file exists next to the lockstep oracle
+//! (`aqt_sim::ReferenceModel`, see `tests/pipeline_equivalence.rs`): it
+//! is the only reference that shares no `Packet`, `RouteTable` or
+//! `canonical_buffers` code with the engine. The oracle mirrors the
+//! engine's route interning and compares route *ids*, so a bug in that
+//! shared code moves both sides identically. Checked by breaking
+//! `RouteTable::get` to return the entry of id `i ^ 1` whenever it has
+//! the same length as entry `i` (a wrong route, but never an
+//! out-of-range hop): all four `pipeline_equivalence` tests still pass,
+//! while all three tests here fail with "buffer divergence".
 
 use std::collections::VecDeque;
 use std::sync::Arc;
