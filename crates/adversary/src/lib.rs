@@ -24,6 +24,8 @@
 //! Every builder produces schedules that are replayed through the
 //! engine's exact validators — legality is *checked*, never assumed.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod baselines;
 pub mod lemma315;

@@ -16,6 +16,8 @@
 //! * [`histogram`] — power-of-two bucket histograms for wait/latency
 //!   distributions.
 
+#![forbid(unsafe_code)]
+
 pub mod histogram;
 pub mod report;
 pub mod series;

@@ -7,6 +7,8 @@
 //! quoted there. Engine throughput is measured by the repository
 //! benchmark in `crates/benchmark`.
 
+#![forbid(unsafe_code)]
+
 use aqt_analysis::Table;
 
 /// Render any experiment table to stdout with a separating banner —

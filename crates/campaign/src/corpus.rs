@@ -135,7 +135,6 @@ mod tests {
             horizon: 24,
             cadence: 1,
             deep_stride: 1,
-            shards: 1,
             injections: vec![InjectSpec {
                 time: 1,
                 cohort: CohortSpec {

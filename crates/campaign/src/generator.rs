@@ -263,7 +263,6 @@ fn generate_closed_loop(rng: &mut StdRng, cfg: &GeneratorConfig, spec: ClosedLoo
         horizon,
         cadence: 1,
         deep_stride: rng.gen_range(1..=4),
-        shards: 1,
         injections: vec![],
         faults: vec![],
         model,
@@ -329,7 +328,6 @@ pub fn generate(rng: &mut StdRng, cfg: &GeneratorConfig, target: Option<Feature>
         horizon,
         cadence: 1,
         deep_stride: rng.gen_range(1..=4),
-        shards: 1,
         injections,
         faults,
         model,
@@ -377,7 +375,7 @@ pub fn mutate(rng: &mut StdRng, cfg: &GeneratorConfig, base: &Scenario) -> Scena
         return s;
     }
     let graph = s.topology.build();
-    match rng.gen_range(0..9u32) {
+    match rng.gen_range(0..8u32) {
         // Re-seed: same structure, different protocol randomness.
         0 => s.seed = rng.gen_range(0..u64::MAX),
         // Swap protocol.
@@ -386,11 +384,6 @@ pub fn mutate(rng: &mut StdRng, cfg: &GeneratorConfig, base: &Scenario) -> Scena
                 .choose(rng)
                 .expect("registry is nonempty")
                 .to_string();
-            // RANDOM owns a custom service order the sharded engine
-            // refuses; keep the mutant runnable.
-            if s.protocol.eq_ignore_ascii_case("RANDOM") {
-                s.shards = 1;
-            }
         }
         // Add a cohort.
         2 => {
@@ -434,18 +427,6 @@ pub fn mutate(rng: &mut StdRng, cfg: &GeneratorConfig, base: &Scenario) -> Scena
                 s.model.clear();
             }
         }
-        // Step along the shard axis: shards are representation, not
-        // behavior, so this arm can never change an outcome — the
-        // cross-check in `run_scenario` turns any difference it does
-        // provoke into a finding. RANDOM has no sharded path (custom
-        // service order); re-seed instead.
-        7 => {
-            if s.protocol.eq_ignore_ascii_case("RANDOM") {
-                s.seed = rng.gen_range(0..u64::MAX);
-            } else {
-                s.shards = [1u32, 2, 4, 8][rng.gen_range(0..4usize)];
-            }
-        }
         // Flip to closed-loop: the workload replaces the open-loop
         // schedule (and the model, which the dispatch sequence may not
         // satisfy), and the run becomes FIFO over the spec's own line.
@@ -454,7 +435,6 @@ pub fn mutate(rng: &mut StdRng, cfg: &GeneratorConfig, base: &Scenario) -> Scena
             s.injections.clear();
             s.faults.clear();
             s.model.clear();
-            s.shards = 1;
             s.protocol = "FIFO".into();
             s.topology = TopologySpec::Line(spec.path_len.max(1));
             let last_event = spec.pause.map_or(0, |(_, until)| until);
@@ -607,42 +587,6 @@ mod tests {
             s.build()
                 .unwrap_or_else(|e| panic!("mutation {i} unbuildable: {e}\n{s:?}"));
         }
-    }
-
-    #[test]
-    fn mutator_reaches_the_shard_axis_and_stays_runnable() {
-        // Walk mutation chains from fresh draws: the shard arm must
-        // fire (shards > 1 appears), it must never pair shards with
-        // RANDOM, and every sharded mutant must survive the
-        // sharded-vs-sequential cross-check inside `run_scenario`.
-        let cfg = GeneratorConfig::default();
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut sharded_runs = 0u32;
-        for _ in 0..12 {
-            let mut s = generate(&mut rng, &cfg, None);
-            for _ in 0..8 {
-                s = mutate(&mut rng, &cfg, &s);
-                if s.protocol.eq_ignore_ascii_case("RANDOM") {
-                    assert_eq!(s.shards, 1, "RANDOM has no sharded path\n{s:?}");
-                }
-                if s.closed_loop.is_some() {
-                    assert_eq!(s.shards, 1, "closed-loop runs are sequential\n{s:?}");
-                }
-                if s.shards > 1 && sharded_runs < 6 {
-                    sharded_runs += 1;
-                    match run_scenario(&s) {
-                        Outcome::Clean(_) | Outcome::Breach(_, _) | Outcome::Overrate(_, _) => {}
-                        Outcome::Invalid(e) => {
-                            panic!("sharded mutant invalid (cross-check?): {e}\n{s:?}")
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            sharded_runs > 0,
-            "the shard arm never fired in 96 mutations"
-        );
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! ([`campaign::CampaignConfig::seed`]), so "the campaign found a bug"
 //! is itself a reproducible statement.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod corpus;
 pub mod coverage;

@@ -13,9 +13,7 @@
 use aqt_protocols::registry;
 use aqt_sim::sentinel::SentinelConfig;
 use aqt_sim::telemetry::{Provenance, TelemetryConfig, TelemetryLevel};
-use aqt_sim::{
-    AdversaryModelSpec, Engine, EngineConfig, EngineError, Protocol, ShardPlan, ViolationReport,
-};
+use aqt_sim::{AdversaryModelSpec, Engine, EngineConfig, EngineError, Protocol, ViolationReport};
 use aqt_workload::{ClosedLoop, WorkloadError};
 
 use crate::scenario::{ClosedLoopSpec, Scenario};
@@ -24,8 +22,7 @@ use crate::scenario::{ClosedLoopSpec, Scenario};
 /// samples `Q(t)` at this stride so a breach's
 /// [`ReproBundle`](aqt_sim::sentinel::ReproBundle) carries the
 /// backlog trajectory leading up to the violation — a finding can be
-/// triaged without replaying it. The series is trajectory-determined,
-/// so it never perturbs the sharded/sequential agreement check.
+/// triaged without replaying it.
 const BACKLOG_SAMPLE_EVERY: u64 = 32;
 
 /// What one run actually did — the coverage map's raw material.
@@ -135,11 +132,6 @@ fn run_closed_loop(scenario: &Scenario, spec: &ClosedLoopSpec) -> Outcome {
             "closed-loop scenario cannot carry an open-loop schedule or faults".into(),
         );
     }
-    if scenario.shards > 1 {
-        return Outcome::Invalid(
-            "closed-loop scenarios run sequentially (shards must be 1)".into(),
-        );
-    }
     if !scenario.protocol.eq_ignore_ascii_case("FIFO") {
         return Outcome::Invalid(format!(
             "closed-loop service order is FIFO; scenario names '{}'",
@@ -182,16 +174,13 @@ fn run_closed_loop(scenario: &Scenario, spec: &ClosedLoopSpec) -> Outcome {
     }
 }
 
-/// Run the open-loop path of `scenario` at `shards` shards (the
-/// scenario's own count on the primary run, 1 on the cross-check
-/// replica). The shard plan is [`ShardPlan::auto`] over the built
-/// graph, so equal shard counts always mean equal partitions.
-fn run_open_loop(scenario: &Scenario, shards: u32) -> Outcome {
+/// Run the open-loop path of `scenario`: its schedule replayed
+/// against its fault plan.
+fn run_open_loop(scenario: &Scenario) -> Outcome {
     let built = match scenario.build() {
         Ok(b) => b,
         Err(e) => return Outcome::Invalid(e),
     };
-    let plan = (shards > 1).then(|| ShardPlan::auto(&built.graph, shards as usize));
     let Some(protocol) = registry::by_name(&scenario.protocol, scenario.seed) else {
         return Outcome::Invalid(format!("unknown protocol '{}'", scenario.protocol));
     };
@@ -206,11 +195,6 @@ fn run_open_loop(scenario: &Scenario, shards: u32) -> Outcome {
             ..EngineConfig::default()
         },
     );
-    if let Some(plan) = plan {
-        if let Err(e) = engine.set_shards(plan) {
-            return Outcome::Invalid(e.to_string());
-        }
-    }
     let mut sentinel = SentinelConfig::all_halt()
         .with_cadence(scenario.cadence)
         .with_seed(scenario.seed);
@@ -242,45 +226,12 @@ fn run_open_loop(scenario: &Scenario, shards: u32) -> Outcome {
     }
 }
 
-/// Do two runs of the same scenario tell the same story? Breaches must
-/// agree on the violation itself, and every variant that ran must
-/// agree on the stats — [`RunStats`] covers steps, packet accounting,
-/// peaks, crossings, and sentinel rounds, so agreement here means the
-/// runs were observationally identical.
-fn outcomes_agree(a: &Outcome, b: &Outcome) -> bool {
-    match (a, b) {
-        (Outcome::Clean(x), Outcome::Clean(y)) => x == y,
-        (Outcome::Breach(ra, x), Outcome::Breach(rb, y)) => ra.violation == rb.violation && x == y,
-        (Outcome::Overrate(da, x), Outcome::Overrate(db, y)) => da == db && x == y,
-        (Outcome::Invalid(da), Outcome::Invalid(db)) => da == db,
-        _ => false,
-    }
-}
-
 /// Build and run `scenario` to its horizon (or first halting breach).
-///
-/// A sharded scenario (`shards > 1`) is self-checking: the same
-/// scenario is re-run sequentially and the two outcomes must agree —
-/// the sharded engine's bit-identical contract says the shard count is
-/// invisible. A divergence is classified as [`Outcome::Invalid`]: it
-/// is a simulator determinism bug, not an adversarial finding, and
-/// `Invalid` is the campaign's loudest bucket (the report pins it to
-/// zero).
 pub fn run_scenario(scenario: &Scenario) -> Outcome {
-    if let Some(spec) = &scenario.closed_loop {
-        return run_closed_loop(scenario, spec);
+    match &scenario.closed_loop {
+        Some(spec) => run_closed_loop(scenario, spec),
+        None => run_open_loop(scenario),
     }
-    let out = run_open_loop(scenario, scenario.shards);
-    if scenario.shards > 1 && !matches!(out, Outcome::Invalid(_)) {
-        let sequential = run_open_loop(scenario, 1);
-        if !outcomes_agree(&out, &sequential) {
-            return Outcome::Invalid(format!(
-                "sharded run ({} shards) diverged from sequential: {out:?} vs {sequential:?}",
-                scenario.shards
-            ));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -298,7 +249,6 @@ mod tests {
             horizon: 40,
             cadence: 1,
             deep_stride: 1,
-            shards: 1,
             injections: vec![
                 InjectSpec {
                     time: 1,
@@ -336,6 +286,16 @@ mod tests {
         assert!(stats.crossings >= 3 * 3 + 2 * 2);
         assert!(stats.sentinel_rounds > 0);
         assert!(stats.peak_queue >= 3);
+
+        // RANDOM has no discipline fast path; its `select` runs clean
+        // through the same stack.
+        let mut s = clean_scenario();
+        s.protocol = "RANDOM".into();
+        let out = run_scenario(&s);
+        let Outcome::Clean(stats) = out else {
+            panic!("expected clean under RANDOM, got {out:?}");
+        };
+        assert_eq!(stats.absorbed, 5);
     }
 
     #[test]
@@ -424,69 +384,6 @@ mod tests {
             "detail names the member: {detail}"
         );
         assert!(!Outcome::Overrate(detail, stats).is_breach());
-    }
-
-    #[test]
-    fn sharded_run_matches_sequential_stats() {
-        let sequential = run_scenario(&clean_scenario());
-        let Outcome::Clean(seq_stats) = sequential else {
-            panic!("expected clean, got {sequential:?}");
-        };
-        for shards in [2, 4, 8] {
-            let mut s = clean_scenario();
-            s.shards = shards;
-            let out = run_scenario(&s);
-            let Outcome::Clean(stats) = out else {
-                panic!("expected clean at {shards} shards, got {out:?}");
-            };
-            assert_eq!(stats, seq_stats, "{shards} shards changed the run");
-        }
-    }
-
-    #[test]
-    fn sharded_breach_matches_sequential() {
-        // The tight-certificate tripwire from above, run at 4 shards:
-        // the cross-check inside run_scenario must agree, and the
-        // violation must be the sequential one.
-        let mut s = clean_scenario();
-        s.injections = vec![InjectSpec {
-            time: 1,
-            cohort: CohortSpec {
-                route: vec![0],
-                tag: 0,
-                count: 5,
-            },
-        }];
-        s.certificate = Some(CertificateSpec {
-            window: 1,
-            rate: Ratio::new(1, 2),
-            d: 1,
-            initial: 0,
-            time_priority: false,
-        });
-        let sequential = run_scenario(&s);
-        s.shards = 4;
-        let sharded = run_scenario(&s);
-        match (sequential, sharded) {
-            (Outcome::Breach(ra, sa), Outcome::Breach(rb, sb)) => {
-                assert_eq!(ra.violation, rb.violation);
-                assert_eq!(sa, sb);
-            }
-            other => panic!("expected two identical breaches, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn random_protocol_with_shards_is_invalid() {
-        // RANDOM declares a custom service order the sharded engine
-        // refuses; the generator never pairs them, so seeing one is a
-        // generator bug and classifies as Invalid.
-        let mut s = clean_scenario();
-        s.protocol = "RANDOM".into();
-        s.shards = 2;
-        assert!(matches!(run_scenario(&s), Outcome::Invalid(_)));
-        s.shards = 1;
-        assert!(matches!(run_scenario(&s), Outcome::Clean(_)));
     }
 
     #[test]

@@ -496,12 +496,6 @@ pub struct Scenario {
     pub cadence: Time,
     /// Sentinel deep stride (per-packet scans); ≥ 1.
     pub deep_stride: u64,
-    /// Edge shards stepping concurrently inside the run (1 =
-    /// sequential). A representation knob, not a behavior knob: the
-    /// sharded engine is bit-identical to the sequential one, so the
-    /// outcome must not depend on this field — `run_scenario`
-    /// cross-checks exactly that on every sharded run.
-    pub shards: u32,
     /// The adversary's schedule.
     pub injections: Vec<InjectSpec>,
     /// The fault plan.
@@ -539,12 +533,6 @@ impl Scenario {
     pub fn build(&self) -> Result<Built, String> {
         if self.cadence == 0 {
             return Err("cadence 0 would disable the sentinel".into());
-        }
-        if self.shards == 0 {
-            return Err("0 shards cannot step (1 = sequential)".into());
-        }
-        if self.closed_loop.is_some() && self.shards > 1 {
-            return Err("closed-loop scenarios run sequentially (shards must be 1)".into());
         }
         if self.closed_loop.is_some() && !(self.injections.is_empty() && self.faults.is_empty()) {
             return Err("closed-loop scenario cannot carry an open-loop schedule or faults".into());
@@ -614,13 +602,7 @@ impl Scenario {
         words.extend(self.topology.words());
         words.push(self.protocol.len() as u64);
         words.extend(self.protocol.bytes().map(u64::from));
-        words.extend([
-            self.seed,
-            self.horizon,
-            self.cadence,
-            self.deep_stride,
-            u64::from(self.shards),
-        ]);
+        words.extend([self.seed, self.horizon, self.cadence, self.deep_stride]);
         words.push(self.injections.len() as u64);
         for inj in &self.injections {
             words.push(inj.time);
@@ -669,7 +651,6 @@ impl Scenario {
                 .sum::<u64>()
             + self.faults.iter().map(FaultSpec::weight).sum::<u64>()
             + self.model.len() as u64
-            + u64::from(self.shards)
             + self.closed_loop.as_ref().map_or(0, ClosedLoopSpec::weight)
     }
 
@@ -722,14 +703,13 @@ impl Scenario {
             Some(cl) => format!("Some({})", cl.to_rust()),
         };
         format!(
-            "Scenario {{\n    topology: {},\n    protocol: \"{}\".into(),\n    seed: {},\n    horizon: {},\n    cadence: {},\n    deep_stride: {},\n    shards: {},\n    injections: vec![{}],\n    faults: vec![{}],\n    model: vec![{}],\n    certificate: {},\n    closed_loop: {},\n}}",
+            "Scenario {{\n    topology: {},\n    protocol: \"{}\".into(),\n    seed: {},\n    horizon: {},\n    cadence: {},\n    deep_stride: {},\n    injections: vec![{}],\n    faults: vec![{}],\n    model: vec![{}],\n    certificate: {},\n    closed_loop: {},\n}}",
             self.topology.to_rust(),
             self.protocol,
             self.seed,
             self.horizon,
             self.cadence,
             self.deep_stride,
-            self.shards,
             injections.join(", "),
             faults.join(", "),
             model.join(", "),
@@ -751,7 +731,6 @@ mod tests {
             horizon: 32,
             cadence: 1,
             deep_stride: 1,
-            shards: 1,
             injections: vec![InjectSpec {
                 time: 1,
                 cohort: CohortSpec {
@@ -809,10 +788,6 @@ mod tests {
         assert!(s.build().is_err());
 
         let mut s = base();
-        s.shards = 0;
-        assert!(s.build().is_err(), "0 shards cannot step");
-
-        let mut s = base();
         // Non-consecutive edges on a line: Route::new must refuse.
         s.injections[0].cohort.route = vec![0, 2];
         assert!(s.build().is_err());
@@ -826,8 +801,6 @@ mod tests {
         assert!(s.build().is_err(), "faults must also be empty");
         s.faults.clear();
         assert!(s.build().is_ok());
-        s.shards = 2;
-        assert!(s.build().is_err(), "closed-loop runs are sequential");
     }
 
     #[test]
@@ -842,7 +815,7 @@ mod tests {
         t.protocol = "LIS".into();
         assert_ne!(f, t.fingerprint());
         let mut t = s.clone();
-        t.shards = 4;
+        t.deep_stride += 1;
         assert_ne!(f, t.fingerprint());
         let mut t = s.clone();
         t.injections[0].cohort.count = 3;
@@ -957,7 +930,7 @@ mod tests {
         assert!(src.contains("TopologySpec::Line(3)"));
         assert!(src.contains("CohortSpec { route: vec![0, 1, 2], tag: 0, count: 2 }"));
         assert!(src.contains("FaultSpec::Drop { edge: 1, time: 4 }"));
-        assert!(src.contains("shards: 1"));
+        assert!(src.contains("deep_stride: 1,\n    injections: vec!["));
         assert!(src.contains("model: vec![]"));
         assert!(src.contains("certificate: None"));
 

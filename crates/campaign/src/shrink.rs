@@ -110,14 +110,6 @@ fn candidates(s: &Scenario, breach_time: Time) -> Vec<Scenario> {
         t.model.remove(i);
         out.push(t);
     }
-    //    Run sequentially: shards are representation, not behavior, so
-    //    a sharded breach reproduces at 1 shard — and the sequential
-    //    repro is the smaller artifact (no cross-check replica run).
-    if s.shards > 1 {
-        let mut t = s.clone();
-        t.shards = 1;
-        out.push(t);
-    }
     // 7. Shrink the closed-loop workload: fewer clients, fewer
     //    attempts, a smaller queue, no outage, a shorter path (the
     //    topology follows the path so the lowered config stays
@@ -209,7 +201,6 @@ mod tests {
             horizon: 80,
             cadence: 1,
             deep_stride: 1,
-            shards: 1,
             injections: vec![
                 InjectSpec {
                     time: 1,
@@ -280,17 +271,6 @@ mod tests {
         assert_eq!(a.report.violation, b.report.violation);
         assert_eq!(a.attempts, b.attempts);
         assert_eq!(a.accepted, b.accepted);
-    }
-
-    #[test]
-    fn sharded_breach_shrinks_to_sequential() {
-        let mut s = bloated();
-        s.shards = 4;
-        let out = shrink(&s, InvariantKind::Certificate);
-        assert_eq!(
-            out.scenario.shards, 1,
-            "the sequential repro is strictly smaller and still breaches"
-        );
     }
 
     #[test]

@@ -1392,160 +1392,6 @@ pub fn e17_collapse_demo(horizon: Time) -> Result<(Vec<E17Row>, bool), SimError>
 }
 
 // ---------------------------------------------------------------------
-// E18 — sharded determinism & scaling on a ≥100k-edge topology.
-// ---------------------------------------------------------------------
-
-/// One row of experiment E18: the same workload stepped at one shard
-/// count.
-#[derive(Debug, Clone)]
-pub struct E18Row {
-    /// Shards stepping concurrently (1 = the sequential pipeline).
-    pub shards: u32,
-    /// Steps per second of wall clock at this shard count.
-    pub steps_per_sec: f64,
-    /// Throughput relative to the sequential row (row 1 is 1.0).
-    pub speedup: f64,
-    /// FNV-1a fingerprint of the final canonical snapshot.
-    pub trajectory_hash: u64,
-    /// The bit-identical verdict: this row's final snapshot *and*
-    /// metrics equal the sequential row's, packet for packet.
-    pub identical: bool,
-}
-
-/// The E18 report: one row per shard count plus the context needed to
-/// read the speedup column honestly.
-#[derive(Debug, Clone)]
-pub struct E18Report {
-    /// Edges in the driven topology.
-    pub edges: usize,
-    /// Steps driven per row.
-    pub steps: u64,
-    /// `std::thread::available_parallelism()` on the measuring host —
-    /// speedups are only meaningful up to this many shards.
-    pub host_cores: usize,
-    /// One row per requested shard count, sequential first.
-    pub rows: Vec<E18Row>,
-}
-
-/// Fingerprint a canonical snapshot: clock, counters, and every
-/// packet's full state in buffer-scan order.
-fn snapshot_fingerprint(s: &aqt_sim::Snapshot) -> u64 {
-    let mut words: Vec<u64> = vec![
-        s.time,
-        s.next_id,
-        s.injected,
-        s.absorbed,
-        s.dropped,
-        s.duplicated,
-    ];
-    for (edge, q) in s.buffers.iter().enumerate() {
-        for p in q {
-            words.extend([
-                edge as u64,
-                p.id,
-                p.injected_at,
-                p.arrived_at,
-                u64::from(p.tag),
-                u64::from(p.route),
-                u64::from(p.hop),
-            ]);
-        }
-    }
-    aqt_sim::fnv1a_u64s(words)
-}
-
-/// Run E18: FIFO on `ring(edges)` — every edge seeded with a cohort of
-/// `cohort` packets on a length-`route_len` wrap-around route — stepped
-/// `steps` quiet steps at each shard count in `shard_counts` (the
-/// sequential row is always prepended). Every buffer is busy on every
-/// step, so the run measures sustained engine throughput, and the final
-/// state still holds every packet mid-route (`steps < route_len`), so
-/// the snapshot comparison sees the full network, not a drained one.
-///
-/// The determinism claim is checked *in* the experiment: each sharded
-/// row's final snapshot and metrics must equal the sequential row's
-/// bit for bit (`identical`), whatever the host's core count. The
-/// speedup column is honest only up to `host_cores` shards — the bench
-/// gate applies its scaling floor conditionally on that field.
-pub fn e18_sharded_scaling(
-    edges: usize,
-    route_len: usize,
-    cohort: u32,
-    steps: u64,
-    shard_counts: &[u32],
-) -> Result<E18Report, SimError> {
-    assert!(route_len > steps as usize, "packets must outlive the run");
-    let g = Arc::new(topologies::ring(edges));
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let run = |shards: u32| -> Result<(aqt_sim::Snapshot, u64, f64), SimError> {
-        let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-        if shards > 1 {
-            eng.set_shards(aqt_sim::ShardPlan::striped(edges, shards as usize))
-                .map_err(SimError::from)?;
-        }
-        for e in 0..edges {
-            let ids: Vec<EdgeId> = (0..route_len)
-                .map(|k| EdgeId(((e + k) % edges) as u32))
-                .collect();
-            let route = Route::new(&g, ids).expect("contiguous ring edges");
-            eng.seed_cohort(route, e as u32, u64::from(cohort))
-                .map_err(SimError::from)?;
-        }
-        let t0 = std::time::Instant::now();
-        eng.run_quiet(steps).map_err(SimError::from)?;
-        let wall = t0.elapsed().as_secs_f64().max(1e-9);
-        let snap = aqt_sim::snapshot::capture(&eng);
-        let crossings: u64 = eng.metrics().crossings_per_edge().iter().sum();
-        Ok((snap, crossings, steps as f64 / wall))
-    };
-
-    let mut counts: Vec<u32> = vec![1];
-    counts.extend(shard_counts.iter().copied().filter(|&s| s > 1));
-
-    let mut rows = Vec::with_capacity(counts.len());
-    let mut baseline: Option<(aqt_sim::Snapshot, u64)> = None;
-    let mut base_rate = 0.0_f64;
-    for &shards in &counts {
-        let (snap, crossings, steps_per_sec) = run(shards)?;
-        let identical = match &baseline {
-            None => {
-                base_rate = steps_per_sec;
-                baseline = Some((snap.clone(), crossings));
-                true
-            }
-            Some((base_snap, base_crossings)) => *base_snap == snap && *base_crossings == crossings,
-        };
-        rows.push(E18Row {
-            shards,
-            steps_per_sec,
-            speedup: steps_per_sec / base_rate.max(1e-9),
-            trajectory_hash: snapshot_fingerprint(&snap),
-            identical,
-        });
-    }
-    Ok(E18Report {
-        edges,
-        steps,
-        host_cores,
-        rows,
-    })
-}
-
-/// E18 at the scale `EXPERIMENTS.md` reports: 120k edges (≥ the 100k
-/// floor), 64-packet routes, 48 steps, shard counts 2/4/8.
-pub fn e18_full() -> Result<E18Report, SimError> {
-    e18_sharded_scaling(120_000, 64, 1, 48, &[2, 4, 8])
-}
-
-/// E18 at CI-smoke scale: the same shape shrunk to 2k edges so the
-/// determinism assertion (the part that needs no cores) runs in
-/// seconds.
-pub fn e18_smoke(shard_counts: &[u32]) -> Result<E18Report, SimError> {
-    e18_sharded_scaling(2_000, 32, 1, 24, shard_counts)
-}
-
-// ---------------------------------------------------------------------
 // One-command reduced-scale tour.
 // ---------------------------------------------------------------------
 

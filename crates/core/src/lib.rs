@@ -20,6 +20,8 @@
 //!   `EXPERIMENTS.md` (E1–E10), shared by the integration tests, the
 //!   examples and the Criterion benches.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod instability;
 pub mod theory;

@@ -25,11 +25,11 @@
 //!   lower-bound routes are shortest paths), simple-path enumeration.
 //! * [`catalog`] — named topology construction (`"ring-8"`, …) for
 //!   sweep tooling.
-//! * [`partition`] — edge-partition heuristics (contiguous chain cuts,
-//!   striping) for the sharded engine.
 //! * [`blueprint`] — generic gadget composition (Section 5's "the
 //!   technique can be applied to various gadgets"), with the paper's
 //!   `F_n` and a `k`-way generalization as instances.
+
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod blueprint;
@@ -38,7 +38,6 @@ pub mod catalog;
 pub mod dot;
 pub mod gadget;
 pub mod graph;
-pub mod partition;
 pub mod paths;
 pub mod route;
 pub mod topologies;

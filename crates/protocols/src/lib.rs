@@ -19,6 +19,8 @@
 //! Ties are always broken deterministically (documented per protocol),
 //! so simulation runs are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod fifo;
 pub mod lifo;

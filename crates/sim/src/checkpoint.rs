@@ -32,7 +32,6 @@ use crate::packet::Time;
 use crate::protocol::Protocol;
 use crate::rate::AdversaryModel;
 use crate::sentinel::SentinelState;
-use crate::shard::ShardStamp;
 use crate::snapshot::{self, Snapshot};
 
 /// A complete engine state capture. See the module docs for what it
@@ -50,12 +49,6 @@ pub struct Checkpoint {
     /// engine had one. The sentinel *configuration*, like the fault
     /// plan, is configuration and travels outside the checkpoint.
     sentinel: Option<SentinelState>,
-    /// The shard configuration at capture ([`Engine::shard_stamp`]).
-    /// Trajectories are partition-independent, so this is not needed
-    /// for correctness of the resumed *results* — but restore fails
-    /// closed on a mismatch so "same checkpoint, same configuration,
-    /// same machine behaviour" stays an exact statement.
-    shards: ShardStamp,
 }
 
 impl Checkpoint {
@@ -86,11 +79,6 @@ impl Checkpoint {
     pub fn sentinel_state(&self) -> Option<&SentinelState> {
         self.sentinel.as_ref()
     }
-
-    /// The shard configuration the source engine was stepping with.
-    pub fn shard_stamp(&self) -> ShardStamp {
-        self.shards
-    }
 }
 
 /// Capture the complete state of `engine`.
@@ -103,7 +91,6 @@ pub fn checkpoint<P: Protocol>(engine: &Engine<P>) -> Checkpoint {
         last_route_use: last_route_use.to_vec(),
         fault_log: fault_log.to_vec(),
         sentinel: engine.sentinel_state().cloned(),
-        shards: engine.shard_stamp(),
     }
 }
 
@@ -142,16 +129,6 @@ pub fn restore<P: Protocol>(engine: &mut Engine<P>, ck: &Checkpoint) -> Result<(
         return Err(SimError::Checkpoint(
             "sentinel configuration differs between checkpoint and engine".into(),
         ));
-    }
-    if engine.shard_stamp() != ck.shards {
-        return Err(SimError::Checkpoint(format!(
-            "shard configuration differs between checkpoint ({} shards, fingerprint {:#x}) \
-             and engine ({} shards, fingerprint {:#x})",
-            ck.shards.count,
-            ck.shards.fingerprint,
-            engine.shard_stamp().count,
-            engine.shard_stamp().fingerprint
-        )));
     }
     snapshot::validate_payload(&ck.snapshot, edges).map_err(SimError::Checkpoint)?;
 
@@ -363,37 +340,5 @@ mod tests {
             restore(&mut other, &ck),
             Err(SimError::Checkpoint(_))
         ));
-    }
-
-    #[test]
-    fn restore_rejects_shard_mismatch() {
-        // A checkpoint captured on a sequential engine must not restore
-        // into a sharded one, and vice versa — fail closed, both ways.
-        let (seq, _) = validating_engine();
-        let seq_ck = checkpoint(&seq);
-        assert_eq!(seq_ck.shard_stamp(), crate::shard::ShardStamp::SEQUENTIAL);
-
-        let (mut sharded, _) = validating_engine();
-        let m = 2; // line(2) has two edges
-        sharded
-            .set_shards(crate::shard::ShardPlan::striped(m, 2))
-            .unwrap();
-        assert!(matches!(
-            restore(&mut sharded, &seq_ck),
-            Err(SimError::Checkpoint(_))
-        ));
-
-        let sharded_ck = checkpoint(&sharded);
-        let (mut other_seq, _) = validating_engine();
-        assert!(matches!(
-            restore(&mut other_seq, &sharded_ck),
-            Err(SimError::Checkpoint(_))
-        ));
-
-        // Same plan on both sides restores fine.
-        let (mut same, _) = validating_engine();
-        same.set_shards(crate::shard::ShardPlan::striped(m, 2))
-            .unwrap();
-        restore(&mut same, &sharded_ck).unwrap();
     }
 }

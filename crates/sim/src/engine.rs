@@ -56,7 +56,6 @@ use crate::sentinel::{
     self, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Severity, Violation,
     ViolationReport,
 };
-use crate::shard::{ShardPlan, ShardRuntime, ShardStamp};
 use crate::telemetry::{SpanKind, Telemetry, TelemetryConfig, TelemetrySink};
 
 /// Engine configuration.
@@ -270,13 +269,6 @@ pub struct Engine<P: Protocol> {
     record_absorptions: bool,
     /// The absorption log, drained by [`Engine::take_absorptions`].
     absorptions: Vec<Absorption>,
-    /// Sharded-stepping state ([`Engine::set_shards`]); `None` steps
-    /// sequentially. Fault-active steps fall back to the sequential
-    /// pipeline even when set (see [`crate::shard`]).
-    shards: Option<ShardRuntime>,
-    /// Scratch for the merged-active send order on a partitioned
-    /// store's sequential fallback steps.
-    active_scratch: Vec<u32>,
 }
 
 impl<P: Protocol> Engine<P> {
@@ -311,59 +303,7 @@ impl<P: Protocol> Engine<P> {
             observe: Observe::disabled(),
             record_absorptions: false,
             absorptions: Vec::new(),
-            shards: None,
-            active_scratch: Vec::new(),
         }
-    }
-
-    /// Configure sharded stepping: partition the edges per `plan` and
-    /// run fault-free steps with `plan.count()` concurrent shards
-    /// (count 1 restores plain sequential stepping). Legal at any step
-    /// boundary — trajectories are partition-independent (the sharded
-    /// equivalence tests pin sharded == sequential bit-for-bit), so
-    /// resharding mid-run never changes results, only speed.
-    ///
-    /// Requires a protocol with a declared [`Discipline`] fast path
-    /// when `count > 1`: [`Protocol::select`] takes `&mut self` and
-    /// cannot be driven from concurrent shard workers.
-    pub fn set_shards(&mut self, plan: ShardPlan) -> Result<(), EngineError> {
-        if plan.shard_of().len() != self.graph.edge_count() {
-            return Err(EngineError::Usage(format!(
-                "shard plan covers {} edges but the graph has {}",
-                plan.shard_of().len(),
-                self.graph.edge_count()
-            )));
-        }
-        if plan.count() > 1 && matches!(self.discipline, Discipline::Custom) {
-            return Err(EngineError::Usage(format!(
-                "protocol {} declares no Discipline fast path; sharded stepping requires one",
-                self.protocol.name()
-            )));
-        }
-        let count = plan.count() as usize;
-        if count <= 1 {
-            self.buffers
-                .set_partition(vec![0; self.graph.edge_count()], 1);
-            self.shards = None;
-        } else {
-            self.buffers.set_partition(plan.shard_of().to_vec(), count);
-            self.shards = Some(ShardRuntime::new(plan));
-        }
-        self.observe.reshard(count);
-        Ok(())
-    }
-
-    /// Number of shards stepping concurrently (1 = sequential).
-    pub fn shard_count(&self) -> u32 {
-        self.shards.as_ref().map_or(1, |rt| rt.plan().count())
-    }
-
-    /// The stamp identifying the current shard configuration. Carried
-    /// by checkpoints, which refuse to restore under a different one.
-    pub fn shard_stamp(&self) -> ShardStamp {
-        self.shards
-            .as_ref()
-            .map_or(ShardStamp::SEQUENTIAL, |rt| rt.plan().stamp())
     }
 
     /// The step of the next sentinel round implied by the attached
@@ -464,13 +404,11 @@ impl<P: Protocol> Engine<P> {
                 .and_then(|s| s.config().certificate_spec)
                 .and_then(|spec| spec.bound())
         });
-        let shard_count = self.shard_count() as usize;
         self.observe
-            .configure(cfg, self.time, self.graph.edge_count(), shard_count, bound);
+            .configure(cfg, self.time, self.graph.edge_count(), bound);
     }
 
-    /// The observatory state: backlog/margin series, span tallies,
-    /// per-shard load.
+    /// The observatory state: backlog/margin series and span tallies.
     pub fn observatory(&self) -> &Observe {
         &self.observe
     }
@@ -870,7 +808,6 @@ impl<P: Protocol> Engine<P> {
                 edge: first.index() as u32,
                 hop: 0,
                 wait: 0,
-                shard: 0,
             });
         }
         id
@@ -928,7 +865,6 @@ impl<P: Protocol> Engine<P> {
                     edge: first.index() as u32,
                     hop: 0,
                     wait: 0,
-                    shard: 0,
                 });
                 id += stride;
             }
@@ -974,99 +910,37 @@ impl<P: Protocol> Engine<P> {
         debug_assert!(self.in_transit.is_empty());
         let absorbed0 = self.metrics.absorbed;
         let injected0 = self.metrics.injected;
-        let (sent, delivered_len);
-        let use_sharded = self.shards.is_some() && !faults_active;
-        if use_sharded {
-            // Fused parallel send + receive with the deterministic
-            // barrier in between; wire faults are inactive this step,
-            // so the wire stage is the identity (fault-active steps
-            // take the sequential branch below over the merged active
-            // set — duplicate-id assignment is order-dependent).
-            let mut rt = self.shards.take().expect("use_sharded checked is_some");
-            let mut phases = (std::time::Duration::ZERO, std::time::Duration::ZERO);
-            let span_filter = self
-                .observe
-                .spans_on
-                .then_some((self.observe.span_mask, self.observe.span_residue));
-            let shard_work = if tel_timing {
-                Some(&mut self.telemetry.timings.shard_work)
-            } else {
-                None
-            };
-            let res = rt.execute_step(
-                t,
-                &mut self.buffers,
-                &self.routes,
-                self.discipline,
-                &mut self.metrics,
-                self.record_absorptions,
-                &mut self.absorptions,
-                tel_timing.then_some(&mut phases),
-                tel_counters,
-                span_filter,
-                shard_work,
-            );
-            if self.observe.spans_on {
-                rt.drain_spans(&mut self.observe.span_scratch);
-            }
-            if !self.observe.shard_sent.is_empty() {
-                rt.accumulate_sent(&mut self.observe.shard_sent);
-            }
-            self.shards = Some(rt);
-            let totals = res.map_err(EngineError::Protocol)?;
-            if tel_timing {
-                self.telemetry.timings.send.record_duration(phases.0);
-                self.telemetry.timings.receive.record_duration(phases.1);
-                self.telemetry.timings.barrier.record(totals.barrier_ns);
-            }
-            if tel_counters {
-                let c = &mut self.telemetry.counters;
-                if totals.compacted > 0 {
-                    c.buffers_compacted += totals.compacted;
-                }
-                c.shard_steps += 1;
-                c.shard_msgs_merged += totals.msgs_merged;
-                c.shard_barrier_ns += totals.barrier_ns;
-            }
-            sent = totals.sent;
-            // Fault-free: everything sent was delivered (absorbed or
-            // forwarded).
-            delivered_len = totals.sent;
-        } else {
-            // Sequential staged pipeline. The sampled stage clocks
-            // share boundary timestamps — compact|send and
-            // send|receive are each one `Instant`, not two — so a
-            // sampled step costs 6 clock reads end to end instead of
-            // the former ~10.
-            let deactivated = self.buffers.begin_step();
-            if tel_counters && deactivated > 0 {
-                self.telemetry.counters.buffers_compacted += deactivated as u64;
-            }
-            let send_t0 = tel_timing.then(std::time::Instant::now);
-            self.substep_send(t, faults_active)?;
-            sent = self.in_transit.len() as u64;
-            let wire_t0 = tel_timing.then(std::time::Instant::now);
-            self.substep_wire_faults(t, faults_active);
-            delivered_len = self.delivered.len() as u64;
-            self.substep_receive(t);
-            let recv_t1 = tel_timing.then(std::time::Instant::now);
-            if let (Some(a), Some(b), Some(c), Some(d)) = (step_t0, send_t0, wire_t0, recv_t1) {
-                // compact = step start → send start; send = the send
-                // loop alone; receive includes the wire stage (a swap
-                // on fault-free steps).
-                self.telemetry
-                    .timings
-                    .compact
-                    .record_duration(b.duration_since(a));
-                self.telemetry
-                    .timings
-                    .send
-                    .record_duration(c.duration_since(b));
-                self.telemetry
-                    .timings
-                    .receive
-                    .record_duration(d.duration_since(c));
-            }
+        // The sampled stage clocks share boundary timestamps —
+        // compact|send and send|receive are each one `Instant`, not
+        // two — so a sampled step costs 6 clock reads end to end.
+        let deactivated = self.buffers.begin_step();
+        if tel_counters && deactivated > 0 {
+            self.telemetry.counters.buffers_compacted += deactivated as u64;
+        }
+        let send_t0 = tel_timing.then(std::time::Instant::now);
+        self.substep_send(t, faults_active)?;
+        let sent = self.in_transit.len() as u64;
+        let wire_t0 = tel_timing.then(std::time::Instant::now);
+        self.substep_wire_faults(t, faults_active);
+        let delivered_len = self.delivered.len() as u64;
+        self.substep_receive(t);
+        let recv_t1 = tel_timing.then(std::time::Instant::now);
+        if let (Some(a), Some(b), Some(c), Some(d)) = (step_t0, send_t0, wire_t0, recv_t1) {
+            // compact = step start → send start; send = the send
+            // loop alone; receive includes the wire stage (a swap
+            // on fault-free steps).
+            self.telemetry
+                .timings
+                .compact
+                .record_duration(b.duration_since(a));
+            self.telemetry
+                .timings
+                .send
+                .record_duration(c.duration_since(b));
+            self.telemetry
+                .timings
+                .receive
+                .record_duration(d.duration_since(c));
         }
         let inject_t0 = tel_timing.then(std::time::Instant::now);
         if self.oracle.is_some() {
@@ -1101,11 +975,6 @@ impl<P: Protocol> Engine<P> {
             // buffer.
             c.packets_forwarded += delivered_len.saturating_sub(absorbed_delta);
             c.packets_injected += self.metrics.injected - injected0;
-            // A sharded engine that stepped sequentially this step
-            // (fault-active) is a fallback.
-            if !use_sharded && self.shards.is_some() {
-                c.shard_seq_fallbacks += 1;
-            }
         }
         if let Some(t0) = step_t0 {
             self.telemetry.timings.step.record_duration(t0.elapsed());
@@ -1129,9 +998,8 @@ impl<P: Protocol> Engine<P> {
     fn flush_spans(&mut self) {
         if self.telemetry.has_sink() {
             for rec in &self.observe.span_scratch {
-                self.telemetry.emit_span(
-                    rec.time, rec.packet, rec.op, rec.edge, rec.hop, rec.wait, rec.shard,
-                );
+                self.telemetry
+                    .emit_span(rec.time, rec.packet, rec.op, rec.edge, rec.hop, rec.wait);
             }
             let n = self.observe.span_scratch.len() as u64;
             self.observe.note_flushed(n);
@@ -1167,7 +1035,6 @@ impl<P: Protocol> Engine<P> {
                 self.observe.bound(),
                 margin,
                 &self.observe.depth_scratch,
-                &self.observe.shard_sent,
             );
         }
     }
@@ -1182,22 +1049,9 @@ impl<P: Protocol> Engine<P> {
         // Active entries are exactly the nonempty edges after
         // begin_step, and stay nonempty until their own send below
         // (substep 1 never appends to buffers).
-        if !self.buffers.is_partitioned() {
-            for k in 0..self.buffers.active_count() {
-                let ei = self.buffers.active_edge(k);
-                self.send_one(t, ei, faults_active)?;
-            }
-        } else {
-            // Sequential fallback for a sharded engine (fault-active
-            // step): the merged per-shard lists, ascending, are the
-            // exact single-list send order.
-            let mut scratch = std::mem::take(&mut self.active_scratch);
-            self.buffers.merged_active(&mut scratch);
-            let res = scratch
-                .iter()
-                .try_for_each(|&ei| self.send_one(t, ei as usize, faults_active));
-            self.active_scratch = scratch;
-            res?;
+        for k in 0..self.buffers.active_count() {
+            let ei = self.buffers.active_edge(k);
+            self.send_one(t, ei, faults_active)?;
         }
         Ok(())
     }
@@ -1247,7 +1101,6 @@ impl<P: Protocol> Engine<P> {
                 edge: ei as u32,
                 hop: p.hop,
                 wait,
-                shard: 0,
             });
         }
         self.in_transit.push(p);
@@ -1286,7 +1139,6 @@ impl<P: Protocol> Engine<P> {
                         edge: crossed.index() as u32,
                         hop: p.hop,
                         wait: 0,
-                        shard: 0,
                     });
                 }
                 continue;
@@ -1313,7 +1165,6 @@ impl<P: Protocol> Engine<P> {
                         edge: crossed.index() as u32,
                         hop: p.hop,
                         wait: 0,
-                        shard: 0,
                     });
                 }
                 Some(Packet { id, ..p })
@@ -1356,7 +1207,6 @@ impl<P: Protocol> Engine<P> {
                         edge: crossed.index() as u32,
                         hop: p.hop,
                         wait: t - p.injected_at,
-                        shard: 0,
                     });
                 }
                 if self.record_absorptions {
@@ -1384,7 +1234,6 @@ impl<P: Protocol> Engine<P> {
                         edge: next.index() as u32,
                         hop: p.hop,
                         wait: 0,
-                        shard: 0,
                     });
                 }
             }

@@ -39,21 +39,18 @@
 //! * [`parallel`] — a crash-safe scoped thread-pool for embarrassingly
 //!   parallel parameter sweeps (per-job panic isolation, bounded
 //!   retry, quarantine).
-//! * [`shard`] — bit-identical in-run parallelism: edge shards step
-//!   the send/receive substages concurrently with a deterministic
-//!   cross-shard exchange, so one large run uses many cores without
-//!   changing a single trajectory.
 //! * [`observe`] — the queue observatory: fixed-cadence per-edge
 //!   backlog series with a certificate-margin tracker, seeded 1-in-N
-//!   packet-lifecycle span sampling, and shard/barrier visibility,
-//!   exported through the telemetry sinks for the offline analyzer
-//!   (`examples/observatory.rs`).
+//!   packet-lifecycle span sampling, exported through the telemetry
+//!   sinks for the offline analyzer (`examples/observatory.rs`).
 //! * [`sentinel`] / [`oracle`] — runtime self-verification: pluggable
 //!   invariants (packet conservation, unit-speed capacity, route
 //!   progress, snapshot integrity, theorem-derived wait bounds)
 //!   checked at a configurable cadence with per-invariant severities,
 //!   plus a lockstep differential oracle diffing the optimized
 //!   pipeline against a naive reference engine.
+
+#![forbid(unsafe_code)]
 
 pub mod buffer;
 pub mod checkpoint;
@@ -71,7 +68,6 @@ pub mod ratio;
 pub mod routes;
 pub mod schedule;
 pub mod sentinel;
-pub mod shard;
 pub mod snapshot;
 pub mod source;
 pub mod telemetry;
@@ -101,7 +97,6 @@ pub use sentinel::{
     CertificateSpec, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Severity,
     Violation, ViolationReport,
 };
-pub use shard::{ShardPlan, ShardStamp};
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use source::{run_with_source, TrafficSource};
 pub use telemetry::{

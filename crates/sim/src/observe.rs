@@ -26,16 +26,14 @@
 //!   `id & (N−1) == seed & (N−1)` (a deterministic 1-in-N stratified
 //!   sample; N is rounded up to a power of two) emit a lifecycle span:
 //!   inject → per-hop send/enqueue → absorb, plus wire-fault
-//!   drop/duplicate events, each carrying the edge, the wait in steps,
-//!   and the acting shard. The id predicate is shard-independent and
-//!   trajectories are bit-identical across shard counts, so the same
-//!   packets are sampled whatever the partition. Spans are collected
-//!   into a preallocated scratch during the substeps and flushed
-//!   through the [`crate::TelemetrySink`] at the end of each step.
+//!   drop/duplicate events, each carrying the edge and the wait in
+//!   steps. Spans are collected into a preallocated scratch during
+//!   the substeps and flushed through the [`crate::TelemetrySink`] at
+//!   the end of each step, in the order the substages produced them.
 //!
 //! The offline half lives in `examples/observatory.rs`: it re-reads
 //! the JSONL stream and emits per-edge backlog percentiles, the margin
-//! series, a shard imbalance ratio, a span waterfall, and a
+//! series, a span waterfall, and a
 //! Chrome-trace (`trace_event`) file loadable in Perfetto.
 
 use crate::packet::Time;
@@ -113,7 +111,7 @@ impl ObserveConfig {
 }
 
 /// One buffered packet-lifecycle event, staged in the observatory's
-/// scratch (or a shard's span log) until the end-of-step flush.
+/// scratch until the end-of-step flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRec {
     /// Engine step of the event.
@@ -128,8 +126,6 @@ pub struct SpanRec {
     pub hop: u32,
     /// Steps waited (send) / end-to-end latency (absorb) / 0.
     pub wait: Time,
-    /// Shard owning the acting edge (0 when sequential).
-    pub shard: u32,
 }
 
 /// The engine-owned observatory state. Constructed disabled; all
@@ -168,9 +164,6 @@ pub struct Observe {
     pub(crate) span_scratch: Vec<SpanRec>,
     spans_emitted: u64,
     spans_dropped: u64,
-    /// Cumulative packets sent per shard (index = shard id), carried
-    /// on every `backlog` record; empty on unsharded runs.
-    pub(crate) shard_sent: Vec<u64>,
 }
 
 impl Observe {
@@ -196,20 +189,17 @@ impl Observe {
             span_scratch: Vec::new(),
             spans_emitted: 0,
             spans_dropped: 0,
-            shard_sent: Vec::new(),
         }
     }
 
     /// Apply `cfg` against a graph of `edge_count` edges, scheduling
     /// the first tick after `now`. `bound` is the already-resolved
-    /// margin-tracker bound and `shard_count` sizes the per-shard sent
-    /// accumulator (1 when unsharded). All preallocation happens here.
+    /// margin-tracker bound. All preallocation happens here.
     pub(crate) fn configure(
         &mut self,
         cfg: ObserveConfig,
         now: Time,
         edge_count: usize,
-        shard_count: usize,
         bound: Option<u64>,
     ) {
         let cadence = if cfg.cadence == 0 { 256 } else { cfg.cadence };
@@ -240,20 +230,6 @@ impl Observe {
         }
         self.spans_emitted = 0;
         self.spans_dropped = 0;
-        self.shard_sent = vec![0; if shard_count > 1 { shard_count } else { 0 }];
-    }
-
-    /// Resize the per-shard sent accumulator when shards are attached
-    /// or detached after the observatory (totals restart from zero —
-    /// the series stays interpretable because the partition change is
-    /// the natural origin for an imbalance measurement).
-    pub(crate) fn reshard(&mut self, shard_count: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.shard_sent.clear();
-        self.shard_sent
-            .resize(if shard_count > 1 { shard_count } else { 0 }, 0);
     }
 
     /// Is the observatory attached?
@@ -391,23 +367,6 @@ impl Observe {
     pub fn spans_dropped(&self) -> u64 {
         self.spans_dropped
     }
-
-    /// Cumulative packets sent per shard (empty on unsharded runs).
-    pub fn shard_sent(&self) -> &[u64] {
-        &self.shard_sent
-    }
-
-    /// `max/mean` of [`Observe::shard_sent`] — 1.0 is a perfectly
-    /// balanced partition. `None` when unsharded or before any send.
-    pub fn shard_imbalance(&self) -> Option<f64> {
-        let total: u64 = self.shard_sent.iter().sum();
-        if self.shard_sent.is_empty() || total == 0 {
-            return None;
-        }
-        let max = *self.shard_sent.iter().max().unwrap() as f64;
-        let mean = total as f64 / self.shard_sent.len() as f64;
-        Some(max / mean)
-    }
 }
 
 impl std::fmt::Debug for Observe {
@@ -429,7 +388,7 @@ mod tests {
     fn configured(cfg: ObserveConfig) -> Observe {
         let mut ob = Observe::disabled();
         let bound = cfg.bound;
-        ob.configure(cfg, 0, 8, 1, bound);
+        ob.configure(cfg, 0, 8, bound);
         ob
     }
 
@@ -504,7 +463,6 @@ mod tests {
             edge: 0,
             hop: 0,
             wait: 0,
-            shard: 0,
         });
         assert_eq!(ob.span_scratch.len(), 1);
     }
@@ -522,7 +480,6 @@ mod tests {
             edge: 0,
             hop: 0,
             wait: 0,
-            shard: 0,
         };
         for _ in 0..(SPAN_SCRATCH_CAP + 10) {
             ob.push_span(rec);
@@ -530,16 +487,5 @@ mod tests {
         assert_eq!(ob.span_scratch.len(), SPAN_SCRATCH_CAP);
         assert_eq!(ob.span_scratch.capacity(), SPAN_SCRATCH_CAP);
         assert_eq!(ob.spans_dropped(), 10);
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean() {
-        let mut ob = Observe::disabled();
-        ob.configure(ObserveConfig::default(), 0, 8, 4, None);
-        assert_eq!(ob.shard_imbalance(), None);
-        ob.shard_sent.copy_from_slice(&[10, 10, 10, 30]);
-        assert_eq!(ob.shard_imbalance(), Some(2.0));
-        ob.reshard(1);
-        assert!(ob.shard_sent().is_empty());
     }
 }

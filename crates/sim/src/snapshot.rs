@@ -47,21 +47,17 @@ use crate::routes::{RouteId, RouteTable};
 ///   share this stamp with checkpoints, so captures from the
 ///   fixed-validator era fail closed instead of resuming under a
 ///   silently different validation regime.
-/// * 5 — the sharded engine: checkpoints gained a
-///   [`crate::ShardStamp`] recording the shard configuration at
-///   capture, and `checkpoint::restore` refuses a mismatching engine.
-///   The [`Snapshot`] payload itself is unchanged — shard assignment
-///   is representation, and snapshot equality *is* the bit-identical
-///   sharded-vs-sequential contract, so the stamp lives in the
-///   checkpoint envelope — but the shared version stamp bumps so
-///   sequential-era checkpoints fail closed instead of resuming with
-///   an unrecorded shard configuration.
+/// * 5 — checkpoints gained a stamp of the in-run parallel stepping
+///   configuration, checked on restore. The [`Snapshot`] payload was
+///   unchanged.
+/// * 6 — in-run parallel stepping was removed, and the checkpoint
+///   stamp with it. The [`Snapshot`] payload is unchanged.
 ///
 /// Bump on any change to the meaning or layout of [`Snapshot`] /
 /// [`PacketState`]; [`restore`] and [`crate::checkpoint::restore`]
 /// reject any other value, so a state capture can never be silently
 /// misread across a format change.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// A point-in-time capture of the network state.
 #[derive(Debug, Clone, PartialEq)]

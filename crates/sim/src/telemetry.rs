@@ -62,13 +62,16 @@ use crate::packet::Time;
 ///   sweep harness sleeps before the retry).
 /// * **5** — the queue observatory (`crate::observe`): added the
 ///   `backlog` record (fixed-cadence queue-depth series with the
-///   certificate-margin tracker and per-shard cumulative sent counts)
-///   and the `span` record (seeded 1-in-N sampled packet-lifecycle
-///   events); counter blocks gained the shard-visibility quartet
-///   `shard_steps` / `shard_seq_fallbacks` / `shard_msgs_merged` /
-///   `shard_barrier_ns`; `run_end` timing blocks gained the
-///   `barrier` and `shard_work` histograms.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 5;
+///   certificate-margin tracker and per-partition cumulative sent
+///   counts) and the `span` record (seeded 1-in-N sampled
+///   packet-lifecycle events, each tagged with its edge partition);
+///   counter blocks gained four counters and `run_end` timing blocks
+///   two histograms for in-run parallel stepping.
+/// * **6** — in-run parallel stepping was removed, and with it the
+///   per-partition fields: the four counters, the two histograms, the
+///   `backlog` record's sent-count array and the `span` record's
+///   partition tag.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 6;
 
 /// How much the engine instruments per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -230,21 +233,6 @@ pub struct TelemetryCounters {
     /// cross a window boundary exercise none of the window-emission
     /// path.
     pub windows_emitted: u64,
-    /// Steps executed on the sharded fast path (parallel send/receive
-    /// over the edge shards).
-    pub shard_steps: u64,
-    /// Steps a shard-attached engine fell back to the sequential
-    /// pipeline (fault-active steps; see `crate::shard`). Nonzero only
-    /// while shards are attached — a high ratio to `shard_steps` means
-    /// the fault plan is eating the parallelism.
-    pub shard_seq_fallbacks: u64,
-    /// Packets that crossed a shard boundary (gathered from another
-    /// shard's outbox during the receive merge). Same-shard forwards
-    /// are excluded, so this is the partition's communication volume.
-    pub shard_msgs_merged: u64,
-    /// Nanoseconds shard 0 (the caller) spent blocked on the phase
-    /// barrier waiting for the other shards — the straggler signal.
-    pub shard_barrier_ns: u64,
 }
 
 impl TelemetryCounters {
@@ -267,14 +255,6 @@ impl TelemetryCounters {
             sentinel_rounds: self.sentinel_rounds.saturating_sub(base.sentinel_rounds),
             oracle_diffs: self.oracle_diffs.saturating_sub(base.oracle_diffs),
             windows_emitted: self.windows_emitted.saturating_sub(base.windows_emitted),
-            shard_steps: self.shard_steps.saturating_sub(base.shard_steps),
-            shard_seq_fallbacks: self
-                .shard_seq_fallbacks
-                .saturating_sub(base.shard_seq_fallbacks),
-            shard_msgs_merged: self
-                .shard_msgs_merged
-                .saturating_sub(base.shard_msgs_merged),
-            shard_barrier_ns: self.shard_barrier_ns.saturating_sub(base.shard_barrier_ns),
         }
     }
 }
@@ -419,14 +399,6 @@ pub struct StageTimings {
     pub sentinel: Log2Histogram,
     /// The whole step.
     pub step: Log2Histogram,
-    /// Shard 0's barrier wait per sampled sharded step (both phases
-    /// combined). Empty on unsharded runs.
-    pub barrier: Log2Histogram,
-    /// Per-shard work time on sampled sharded steps: each shard's
-    /// send + receive phase contributes one sample, so the spread of
-    /// this histogram is the shard-imbalance signal. Empty on
-    /// unsharded runs.
-    pub shard_work: Log2Histogram,
 }
 
 /// One telemetry record. Engine-emitted records borrow the engine's
@@ -560,10 +532,6 @@ pub enum TelemetryEvent<'a> {
         /// Empty when the run's edge count exceeds the observatory's
         /// per-edge tracking cap.
         depths: &'a [(u32, u32)],
-        /// Cumulative packets sent per shard (index = shard id) —
-        /// max/mean over this is the shard-imbalance ratio. Empty on
-        /// unsharded runs.
-        shard_sent: &'a [u64],
         /// Run identity.
         provenance: &'a Provenance,
     },
@@ -584,9 +552,6 @@ pub enum TelemetryEvent<'a> {
         /// Steps waited: time since arrival for `Send`, end-to-end
         /// latency for `Absorb`, 0 otherwise.
         wait: Time,
-        /// Shard owning the acting edge (0 on unsharded runs and on
-        /// sequential-fallback steps).
-        shard: u32,
         /// Run identity.
         provenance: &'a Provenance,
     },
@@ -767,9 +732,7 @@ impl JsonlSink {
             ",\"steps\":{},\"packets_sent\":{},\"packets_forwarded\":{},\
              \"packets_absorbed\":{},\"packets_injected\":{},\"cohorts_admitted\":{},\
              \"buffers_compacted\":{},\"memo_hits\":{},\"memo_misses\":{},\
-             \"sentinel_rounds\":{},\"oracle_diffs\":{},\"windows_emitted\":{},\
-             \"shard_steps\":{},\"shard_seq_fallbacks\":{},\"shard_msgs_merged\":{},\
-             \"shard_barrier_ns\":{}",
+             \"sentinel_rounds\":{},\"oracle_diffs\":{},\"windows_emitted\":{}",
             c.steps,
             c.packets_sent,
             c.packets_forwarded,
@@ -781,11 +744,7 @@ impl JsonlSink {
             c.memo_misses,
             c.sentinel_rounds,
             c.oracle_diffs,
-            c.windows_emitted,
-            c.shard_steps,
-            c.shard_seq_fallbacks,
-            c.shard_msgs_merged,
-            c.shard_barrier_ns
+            c.windows_emitted
         )
         .unwrap();
     }
@@ -815,7 +774,7 @@ impl JsonlSink {
     fn timing_fields(line: &mut String, t: &StageTimings) {
         use std::fmt::Write as _;
         line.push_str(",\"timings\":{");
-        let stages: [(&str, &Log2Histogram); 9] = [
+        let stages: [(&str, &Log2Histogram); 7] = [
             ("send", &t.send),
             ("compact", &t.compact),
             ("receive", &t.receive),
@@ -823,8 +782,6 @@ impl JsonlSink {
             ("oracle", &t.oracle),
             ("sentinel", &t.sentinel),
             ("step", &t.step),
-            ("barrier", &t.barrier),
-            ("shard_work", &t.shard_work),
         ];
         for (i, (name, h)) in stages.iter().enumerate() {
             if i > 0 {
@@ -973,7 +930,6 @@ impl TelemetrySink for JsonlSink {
                 bound,
                 margin,
                 depths,
-                shard_sent,
                 provenance,
             } => {
                 write!(
@@ -997,13 +953,6 @@ impl TelemetrySink for JsonlSink {
                     }
                     write!(line, "[{e},{d}]").unwrap();
                 }
-                line.push_str("],\"shard_sent\":[");
-                for (i, s) in shard_sent.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    write!(line, "{s}").unwrap();
-                }
                 line.push(']');
                 Self::provenance_fields(line, provenance);
             }
@@ -1014,13 +963,12 @@ impl TelemetrySink for JsonlSink {
                 edge,
                 hop,
                 wait,
-                shard,
                 provenance,
             } => {
                 write!(
                     line,
                     ",\"time\":{time},\"packet\":{packet},\"op\":\"{}\",\"edge\":{edge},\
-                     \"hop\":{hop},\"wait\":{wait},\"shard\":{shard}",
+                     \"hop\":{hop},\"wait\":{wait}",
                     op.as_str()
                 )
                 .unwrap();
@@ -1565,7 +1513,6 @@ impl Telemetry {
         bound: Option<u64>,
         margin: Option<i64>,
         depths: &[(u32, u32)],
-        shard_sent: &[u64],
     ) {
         if let Some(sink) = self.sink.as_mut() {
             sink.record(&TelemetryEvent::Backlog {
@@ -1576,7 +1523,6 @@ impl Telemetry {
                 bound,
                 margin,
                 depths,
-                shard_sent,
                 provenance: &self.provenance,
             });
         }
@@ -1584,7 +1530,6 @@ impl Telemetry {
 
     /// Emit one sampled packet-lifecycle span through the attached
     /// sink, stamped with this run's provenance. No-op without a sink.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn emit_span(
         &mut self,
         time: Time,
@@ -1593,7 +1538,6 @@ impl Telemetry {
         edge: u32,
         hop: u32,
         wait: Time,
-        shard: u32,
     ) {
         if let Some(sink) = self.sink.as_mut() {
             sink.record(&TelemetryEvent::Span {
@@ -1603,7 +1547,6 @@ impl Telemetry {
                 edge,
                 hop,
                 wait,
-                shard,
                 provenance: &self.provenance,
             });
         }
@@ -1763,7 +1706,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for l in &lines {
-            assert!(l.starts_with("{\"schema\":5,\"kind\":\""), "line: {l}");
+            assert!(l.starts_with("{\"schema\":6,\"kind\":\""), "line: {l}");
             assert!(l.ends_with('}'), "line: {l}");
         }
         assert!(lines[0].contains("\"kind\":\"run_start\""));

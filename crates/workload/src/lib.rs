@@ -37,6 +37,8 @@
 //! queue bound over this crate to map the congestion-collapse
 //! frontier; `examples/retry_storm.rs` is the runnable demo.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod driver;
 pub mod meter;

@@ -6,13 +6,12 @@
 //! cargo run --release --example observatory <file.jsonl> # analyze existing
 //! ```
 //!
-//! With no argument, runs an E18-style sharded demo — FIFO on
-//! `ring(64)`, every edge seeded with a 3-packet cohort on an 8-edge
-//! wrap-around route, 4 shards, an all-halt sentinel carrying the
-//! S-degraded certificate of Observation 4.4 — with the observatory
-//! attached (backlog ticks every 2 steps, 1-in-16 span sampling) and
-//! writes the record stream to `target/observatory.jsonl` before
-//! analyzing it.
+//! With no argument, runs a demo — FIFO on `ring(64)`, every edge
+//! seeded with a 3-packet cohort on an 8-edge wrap-around route, an
+//! all-halt sentinel carrying the S-degraded certificate of
+//! Observation 4.4 — with the observatory attached (backlog ticks
+//! every 2 steps, 1-in-16 span sampling) and writes the record stream
+//! to `target/observatory.jsonl` before analyzing it.
 //!
 //! The analysis covers every record kind the observatory emits:
 //!
@@ -21,8 +20,6 @@
 //!   (`bound − max_wait`; a negative margin is a refuted certificate);
 //! - **span** — packet-lifecycle waterfalls for the sampled packets
 //!   (inject → per-hop send/enqueue → absorb, with per-buffer waits);
-//! - **backlog.shard_sent** — cumulative per-shard send counts and the
-//!   imbalance ratio (max/mean; 1.0 = perfectly balanced shards);
 //! - **workload_window** — when the stream comes from a closed-loop
 //!   run (`retry_storm`), goodput windows joined against mean `Q(t)`
 //!   on the shared time axis.
@@ -42,27 +39,24 @@ use adversarial_queuing::analysis::Table;
 use adversarial_queuing::prelude::{topologies, EdgeId, Fifo, Route};
 use adversarial_queuing::sim::{
     CertificateSpec, Engine, EngineConfig, JsonlSink, ObserveConfig, Provenance, Ratio,
-    SentinelConfig, ShardPlan, TelemetryConfig, TelemetryLevel, TELEMETRY_SCHEMA_VERSION,
+    SentinelConfig, TelemetryConfig, TelemetryLevel, TELEMETRY_SCHEMA_VERSION,
 };
 
 // ---------------------------------------------------------------- demo
 
-/// Run the E18-style sharded demo and write its telemetry to
-/// `target/observatory.jsonl`. Returns the path written.
+/// Run the demo and write its telemetry to `target/observatory.jsonl`.
+/// Returns the path written.
 fn run_demo() -> PathBuf {
     const EDGES: usize = 64;
     const ROUTE_LEN: usize = 8;
     const COHORT: u64 = 3;
     const STEPS: u64 = 48;
-    const SHARDS: usize = 4;
 
     std::fs::create_dir_all("target").expect("create target/");
     let path = PathBuf::from("target/observatory.jsonl");
 
     let g = Arc::new(topologies::ring(EDGES));
     let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-    eng.set_shards(ShardPlan::striped(EDGES, SHARDS))
-        .expect("ring shards");
 
     // Observation 4.4's S-degraded certificate for the seeded start:
     // S = 64·3 = 192 packets, w = 16, r = 1/16 < 1/(d+1) = 1/9.
@@ -113,7 +107,7 @@ fn run_demo() -> PathBuf {
 
     let obs = eng.observatory();
     println!(
-        "demo run: ring({EDGES}), {SHARDS} shards, {} seeded packets, {STEPS} steps — \
+        "demo run: ring({EDGES}), {} seeded packets, {STEPS} steps — \
          {} backlog ticks, {} spans emitted ({} dropped), min margin {:?}\n",
         (EDGES as u64) * COHORT,
         obs.ticks(),
@@ -192,18 +186,6 @@ fn pairs_field(line: &str, key: &str) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Parse `[a,b,...]` (the `shard_sent` field).
-fn u64s_field(line: &str, key: &str) -> Vec<u64> {
-    let Some(raw) = raw_field(line, key) else {
-        return Vec::new();
-    };
-    let inner = raw.trim_start_matches('[').trim_end_matches(']');
-    if inner.is_empty() {
-        return Vec::new();
-    }
-    inner.split(',').filter_map(|s| s.parse().ok()).collect()
-}
-
 /// One `kind:"backlog"` record.
 struct BacklogTick {
     time: u64,
@@ -212,7 +194,6 @@ struct BacklogTick {
     bound: Option<u64>,
     margin: Option<i64>,
     depths: Vec<(u32, u32)>,
-    shard_sent: Vec<u64>,
 }
 
 /// One `kind:"span"` record.
@@ -223,7 +204,6 @@ struct Span {
     edge: u32,
     hop: u32,
     wait: u64,
-    shard: u32,
 }
 
 /// One `kind:"workload_window"` record (closed-loop streams only).
@@ -264,7 +244,6 @@ fn parse(path: &Path) -> std::io::Result<TraceData> {
                 bound: u64_field(&line, "bound"),
                 margin: i64_field(&line, "margin"),
                 depths: pairs_field(&line, "depths"),
-                shard_sent: u64s_field(&line, "shard_sent"),
             }),
             Some("span") => data.spans.push(Span {
                 time: u64_field(&line, "time").unwrap_or(0),
@@ -273,7 +252,6 @@ fn parse(path: &Path) -> std::io::Result<TraceData> {
                 edge: u64_field(&line, "edge").unwrap_or(0) as u32,
                 hop: u64_field(&line, "hop").unwrap_or(0) as u32,
                 wait: u64_field(&line, "wait").unwrap_or(0),
-                shard: u64_field(&line, "shard").unwrap_or(0) as u32,
             }),
             Some("workload_window") => data.windows.push(GoodputWindow {
                 start: u64_field(&line, "start").unwrap_or(0),
@@ -380,24 +358,6 @@ fn margin_table(ticks: &[BacklogTick]) {
     }
 }
 
-fn shard_report(ticks: &[BacklogTick]) {
-    let Some(last) = ticks.iter().rev().find(|t| !t.shard_sent.is_empty()) else {
-        println!("sequential run: no per-shard load recorded\n");
-        return;
-    };
-    let sent = &last.shard_sent;
-    let max = *sent.iter().max().unwrap_or(&0);
-    let mean = sent.iter().sum::<u64>() as f64 / sent.len() as f64;
-    let ratio = if mean > 0.0 { max as f64 / mean } else { 1.0 };
-    let loads: Vec<String> = sent.iter().map(|s| s.to_string()).collect();
-    println!(
-        "shard load (cumulative sends at t={}): [{}] — imbalance ratio {ratio:.3} \
-         (max/mean; 1.0 = perfectly balanced)\n",
-        last.time,
-        loads.join(", ")
-    );
-}
-
 fn waterfalls(spans: &[Span]) {
     let mut by_packet: std::collections::BTreeMap<u64, Vec<&Span>> =
         std::collections::BTreeMap::new();
@@ -420,8 +380,8 @@ fn waterfalls(spans: &[Span]) {
                 String::new()
             };
             println!(
-                "    t={:<5} {:<7} edge={:<4} hop={}{wait} (shard {})",
-                s.time, s.op, s.edge, s.hop, s.shard
+                "    t={:<5} {:<7} edge={:<4} hop={}{wait}",
+                s.time, s.op, s.edge, s.hop
             );
         }
     }
@@ -502,17 +462,6 @@ fn write_chrome_trace(path: &Path, data: &TraceData) -> std::io::Result<()> {
                 &mut first,
             );
         }
-        for (s, sent) in tick.shard_sent.iter().enumerate() {
-            push(
-                format!(
-                    "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"name\":\"shard {s} sent\",\
-                     \"args\":{{\"sent\":{sent}}}}}",
-                    tick.time
-                ),
-                &mut out,
-                &mut first,
-            );
-        }
     }
     for s in &data.spans {
         let ev = match s.op.as_str() {
@@ -521,13 +470,12 @@ fn write_chrome_trace(path: &Path, data: &TraceData) -> std::io::Result<()> {
             "send" => format!(
                 "{{\"ph\":\"X\",\"pid\":2,\"tid\":{},\"ts\":{},\"dur\":{},\
                  \"name\":\"edge {}\",\"cat\":\"wait\",\
-                 \"args\":{{\"hop\":{},\"shard\":{}}}}}",
+                 \"args\":{{\"hop\":{}}}}}",
                 s.packet,
                 s.time.saturating_sub(s.wait),
                 s.wait.max(1),
                 s.edge,
-                s.hop,
-                s.shard
+                s.hop
             ),
             // Lifecycle milestones render as instant markers.
             op => format!(
@@ -571,7 +519,6 @@ fn main() {
     if !data.ticks.is_empty() {
         backlog_tables(&data.ticks);
         margin_table(&data.ticks);
-        shard_report(&data.ticks);
     }
     if !data.spans.is_empty() {
         waterfalls(&data.spans);

@@ -4,36 +4,14 @@
 //! `R_1 … R_n`.
 //!
 //! ```sh
-//! cargo run --example parameter_explorer [--shards N]
+//! cargo run --example parameter_explorer
 //! ```
-//!
-//! With `--shards N` (default 1) the E18 smoke workload is also run at
-//! N shards next to the sequential engine: the table gains the
-//! measured speedup and the bit-identical verdict, so the same command
-//! that explores the construction's parameters sanity-checks the
-//! engine that would run it.
 
 use adversarial_queuing::adversary::GadgetParams;
 use adversarial_queuing::analysis::Table;
-use adversarial_queuing::core::experiments::e18_smoke;
 use adversarial_queuing::sim::AdversaryModelSpec;
 
-/// Parse `[--shards N]`; anything else is ignored.
-fn parse_shards() -> u32 {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--shards" {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--shards takes a positive count");
-        }
-    }
-    1
-}
-
 fn main() {
-    let shards = parse_shards().max(1);
     let mut t = Table::new(
         "Instability construction parameters (Section 3; asymptotics per the Appendix)",
         &[
@@ -104,35 +82,4 @@ fn main() {
          of S·(1−R_n) each;\nthe adversary tops the a-buffer back up to S' = 2S(1−R_n) \
          ≥ S(1+ε). That inequality is why FIFO loses."
     );
-
-    if shards > 1 {
-        let report = e18_smoke(&[shards]).expect("E18 smoke runs");
-        let mut t = Table::new(
-            format!(
-                "Sharded engine spot-check (E18 smoke: {} edges, {} steps, {} host cores)",
-                report.edges, report.steps, report.host_cores
-            ),
-            &[
-                "shards",
-                "steps/s",
-                "speedup",
-                "trajectory",
-                "bit-identical",
-            ],
-        );
-        for r in &report.rows {
-            t.row(&[
-                r.shards.to_string(),
-                format!("{:.0}", r.steps_per_sec),
-                format!("{:.2}x", r.speedup),
-                format!("{:#018x}", r.trajectory_hash),
-                r.identical.to_string(),
-            ]);
-        }
-        println!("\n{}", t.render());
-        assert!(
-            report.rows.iter().all(|r| r.identical),
-            "the shard count leaked into the trajectory"
-        );
-    }
 }

@@ -10,17 +10,13 @@
 //! deadline-drop shedding serve *fresh* work and recover.
 //!
 //! ```sh
-//! cargo run --release --example retry_storm [horizon] [--shards N]
+//! cargo run --release --example retry_storm [horizon]
 //! ```
 //!
 //! The default horizon is 600 steps; CI runs `retry_storm 300` as a
 //! smoke test. Every run enforces the request-conservation sentinel
 //! invariant and verifies bit-identical reproducibility (same-seed
 //! re-run plus open-loop replay of the realized injection schedule).
-//! With `--shards N` (default 1) the collapse cell is additionally
-//! re-run on the sharded engine at N shards and compared against the
-//! sequential storm — the shard count must be invisible, packet for
-//! packet.
 //!
 //! The collapse cell is also re-run with full observability (backlog
 //! ticks, lifecycle spans, goodput windows on one time axis) into
@@ -30,50 +26,15 @@
 use adversarial_queuing::analysis::Table;
 use adversarial_queuing::core::experiments::{e17_closed_loop, e17_collapse_demo, e17_config};
 use adversarial_queuing::sim::{
-    snapshot, JsonlSink, ObserveConfig, ShardPlan, SharedSink, TelemetryConfig, TelemetryLevel,
+    JsonlSink, ObserveConfig, SharedSink, TelemetryConfig, TelemetryLevel,
 };
 use adversarial_queuing::workload::{ClosedLoop, RetryPolicy, Shed};
 
-/// Parse `[horizon] [--shards N]` in either order.
-fn parse_args() -> (u64, u32) {
-    let (mut horizon, mut shards) = (600u64, 1u32);
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--shards" {
-            shards = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--shards takes a positive count");
-        } else if let Ok(h) = a.parse() {
-            horizon = h;
-        }
-    }
-    (horizon, shards.max(1))
-}
-
-/// Run the collapse cell at `shards` shards and return its observable
-/// end state: workload counters plus the engine's canonical snapshot.
-fn storm_at(
-    shards: u32,
-    horizon: u64,
-) -> (
-    adversarial_queuing::sim::telemetry::WorkloadCounters,
-    adversarial_queuing::sim::Snapshot,
-) {
-    let cfg = e17_config(5, 16, RetryPolicy::Immediate, Shed::RejectNewest, 1700);
-    let mut cl = ClosedLoop::on_line(cfg);
-    if shards > 1 {
-        let plan = ShardPlan::auto(cl.engine().graph(), shards as usize);
-        cl.engine_mut()
-            .set_shards(plan)
-            .expect("FIFO service order shards");
-    }
-    cl.run(horizon).expect("closed loop runs");
-    (cl.counters(), snapshot::capture(cl.engine()))
-}
-
 fn main() {
-    let (horizon, shards) = parse_args();
+    let horizon: u64 = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(600);
 
     println!(
         "Closed-loop request/reply over a 2-edge path: 8 clients, think 8, \
@@ -155,18 +116,4 @@ fn main() {
     cl.engine_mut().finish_telemetry();
     sink.flush();
     println!("\njoined telemetry stream (backlog + spans + goodput windows): {jsonl}");
-
-    if shards > 1 {
-        let (seq_counters, seq_snap) = storm_at(1, horizon);
-        let (shard_counters, shard_snap) = storm_at(shards, horizon);
-        let identical = seq_counters == shard_counters && seq_snap == shard_snap;
-        println!(
-            "\ncollapse cell re-run on the sharded engine ({shards} shards): \
-             counters and final snapshot bit-identical to sequential: {identical}"
-        );
-        assert!(
-            identical,
-            "the shard count leaked into the storm's trajectory"
-        );
-    }
 }

@@ -24,6 +24,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![forbid(unsafe_code)]
+
 /// Commonly used items, importable in one line.
 pub mod prelude {
     pub use aqt_adversary::GadgetParams;

@@ -64,6 +64,55 @@ fn invariants_catalog_is_exhaustive() {
     }
 }
 
+/// Every repository path the prose docs cite in backticks exists: a
+/// token ending in `.rs` (optionally `path.rs::name`, which must also
+/// define `fn name`) or starting with `crates/`, `tests/` or
+/// `examples/` is resolved against the repository root. Fenced code
+/// blocks are skipped.
+#[test]
+fn doc_path_references_resolve() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dangling = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "INVARIANTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc readable");
+        let mut fenced = false;
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if fenced {
+                continue;
+            }
+            for token in line.split('`').skip(1).step_by(2) {
+                let (path, name) = match token.split_once(".rs::") {
+                    Some((stem, name)) => (format!("{stem}.rs"), Some(name)),
+                    None => (token.to_string(), None),
+                };
+                let cited = path.ends_with(".rs")
+                    || ["crates/", "tests/", "examples/"]
+                        .iter()
+                        .any(|p| path.starts_with(p));
+                if !cited {
+                    continue;
+                }
+                let ok = match std::fs::read_to_string(root.join(&path)) {
+                    Ok(src) => name.is_none_or(|f| src.contains(&format!("fn {f}"))),
+                    Err(_) => name.is_none() && root.join(&path).exists(),
+                };
+                if !ok {
+                    dangling.push(format!("{doc}:{}: `{token}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "dangling doc references:\n{}",
+        dangling.join("\n")
+    );
+}
+
 // ---------------------------------------------------------------------
 // ReproBundle round-trip fidelity (Halt / Quarantine / Log)
 // ---------------------------------------------------------------------
@@ -290,7 +339,6 @@ fn sweep_quarantine_bundles_seed_the_corpus() {
         horizon: 24,
         cadence: 1,
         deep_stride: 1,
-        shards: 1,
         injections: vec![InjectSpec {
             time: 1,
             cohort: CohortSpec {
@@ -404,7 +452,6 @@ fn closed_loop_scenario_runs_clean_under_the_full_stack() {
         horizon: 160,
         cadence: 1,
         deep_stride: 1,
-        shards: 1,
         injections: vec![],
         faults: vec![],
         model: vec![aqt_sim::ConstraintSpec::Rate(Ratio::new(1, 1))],

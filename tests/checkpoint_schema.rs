@@ -173,8 +173,8 @@ fn pre_interning_schema_2_payload_is_rejected_without_mutation() {
     let mut ck = checkpoint::checkpoint(&eng);
     assert_eq!(ck.snapshot.schema, SNAPSHOT_SCHEMA_VERSION);
     assert_eq!(
-        SNAPSHOT_SCHEMA_VERSION, 5,
-        "the sharded engine's checkpoint shard stamp bumped the snapshot schema to 5"
+        SNAPSHOT_SCHEMA_VERSION, 6,
+        "removing the checkpoint's parallel-stepping stamp bumped the snapshot schema to 6"
     );
     ck.snapshot.schema = 2; // the pre-interning format stamp
 
@@ -204,6 +204,15 @@ fn pre_interning_schema_2_payload_is_rejected_without_mutation() {
     snap.schema = 2;
     let mut target = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
     assert!(snapshot::restore(&mut target, &snap).is_err());
+
+    // The previous stamp fails closed too: a schema-5 checkpoint still
+    // expects its parallel-stepping stamp to be checked.
+    ck.snapshot.schema = 5;
+    let mut target = busy_engine(&g);
+    assert!(matches!(
+        checkpoint::restore(&mut target, &ck),
+        Err(SimError::SchemaMismatch { found: 5, .. })
+    ));
 }
 
 proptest! {
@@ -311,8 +320,8 @@ fn constraint_spec_serialized_forms_are_pinned() {
     );
 
     // The schema stamps that gate persisted payloads carrying models.
-    assert_eq!(SNAPSHOT_SCHEMA_VERSION, 5);
-    assert_eq!(TELEMETRY_SCHEMA_VERSION, 5);
+    assert_eq!(SNAPSHOT_SCHEMA_VERSION, 6);
+    assert_eq!(TELEMETRY_SCHEMA_VERSION, 6);
 }
 
 /// A checkpoint taken under one adversary model must not restore into

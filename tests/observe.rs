@@ -1,9 +1,7 @@
 //! The queue observatory must tell the truth: the packet-lifecycle
 //! spans it emits are a faithful sampled projection of the trajectory.
 //! With 1-in-1 sampling the span stream determines the full lifecycle
-//! of every packet, so it can be checked against [`Metrics`] exactly —
-//! and the sharded engine must emit the *same* spans as the sequential
-//! pipeline, shard tags aside.
+//! of every packet, so it can be checked against [`Metrics`] exactly.
 
 use std::sync::{Arc, Mutex};
 
@@ -12,12 +10,12 @@ use aqt_protocols::registry::by_name;
 use aqt_sim::telemetry::{TelemetryEvent, TelemetrySink};
 use aqt_sim::{
     CertificateSpec, Engine, EngineConfig, FaultPlan, Injection, ObserveConfig, Protocol, Ratio,
-    SentinelConfig, ShardPlan, TelemetryConfig,
+    SentinelConfig, TelemetryConfig,
 };
 use proptest::prelude::*;
 
-/// One collected span: (time, packet, op, edge, hop, wait, shard).
-type Collected = (u64, u64, &'static str, u32, u32, u64, u32);
+/// One collected span: (time, packet, op, edge, hop, wait).
+type Collected = (u64, u64, &'static str, u32, u32, u64);
 
 /// A sink keeping every span record in memory.
 #[derive(Clone)]
@@ -32,14 +30,13 @@ impl TelemetrySink for SpanCollector {
             edge,
             hop,
             wait,
-            shard,
             ..
         } = event
         {
             self.0
                 .lock()
                 .unwrap()
-                .push((*time, *packet, op.as_str(), *edge, *hop, *wait, *shard));
+                .push((*time, *packet, op.as_str(), *edge, *hop, *wait));
         }
     }
 }
@@ -60,16 +57,12 @@ fn ring_route(g: &Arc<Graph>, start: u64) -> Route {
 fn observed_run(
     g: &Arc<Graph>,
     protocol: Box<dyn Protocol>,
-    shards: Option<ShardPlan>,
     plan: &FaultPlan,
     cohort: u64,
     inj: &[(u64, u64)],
     horizon: u64,
 ) -> (Engine<Box<dyn Protocol>>, Vec<Collected>) {
     let mut eng = Engine::new(Arc::clone(g), protocol, EngineConfig::default());
-    if let Some(plan) = shards {
-        eng.set_shards(plan).unwrap();
-    }
     eng.attach_telemetry(TelemetryConfig::default());
     eng.attach_observatory(
         ObserveConfig::default()
@@ -100,11 +93,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random runs (seeded cohort + schedule + loss/duplication/outage
-    /// faults) at 1 and 4 shards, spans sampled 1-in-1: the stream
-    /// reconstructs every packet's lifecycle (inject → one send per
-    /// hop, enqueues between, terminal absorb), its totals match
-    /// [`Metrics`] exactly, conservation holds span-side, and the
-    /// sharded stream equals the sequential one up to shard tags.
+    /// faults), spans sampled 1-in-1: the stream reconstructs every
+    /// packet's lifecycle (inject → one send per hop, enqueues between,
+    /// terminal absorb) in stream order, its totals match [`Metrics`]
+    /// exactly, and conservation holds span-side.
     #[test]
     fn spans_reconstruct_lifecycles_and_match_metrics(
         proto in 0usize..3,
@@ -129,35 +121,32 @@ proptest! {
         let from = 1 + outage / 6;
         plan = plan.with_outage(EdgeId((outage % 6) as u32), from, from + outage_len);
 
-        let run = |shards: Option<ShardPlan>| {
-            observed_run(&g, by_name(name, 11).unwrap(), shards, &plan, cohort, &inj, 40)
-        };
-        let (seq, seq_spans) = run(None);
-        let (sharded, sharded_spans) = run(Some(ShardPlan::striped(6, 4)));
+        let (eng, spans) =
+            observed_run(&g, by_name(name, 11).unwrap(), &plan, cohort, &inj, 40);
 
         // Span totals against the engine's own metrics: 1-in-1
         // sampling sees every event of every packet.
-        let m = seq.metrics();
-        prop_assert_eq!(count_op(&seq_spans, "inject"), m.injected());
-        prop_assert_eq!(count_op(&seq_spans, "dup"), m.duplicated());
-        prop_assert_eq!(count_op(&seq_spans, "absorb"), m.absorbed());
-        prop_assert_eq!(count_op(&seq_spans, "drop"), m.dropped());
+        let m = eng.metrics();
+        prop_assert_eq!(count_op(&spans, "inject"), m.injected());
+        prop_assert_eq!(count_op(&spans, "dup"), m.duplicated());
+        prop_assert_eq!(count_op(&spans, "absorb"), m.absorbed());
+        prop_assert_eq!(count_op(&spans, "drop"), m.dropped());
         let crossings: u64 = m.crossings_per_edge().iter().sum();
-        prop_assert_eq!(count_op(&seq_spans, "send"), crossings);
+        prop_assert_eq!(count_op(&spans, "send"), crossings);
 
         // Span-side conservation: every birth (inject or duplicate)
         // ends in a terminal span or is still live in a queue.
-        let live: u64 = g.edge_ids().map(|e| seq.queue_len(e) as u64).sum();
+        let live: u64 = g.edge_ids().map(|e| eng.queue_len(e) as u64).sum();
         prop_assert_eq!(
-            count_op(&seq_spans, "inject") + count_op(&seq_spans, "dup"),
-            count_op(&seq_spans, "absorb") + count_op(&seq_spans, "drop") + live
+            count_op(&spans, "inject") + count_op(&spans, "dup"),
+            count_op(&spans, "absorb") + count_op(&spans, "drop") + live
         );
 
         // Per-packet lifecycle reconstruction for packets born by
         // injection (clones start mid-route at their dup hop): an
         // absorbed packet crossed hops 0..=H exactly once each and was
         // enqueued at hops 1..=H on the way.
-        let injected: std::collections::BTreeSet<u64> = seq_spans
+        let injected: std::collections::BTreeSet<u64> = spans
             .iter()
             .filter(|s| s.2 == "inject")
             .map(|s| s.1)
@@ -165,11 +154,11 @@ proptest! {
         // The seeded cohort is one batched admission, yet every packet
         // gets its own id and its own inject span.
         prop_assert_eq!(injected.len() as u64, m.injected());
-        for s in seq_spans.iter().filter(|s| s.2 == "absorb") {
+        for s in spans.iter().filter(|s| s.2 == "absorb") {
             if !injected.contains(&s.1) {
                 continue;
             }
-            let mut send_hops: Vec<u32> = seq_spans
+            let mut send_hops: Vec<u32> = spans
                 .iter()
                 .filter(|x| x.1 == s.1 && x.2 == "send")
                 .map(|x| x.4)
@@ -177,7 +166,7 @@ proptest! {
             send_hops.sort_unstable();
             let expect: Vec<u32> = (0..=s.4).collect();
             prop_assert_eq!(&send_hops, &expect, "packet {} send hops", s.1);
-            let mut enq_hops: Vec<u32> = seq_spans
+            let mut enq_hops: Vec<u32> = spans
                 .iter()
                 .filter(|x| x.1 == s.1 && x.2 == "enqueue")
                 .map(|x| x.4)
@@ -187,35 +176,26 @@ proptest! {
             prop_assert_eq!(&enq_hops, &expect, "packet {} enqueue hops", s.1);
         }
 
-        // The shard count must be invisible in the span stream: same
-        // multiset of records once the shard tag is erased.
-        let erase = |spans: &[Collected]| {
-            let mut v: Vec<Collected> = spans
-                .iter()
-                .map(|&(t, p, op, e, h, w, _)| (t, p, op, e, h, w, 0))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(erase(&seq_spans), erase(&sharded_spans));
-
-        // The sharded run's own accounting agrees with its spans too.
-        let sm = sharded.metrics();
-        prop_assert_eq!(count_op(&sharded_spans, "inject"), sm.injected());
-        prop_assert_eq!(count_op(&sharded_spans, "absorb"), sm.absorbed());
+        // The stream is in model order: steps ascending, and within a
+        // packet's own records its hop never goes back (a step's send
+        // precedes that step's enqueue).
+        prop_assert!(spans.windows(2).all(|w| w[0].0 <= w[1].0));
+        let mut last_hop = std::collections::BTreeMap::new();
+        for s in &spans {
+            let prev = last_hop.insert(s.1, s.4).unwrap_or(0);
+            prop_assert!(prev <= s.4, "packet {} hop went back in stream order", s.1);
+        }
     }
 }
 
 /// The observatory's in-memory series: backlog ticks on cadence, the
-/// margin series inheriting the sentinel's certificate bound, and the
-/// per-shard load tally with its imbalance ratio.
+/// margin series inheriting the sentinel's certificate bound.
 #[test]
-fn observatory_series_margin_and_shard_load() {
+fn observatory_series_and_margin() {
     let g = Arc::new(topologies::ring(8));
     let mut eng = Engine::new(Arc::clone(&g), by_name("FIFO", 3).unwrap(), {
         EngineConfig::default()
     });
-    eng.set_shards(ShardPlan::striped(8, 4)).unwrap();
     // S-degraded certificate (Observation 4.4): S = 16, w = 8,
     // r = 1/8 < 1/(d+1) = 1/4.
     eng.attach_sentinel(
@@ -248,11 +228,6 @@ fn observatory_series_margin_and_shard_load() {
         bound as i64 - eng.metrics().max_buffer_wait() as i64,
         "margin is bound − running max wait"
     );
-    assert_eq!(obs.shard_sent().len(), 4);
-    let sent: u64 = obs.shard_sent().iter().sum();
-    let crossings: u64 = eng.metrics().crossings_per_edge().iter().sum();
-    assert_eq!(sent, crossings, "per-shard tallies sum to all crossings");
-    assert!(obs.shard_imbalance().expect("sharded run") >= 1.0);
 
     // Detached engines observe nothing and remember nothing.
     let mut quiet = Engine::new(g, by_name("FIFO", 3).unwrap(), EngineConfig::default());
@@ -286,7 +261,7 @@ fn observatory_series_margin_and_shard_load() {
         .lock()
         .unwrap()
         .iter()
-        .map(|&(t, _, op, edge, hop, _, _)| (t, op, edge, hop))
+        .map(|&(t, _, op, edge, hop, _)| (t, op, edge, hop))
         .collect();
     assert_eq!(
         journey,

@@ -256,9 +256,10 @@ fn workload_window_jsonl_layout_is_pinned() {
     }
 
     assert_eq!(
-        TELEMETRY_SCHEMA_VERSION, 5,
-        "the golden lines below were pinned at version 5 (observatory \
-         backlog/span records); a bump means they must be re-pinned"
+        TELEMETRY_SCHEMA_VERSION, 6,
+        "the golden lines below were pinned at version 6 (observatory \
+         backlog/span records without the removed per-partition \
+         fields); a bump means they must be re-pinned"
     );
 
     let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
@@ -302,7 +303,7 @@ fn workload_window_jsonl_layout_is_pinned() {
     // fields serialize as explicit nulls).
     assert_eq!(
         lines[0],
-        "{\"schema\":5,\"kind\":\"workload_window\",\"start\":0,\"end\":64,\
+        "{\"schema\":6,\"kind\":\"workload_window\",\"start\":0,\"end\":64,\
          \"requests_issued\":10,\"requests_completed\":5,\
          \"requests_abandoned\":2,\"requests_shed\":1,\
          \"requests_in_flight\":2,\"attempts_issued\":17,\
@@ -314,14 +315,14 @@ fn workload_window_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[1],
-        "{\"schema\":5,\"kind\":\"job_retried\",\"index\":2,\"attempt\":1,\
+        "{\"schema\":6,\"kind\":\"job_retried\",\"index\":2,\"attempt\":1,\
          \"backoff_ms\":250}"
     );
 }
 
-/// Golden pin of the observatory's JSONL surface (schema 5): the full
+/// Golden pin of the observatory's JSONL surface (schema 6): the full
 /// `backlog` record — tick scalars, nullable bound/margin, the sparse
-/// per-edge depth array, per-shard sent counts — and a `span` record.
+/// per-edge depth array — and a `span` record.
 /// The offline analyzer (`examples/observatory.rs`) keys on these
 /// exact field names; renaming any of them must bump
 /// `TELEMETRY_SCHEMA_VERSION` and this pin deliberately.
@@ -356,7 +357,6 @@ fn observatory_jsonl_layout_is_pinned() {
         bound: Some(12),
         margin: Some(9),
         depths: &[(0, 5), (3, 2)],
-        shard_sent: &[20, 20, 19, 4],
         provenance: &provenance,
     });
     sink.record(&TelemetryEvent::Backlog {
@@ -367,7 +367,6 @@ fn observatory_jsonl_layout_is_pinned() {
         bound: None,
         margin: None,
         depths: &[],
-        shard_sent: &[],
         provenance: &provenance,
     });
     sink.record(&TelemetryEvent::Span {
@@ -377,7 +376,6 @@ fn observatory_jsonl_layout_is_pinned() {
         edge: 3,
         hop: 1,
         wait: 2,
-        shard: 1,
         provenance: &provenance,
     });
 
@@ -387,24 +385,24 @@ fn observatory_jsonl_layout_is_pinned() {
     assert_eq!(lines.len(), 3);
     assert_eq!(
         lines[0],
-        "{\"schema\":5,\"kind\":\"backlog\",\"time\":256,\"total\":40,\
+        "{\"schema\":6,\"kind\":\"backlog\",\"time\":256,\"total\":40,\
          \"max_queue\":9,\"max_wait\":3,\"bound\":12,\"margin\":9,\
-         \"depths\":[[0,5],[3,2]],\"shard_sent\":[20,20,19,4],\
+         \"depths\":[[0,5],[3,2]],\
          \"seed\":7,\"schedule_hash\":null,\"protocol\":\"FIFO\",\
          \"fault_plan_id\":null,\"model_fingerprint\":null}"
     );
     assert_eq!(
         lines[1],
-        "{\"schema\":5,\"kind\":\"backlog\",\"time\":512,\"total\":0,\
+        "{\"schema\":6,\"kind\":\"backlog\",\"time\":512,\"total\":0,\
          \"max_queue\":9,\"max_wait\":3,\"bound\":null,\"margin\":null,\
-         \"depths\":[],\"shard_sent\":[],\"seed\":7,\
+         \"depths\":[],\"seed\":7,\
          \"schedule_hash\":null,\"protocol\":\"FIFO\",\
          \"fault_plan_id\":null,\"model_fingerprint\":null}"
     );
     assert_eq!(
         lines[2],
-        "{\"schema\":5,\"kind\":\"span\",\"time\":300,\"packet\":64,\
-         \"op\":\"send\",\"edge\":3,\"hop\":1,\"wait\":2,\"shard\":1,\
+        "{\"schema\":6,\"kind\":\"span\",\"time\":300,\"packet\":64,\
+         \"op\":\"send\",\"edge\":3,\"hop\":1,\"wait\":2,\
          \"seed\":7,\"schedule_hash\":null,\"protocol\":\"FIFO\",\
          \"fault_plan_id\":null,\"model_fingerprint\":null}"
     );
