@@ -1,6 +1,6 @@
 //! Fixed-width ASCII tables and CSV output.
 //!
-//! The benchmark harness prints one table per reproduced
+//! `aqt_core::report` renders one table per reproduced
 //! claim/experiment; `EXPERIMENTS.md` quotes them.
 
 use std::fmt::Write as _;

@@ -1,8 +1,7 @@
 //! Typed runners for every reproduced claim (`EXPERIMENTS.md` E1–E17).
 //!
-//! The integration tests run these at reduced scale, the Criterion
-//! benches at full scale; both print the same table rows so
-//! paper-vs-measured comparisons live in one place.
+//! The integration tests run these at reduced scale; [`crate::report`]
+//! renders their tables at either scale.
 
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use aqt_graph::{topologies, DaisyChain, EdgeId, FnGadget, Graph, Route};
 use aqt_protocols::{by_name, protocol_names, Fifo};
 use aqt_sim::{
     AdversaryModelSpec, ConstraintSpec, Engine, EngineConfig, FaultPlan, Injection, Protocol,
-    Provenance, Ratio, SharedSink, SimError, TelemetryConfig, TelemetryEvent, Time,
+    Provenance, Ratio, SharedSink, SimError, TelemetryConfig, Time,
 };
 use aqt_workload::{
     ClientConfig, ClosedLoop, ClosedLoopConfig, GoodputMeter, RetryPolicy, ServicePolicy, Shed,
@@ -1391,201 +1390,27 @@ pub fn e17_collapse_demo(horizon: Time) -> Result<(Vec<E17Row>, bool), SimError>
     Ok((rows, bit_identical && replay_identical))
 }
 
-// ---------------------------------------------------------------------
-// One-command reduced-scale tour.
-// ---------------------------------------------------------------------
-
-/// A compact, human-readable summary of key experiments at reduced
-/// scale — the one-command tour used by `examples/full_report.rs`.
-/// Returns (section title, lines).
-pub fn quick_report() -> Result<Vec<(String, Vec<String>)>, SimError> {
-    quick_report_with_progress(None)
-}
-
-/// [`quick_report`] with per-section progress streamed to a telemetry
-/// sink: each section is reported as a sweep job
-/// (`job_started`/`job_finished`) followed by a `sweep_progress`
-/// record with an ETA, so a long tour is watchable live.
-pub fn quick_report_with_progress(
-    progress: Option<&SharedSink>,
-) -> Result<Vec<(String, Vec<String>)>, SimError> {
-    type Section = Box<dyn FnOnce() -> Result<(String, Vec<String>), SimError>>;
-    let jobs: Vec<Section> = vec![
-        Box::new(|| {
-            let e1 = e1_fifo_instability(&[(1, 4)], 2)?;
-            Ok((
-                "E1 / Theorem 3.17 — FIFO unstable at r = 3/4".to_string(),
-                e1.iter()
-                    .map(|r| {
-                        format!(
-                            "queue {:?}, growth {:.2}x/iter, diverged={}",
-                            r.s_series, r.growth, r.diverged
-                        )
-                    })
-                    .collect(),
-            ))
-        }),
-        Box::new(|| {
-            let e2 = e2_gadget_amplification(&[(1, 4)], &[1.5])?;
-            Ok((
-                "E2 / Lemma 3.6 — gadget amplification".to_string(),
-                e2.iter()
-                    .map(|r| {
-                        format!(
-                            "S={} → S'={} (theory {}), amp {:.3} ≥ promised {:.3}",
-                            r.s,
-                            r.s_prime_measured,
-                            r.s_prime_theory,
-                            r.amp_measured,
-                            r.amp_promised
-                        )
-                    })
-                    .collect(),
-            ))
-        }),
-        Box::new(|| {
-            let e4 = e4_stitch(&[(3, 4)], 800)?;
-            Ok((
-                "E4 / Lemma 3.16 — stitch retention".to_string(),
-                e4.iter()
-                    .map(|r| format!("retention {:.3} vs r³ = {:.3}", r.retention, r.r_cubed))
-                    .collect(),
-            ))
-        }),
-        Box::new(|| {
-            let e5 = e5_greedy_stability(3, 12, 4000)?;
-            let violations = e5.iter().filter(|r| !r.bound_respected).count();
-            Ok((
-                "E5 / Theorem 4.1 — greedy stability at r = 1/(d+1)".to_string(),
-                vec![format!(
-                    "{} protocol×topology cells, {} bound violations (theorem: 0)",
-                    e5.len(),
-                    violations
-                )],
-            ))
-        }),
-        Box::new(|| {
-            let e8 = e8_asymptotics(&[8, 32, 128]);
-            Ok((
-                "E8 / Appendix — parameter asymptotics".to_string(),
-                e8.iter()
-                    .map(|r| {
-                        format!(
-                            "ε={:.4}: n={} (n/log₂(1/ε) = {:.2}), S₀={}",
-                            r.eps, r.n, r.n_ratio, r.s0
-                        )
-                    })
-                    .collect(),
-            ))
-        }),
-        Box::new(|| {
-            let e14 = e14_fault_recovery(3, 8)?;
-            let e14_viol = e14
-                .iter()
-                .filter(|r| !r.bound_respected || !r.conservation_ok)
-                .count();
-            Ok((
-                "E14 / Observation 4.4 — fault recovery".to_string(),
-                vec![format!(
-                    "{} fault cells (bursts, outages, drops, duplications), \
-                     {} recovery-bound/conservation violations (theory: 0)",
-                    e14.len(),
-                    e14_viol
-                )],
-            ))
-        }),
-        Box::new(|| {
-            let e16 = e16_model_landscape(3, 12, 1500, None)?;
-            let at_threshold = |r: &&E16Row| r.rate_factor <= 1.0;
-            let survived = e16
-                .iter()
-                .filter(at_threshold)
-                .filter(|r| r.survives)
-                .count();
-            let total = e16.iter().filter(at_threshold).count();
-            Ok((
-                "E16 — threshold survival across adversary models".to_string(),
-                vec![format!(
-                    "{} model×protocol cells at r ≤ 1/(d+1); threshold survives in {} \
-                     (buffer-bound alone admits long-run rate 1 — its waits escape the \
-                     ⌈wr⌉ bound)",
-                    total, survived
-                )],
-            ))
-        }),
-        Box::new(|| {
-            let (rows, reproducible) = e17_collapse_demo(600)?;
-            Ok((
-                "E17 — closed-loop congestion collapse and recovery".to_string(),
-                rows.iter()
-                    .map(|r| {
-                        format!(
-                            "{:>13}: goodput {:>3.0}% of offered ({} / {}), wasted {}, {}",
-                            r.shed,
-                            r.goodput_ratio * 100.0,
-                            r.goodput,
-                            r.offered,
-                            r.wasted,
-                            if r.collapsed { "COLLAPSED" } else { "healthy" }
-                        )
-                    })
-                    .chain(std::iter::once(format!(
-                        "bit-identical re-run and open-loop replay: {reproducible}"
-                    )))
-                    .collect(),
-            ))
-        }),
-        Box::new(|| {
-            let e11 = e11_thinning_rates(1, 4, 1.5)?;
-            Ok((
-                "E11 / Claim 3.9 — thinning ladder".to_string(),
-                e11.iter()
-                    .map(|r| format!("R_{} = {:.4}, measured {:.4}", r.i, r.r_i, r.measured))
-                    .collect(),
-            ))
-        }),
-    ];
-
-    let total = jobs.len();
-    let tour_t0 = std::time::Instant::now();
-    let mut sections = Vec::with_capacity(total);
-    for (index, job) in jobs.into_iter().enumerate() {
-        if let Some(sink) = progress {
-            sink.record(&TelemetryEvent::JobStarted { index, total });
-        }
-        let job_t0 = std::time::Instant::now();
-        sections.push(job()?);
-        if let Some(sink) = progress {
-            sink.record(&TelemetryEvent::JobFinished {
-                index,
-                attempts: 1,
-                secs: job_t0.elapsed().as_secs_f64(),
-            });
-            let done = index + 1;
-            let elapsed_secs = tour_t0.elapsed().as_secs_f64();
-            sink.record(&TelemetryEvent::SweepProgress {
-                done,
-                total,
-                elapsed_secs,
-                eta_secs: elapsed_secs / done as f64 * (total - done) as f64,
-            });
-        }
-    }
-    Ok(sections)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn quick_report_covers_the_headlines() {
-        let sections = quick_report().expect("legal");
-        assert!(sections.len() >= 6);
-        assert!(sections[0].0.contains("Theorem 3.17"));
-        assert!(sections.iter().all(|(_, lines)| !lines.is_empty()));
-        // the E1 line must say diverged=true
-        assert!(sections[0].1[0].contains("diverged=true"));
+        let mut sections = Vec::new();
+        crate::report::run(crate::report::Scale::Reduced, None, None, |id, s| {
+            sections.push((id, s))
+        })
+        .expect("legal");
+        let ids: Vec<_> = sections.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids.len(), 16, "E1–E14, E16, E17: {ids:?}");
+        assert!(sections
+            .iter()
+            .all(|(_, s)| s.tables.iter().all(|t| !t.is_empty())));
+        // E1's one row: `diverged` is the only boolean column.
+        let e1 = sections[0].1.render();
+        assert!(e1.contains("Theorem 3.17"));
+        let row = e1.lines().nth(4).expect("E1 row");
+        assert!(row.split_whitespace().any(|cell| cell == "true"), "{e1}");
     }
 
     #[test]

@@ -17,13 +17,16 @@
 //! * [`verify`] — the gadget invariant `C(S, F_n)` of Definition 3.5
 //!   as an executable check.
 //! * [`experiments`] — typed runners for every experiment in
-//!   `EXPERIMENTS.md` (E1–E10), shared by the integration tests, the
-//!   examples and the Criterion benches.
+//!   `EXPERIMENTS.md` (E1–E17), shared by the integration tests and the
+//!   examples.
+//! * [`report`] — one table renderer per experiment, at reduced or
+//!   full scale: what `examples/full_report.rs` prints.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod instability;
+pub mod report;
 pub mod theory;
 pub mod verify;
 

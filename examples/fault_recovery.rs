@@ -12,6 +12,7 @@ use adversarial_queuing::adversary::stochastic::{
     random_routes, InjectionStyle, SaturatingAdversary,
 };
 use adversarial_queuing::core::experiments::e14_fault_recovery;
+use adversarial_queuing::core::report::e14_section;
 use adversarial_queuing::core::theory::StabilityCertificate;
 use adversarial_queuing::graph::topologies;
 use adversarial_queuing::protocols::Fifo;
@@ -134,22 +135,7 @@ fn main() {
     );
 
     // ----- Part 2: the full E14 table. -------------------------------
-    println!("\nE14 — fault recovery across protocols, topologies, scenarios:");
     let rows = e14_fault_recovery(3, 8).expect("legal");
-    for r in rows {
-        println!(
-            "  {:6} {:9} {:7}: S = {:3}, w* = {:5}, wait {:3} (bound {:4}), \
-             resettle {:?}, conservation {}",
-            r.protocol,
-            r.topology,
-            r.scenario,
-            r.s_fault,
-            r.recovery_horizon.unwrap_or(0),
-            r.post_fault_max_wait,
-            r.recovery_bound.unwrap_or(0),
-            r.resettle_delay,
-            if r.conservation_ok { "ok" } else { "VIOLATED" },
-        );
-        assert!(r.bound_respected && r.conservation_ok);
-    }
+    print!("{}", e14_section(&rows).render());
+    assert!(rows.iter().all(|r| r.bound_respected && r.conservation_ok));
 }

@@ -1,33 +1,46 @@
-//! One-command reduced-scale tour of every headline experiment.
+//! The experiment tables of `EXPERIMENTS.md` from one command.
 //!
 //! ```sh
-//! cargo run --release --example full_report
+//! cargo run --release --example full_report              # reduced tour: E1–E14, E16, E17
+//! cargo run --release --example full_report -- --full    # full-scale E1–E13 tables
+//! cargo run --release --example full_report -- --full E5 # one experiment
 //! ```
 //!
-//! Section-by-section progress (with an ETA) streams to stderr through
-//! the telemetry sink while the tour runs.
-//!
-//! For the full-scale tables, run `cargo bench --workspace` instead
-//! (see `EXPERIMENTS.md`).
+//! Each section is printed as soon as it is built; progress (with an
+//! ETA) streams to stderr through the telemetry sink.
 
+use std::io::Write;
+
+use adversarial_queuing::core::report::{self, Scale};
 use adversarial_queuing::sim::{SharedSink, StderrSink};
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let full = args.first().is_some_and(|a| a == "--full");
+    let scale = if full { Scale::Full } else { Scale::Reduced };
+    let only = match &args[usize::from(full)..] {
+        [] => None,
+        [id] if report::sections(scale)
+            .iter()
+            .any(|(known, _)| known.eq_ignore_ascii_case(id)) =>
+        {
+            Some(id.as_str())
+        }
+        _ => {
+            let ids: Vec<_> = report::sections(scale).iter().map(|(id, _)| *id).collect();
+            eprintln!("usage: full_report [--full] [ID]   (ID at this scale: {ids:?})");
+            std::process::exit(2);
+        }
+    };
+
     let t0 = std::time::Instant::now();
     let progress = SharedSink::new(StderrSink);
-    let sections =
-        adversarial_queuing::core::experiments::quick_report_with_progress(Some(&progress))
-            .expect("legal adversaries");
-    for (title, lines) in &sections {
-        println!("— {title}");
-        for l in lines {
-            println!("    {l}");
-        }
-        println!();
-    }
-    println!(
-        "[{} sections in {:.1}s]",
-        sections.len(),
-        t0.elapsed().as_secs_f64()
-    );
+    let mut count = 0;
+    report::run(scale, only, Some(&progress), |_, section| {
+        print!("{}", section.render());
+        std::io::stdout().flush().expect("stdout");
+        count += 1;
+    })
+    .expect("legal adversaries");
+    eprintln!("[{count} sections in {:.1}s]", t0.elapsed().as_secs_f64());
 }

@@ -16,8 +16,8 @@
 //! model fingerprint printed in the table) to
 //! `target/telemetry_model_landscape.jsonl`.
 
-use adversarial_queuing::analysis::Table;
 use adversarial_queuing::core::experiments::e16_model_landscape;
+use adversarial_queuing::core::report::e16_section;
 use adversarial_queuing::sim::{JsonlSink, SharedSink};
 
 fn main() {
@@ -37,34 +37,7 @@ fn main() {
     let rows = e16_model_landscape(d, w, steps, Some(&sink)).expect("legal adversaries");
     sink.flush();
 
-    let mut t = Table::new(
-        "E16: threshold survival across adversary models",
-        &[
-            "model",
-            "fingerprint",
-            "protocol",
-            "f",
-            "long-run r",
-            "bound",
-            "max wait",
-            "verdict",
-            "survives",
-        ],
-    );
-    for r in &rows {
-        t.row(&[
-            r.model.clone(),
-            format!("{:016x}", r.model_fingerprint),
-            r.protocol.clone(),
-            format!("{:.1}", r.rate_factor),
-            format!("{:.3}", r.long_run_rate),
-            r.bound.map_or("—".to_string(), |b| b.to_string()),
-            r.max_wait.to_string(),
-            r.verdict.to_string(),
-            if r.survives { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
+    print!("{}", e16_section(&rows).render());
     println!(
         "Expected shape: the identity (w, r) composition reproduces the paper's \
          thresholds at f ≤ 1; rate and burst-local share its long-run rate and \

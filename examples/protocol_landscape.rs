@@ -11,8 +11,8 @@
 //! cargo run --release --example protocol_landscape [eps_num eps_den]
 //! ```
 
-use adversarial_queuing::analysis::Table;
 use adversarial_queuing::core::experiments::e10_landscape;
+use adversarial_queuing::core::report::e10_table;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,22 +28,5 @@ fn main() {
          e10_identity_model_reproduces_the_unvalidated_landscape.\n"
     );
     let rows = e10_landscape(num, den, 2).expect("legal adversary");
-
-    let mut t = Table::new(
-        "E10: the 1/2+ε adversary vs. the protocol zoo",
-        &["protocol", "final backlog", "peak backlog", "verdict"],
-    );
-    for r in &rows {
-        t.row(&[
-            r.protocol.clone(),
-            r.final_backlog.to_string(),
-            r.max_backlog.to_string(),
-            r.verdict.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "Expected shape: FIFO diverges (the adversary is built for it); \
-         LIS/FTG stay bounded (universally stable [4]); others vary."
-    );
+    println!("{}", e10_table(&rows).render());
 }

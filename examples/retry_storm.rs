@@ -23,8 +23,8 @@
 //! `target/retry_storm_telemetry.jsonl`, ready for the offline
 //! analyzer: `cargo run --release --example observatory <file>`.
 
-use adversarial_queuing::analysis::Table;
 use adversarial_queuing::core::experiments::{e17_closed_loop, e17_collapse_demo, e17_config};
+use adversarial_queuing::core::report::e17_table;
 use adversarial_queuing::sim::{
     JsonlSink, ObserveConfig, SharedSink, TelemetryConfig, TelemetryLevel,
 };
@@ -42,44 +42,13 @@ fn main() {
     );
 
     let (headline, reproducible) = e17_collapse_demo(horizon).expect("closed loop runs");
-    let mut t = Table::new(
-        "E17 headline: timeout 5, queue 16, immediate retry — shed discipline decides",
-        &["shed", "offered", "goodput", "wasted", "ratio", "verdict"],
-    );
-    for r in &headline {
-        t.row(&[
-            r.shed.to_string(),
-            r.offered.to_string(),
-            r.goodput.to_string(),
-            r.wasted.to_string(),
-            format!("{:.0}%", r.goodput_ratio * 100.0),
-            if r.collapsed { "COLLAPSED" } else { "healthy" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
+    let title = "E17 headline: timeout 5, queue 16, immediate retry — shed discipline decides";
+    println!("{}", e17_table(title, &headline).render());
     println!("bit-identical re-run and open-loop replay of the collapse cell: {reproducible}\n");
 
     let rows = e17_closed_loop(horizon).expect("closed loop runs");
-    let mut t = Table::new(
-        "E17 frontier: timeout x retry x queue bound x shed",
-        &[
-            "timeout", "cap", "retry", "shed", "offered", "goodput", "wasted", "ratio", "verdict",
-        ],
-    );
-    for r in &rows {
-        t.row(&[
-            r.timeout.to_string(),
-            r.capacity.to_string(),
-            r.retry.to_string(),
-            r.shed.to_string(),
-            r.offered.to_string(),
-            r.goodput.to_string(),
-            r.wasted.to_string(),
-            format!("{:.0}%", r.goodput_ratio * 100.0),
-            if r.collapsed { "COLLAPSED" } else { "healthy" }.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
+    let title = "E17 frontier: timeout x retry x queue bound x shed";
+    println!("{}", e17_table(title, &rows).render());
 
     let collapsed = rows.iter().filter(|r| r.collapsed).count();
     println!(

@@ -9,8 +9,8 @@
 //! cargo run --release --example stability_certificates
 //! ```
 
-use adversarial_queuing::analysis::Table;
 use adversarial_queuing::core::experiments::{e5_greedy_stability, e6_time_priority};
+use adversarial_queuing::core::report::{e5_section, e6_section};
 
 fn main() {
     let (d, w, steps) = (3usize, 12u64, 30_000u64);
@@ -20,66 +20,13 @@ fn main() {
         d + 1
     );
     let rows = e5_greedy_stability(d, w, steps).expect("legal adversaries");
-    let mut t = Table::new(
-        "E5: greedy stability at r = 1/(d+1)",
-        &[
-            "protocol",
-            "topology",
-            "d",
-            "bound ⌈wr⌉",
-            "max wait",
-            "peak queue",
-            "verdict",
-        ],
-    );
-    let mut violations = 0;
-    for r in &rows {
-        if !r.bound_respected {
-            violations += 1;
-        }
-        t.row(&[
-            r.protocol.clone(),
-            r.topology.clone(),
-            r.d.to_string(),
-            r.bound.map_or("—".into(), |b| b.to_string()),
-            r.max_wait.to_string(),
-            r.max_queue.to_string(),
-            r.verdict.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "bound violations: {violations} / {} cells (the theorem promises 0)\n",
-        rows.len()
-    );
+    println!("{}", e5_section(&rows).render());
 
     println!(
         "Theorem 4.3 — time-priority protocols at the higher rate r = 1/d = 1/{d} \
          (plus non-time-priority controls, for which the theorems are silent):\n"
     );
     let rows = e6_time_priority(d, w, steps).expect("legal adversaries");
-    let mut t = Table::new(
-        "E6: time-priority stability at r = 1/d",
-        &[
-            "protocol",
-            "topology",
-            "time-priority",
-            "bound",
-            "max wait",
-            "verdict",
-        ],
-    );
-    for r in &rows {
-        let tp = matches!(r.protocol.as_str(), "FIFO" | "LIS");
-        t.row(&[
-            r.protocol.clone(),
-            r.topology.clone(),
-            tp.to_string(),
-            r.bound.map_or("(silent)".into(), |b| b.to_string()),
-            r.max_wait.to_string(),
-            r.verdict.to_string(),
-        ]);
-    }
-    println!("{}", t.render());
+    println!("{}", e6_section(&rows).render());
     println!("FIFO and LIS must respect their bound; LIFO/NTG have no guarantee at this rate.");
 }

@@ -13,34 +13,49 @@
 #![cfg(feature = "alloc-counter")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use aqt_graph::{topologies, Route};
 use aqt_protocols::Fifo;
-use aqt_sim::{Engine, EngineConfig, RingSink, TelemetryConfig};
+use aqt_sim::{
+    Engine, EngineConfig, JsonlSink, Provenance, RingSink, TelemetryConfig, TelemetrySink, Time,
+};
 
-/// System allocator with a global counter on every acquiring call
+/// System allocator with a per-thread counter on every acquiring call
 /// (alloc, alloc_zeroed, realloc). Deallocations are free of interest:
 /// the invariant is "no per-step heap traffic", and acquisitions are
-/// the side that both grows and churns.
+/// the side that both grows and churns. The count is per thread because
+/// the tests of this file run concurrently: one test's set-up must not
+/// land in another's measured window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -75,9 +90,9 @@ fn steady_state_drain_steps_do_not_allocate() {
 
     eng.run_quiet(100).expect("warm-up");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     eng.run_quiet(2_000).expect("measured drain");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -89,15 +104,14 @@ fn steady_state_drain_steps_do_not_allocate() {
 }
 
 /// The same drain with telemetry *enabled* — counters on, a 256-step
-/// window, and a preallocated ring sink. The instrumented loop must
-/// stay allocation-free too: counters are plain field increments, the
-/// window deltas go into a scratch buffer sized at attach time, and
-/// the ring sink stores `Copy` records in a buffer allocated up
-/// front. ~8 window emissions land inside the measured 2 000 steps,
-/// so the zero-allocation assertion covers the slow path as well as
-/// the per-step fast path.
-#[test]
-fn telemetry_enabled_drain_steps_do_not_allocate() {
+/// window — into `sink`, stamped with `provenance`. Returns the
+/// allocations of 2 000 steps measured after `warm_up` steps, and the
+/// engine for progress checks.
+fn telemetry_drain_allocations(
+    sink: Box<dyn TelemetrySink>,
+    provenance: Provenance,
+    warm_up: Time,
+) -> (u64, Engine<Fifo>) {
     let graph = Arc::new(topologies::line(256));
     let e0 = graph.edge_ids().next().expect("line has edges");
     let unit = Route::single(&graph, e0).expect("unit route");
@@ -109,21 +123,38 @@ fn telemetry_enabled_drain_steps_do_not_allocate() {
             ..Default::default()
         },
     );
-    eng.attach_telemetry(TelemetryConfig::default().with_window(256));
-    eng.set_telemetry_sink(Box::new(RingSink::with_capacity(64)));
+    eng.attach_telemetry(
+        TelemetryConfig::default()
+            .with_window(256)
+            .with_provenance(provenance),
+    );
+    eng.set_telemetry_sink(sink);
     eng.seed_cohort(unit, 0, 20_000).expect("seeding");
 
-    eng.run_quiet(100).expect("warm-up");
+    eng.run_quiet(warm_up).expect("warm-up");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     eng.run_quiet(2_000).expect("measured drain");
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
+    (after - before, eng)
+}
 
+/// The instrumented loop must stay allocation-free too: counters are
+/// plain field increments, the window deltas go into a scratch buffer
+/// sized at attach time, and the ring sink stores `Copy` records in a
+/// buffer allocated up front. ~8 window emissions land inside the
+/// measured 2 000 steps, so the zero-allocation assertion covers the
+/// slow path as well as the per-step fast path.
+#[test]
+fn telemetry_enabled_drain_steps_do_not_allocate() {
+    let (allocations, eng) = telemetry_drain_allocations(
+        Box::new(RingSink::with_capacity(64)),
+        Provenance::default(),
+        100,
+    );
     assert_eq!(
-        after - before,
-        0,
-        "telemetry-enabled drain must be allocation-free: {} allocations in 2000 steps",
-        after - before
+        allocations, 0,
+        "telemetry-enabled drain must be allocation-free: {allocations} allocations in 2000 steps",
     );
     let counters = eng.telemetry().counters();
     assert_eq!(counters.steps, 2_100, "telemetry counted every step");
@@ -131,4 +162,25 @@ fn telemetry_enabled_drain_steps_do_not_allocate() {
         counters.packets_absorbed >= 2_100,
         "telemetry observed the drain"
     );
+}
+
+/// The JSONL sink reuses one line buffer, so once the first window
+/// record has grown it, every record — including the escaped protocol
+/// name of its provenance — is written without touching the heap.
+#[test]
+fn jsonl_sink_drain_steps_do_not_allocate() {
+    let provenance = Provenance {
+        protocol: "FIFO".into(),
+        ..Provenance::default()
+    };
+    let (allocations, eng) = telemetry_drain_allocations(
+        Box::new(JsonlSink::from_writer(std::io::sink())),
+        provenance,
+        300,
+    );
+    assert_eq!(
+        allocations, 0,
+        "JSONL-sink drain must be allocation-free: {allocations} allocations in 2000 steps",
+    );
+    assert_eq!(eng.telemetry().counters().windows_emitted, 8);
 }

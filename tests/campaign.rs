@@ -68,7 +68,9 @@ fn invariants_catalog_is_exhaustive() {
 /// token ending in `.rs` (optionally `path.rs::name`, which must also
 /// define `fn name`) or starting with `crates/`, `tests/` or
 /// `examples/` is resolved against the repository root. Fenced code
-/// blocks are skipped.
+/// blocks are skipped for paths; there, and in backticked prose, every
+/// `cargo` command's `--example`, `--test`, `--bench` and `-p` target
+/// must exist in the workspace.
 #[test]
 fn doc_path_references_resolve() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -82,9 +84,15 @@ fn doc_path_references_resolve() {
                 continue;
             }
             if fenced {
+                if let Some(target) = missing_cargo_target(root, line) {
+                    dangling.push(format!("{doc}:{}: {target} in `{}`", n + 1, line.trim()));
+                }
                 continue;
             }
             for token in line.split('`').skip(1).step_by(2) {
+                if let Some(target) = missing_cargo_target(root, token) {
+                    dangling.push(format!("{doc}:{}: {target} in `{token}`", n + 1));
+                }
                 let (path, name) = match token.split_once(".rs::") {
                     Some((stem, name)) => (format!("{stem}.rs"), Some(name)),
                     None => (token.to_string(), None),
@@ -111,6 +119,45 @@ fn doc_path_references_resolve() {
         "dangling doc references:\n{}",
         dangling.join("\n")
     );
+}
+
+/// The first `--example`/`--test`/`--bench`/`-p` target of a `cargo`
+/// command in `line` that no workspace package has (arguments after
+/// `--`, a comment or a pipe are not cargo's; `<placeholders>` are
+/// skipped).
+fn missing_cargo_target(root: &std::path::Path, line: &str) -> Option<String> {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let start = words.iter().position(|w| *w == "cargo")? + 1;
+    let packages: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ readable")
+        .map(|e| e.expect("crates/ entry").path())
+        .chain(std::iter::once(root.to_path_buf()))
+        .collect();
+    let has_file = |dir: &str, name: &str| {
+        packages
+            .iter()
+            .any(|p| p.join(dir).join(format!("{name}.rs")).exists())
+    };
+    let args = words[start..]
+        .iter()
+        .take_while(|w| !["--", "#", "|", "&&", ";"].contains(w));
+    let pairs = args.clone().zip(args.skip(1));
+    for (flag, value) in pairs.filter(|(_, v)| !v.starts_with('<')) {
+        let found = match *flag {
+            "--example" => has_file("examples", value),
+            "--test" => has_file("tests", value),
+            "--bench" => has_file("benches", value),
+            "-p" | "--package" => packages.iter().any(|p| {
+                std::fs::read_to_string(p.join("Cargo.toml"))
+                    .is_ok_and(|m| m.contains(&format!("\nname = \"{value}\"\n")))
+            }),
+            _ => true,
+        };
+        if !found {
+            return Some(format!("{flag} {value}"));
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------

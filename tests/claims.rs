@@ -53,7 +53,7 @@ fn bound_sharpness_around_one_over_d() {
 
 /// E12 (reduced): with settling ON, the ε = 1/4 loop diverges; the
 /// full no-settling collapse needs the long ε = 1/10 chain and runs in
-/// the bench (`e12_settling_ablation`) — here we only verify the knob
+/// `full_report --full E12` — here we only verify the knob
 /// exists and the settled path grows.
 #[test]
 fn settling_on_grows() {
