@@ -45,18 +45,21 @@ use aqt_graph::{EdgeId, Graph, Route, RouteError};
 
 use crate::buffer::BufferStore;
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::metrics::{BacklogSample, Metrics};
-use crate::observe::{Observe, ObserveConfig, SpanRec};
-use crate::oracle::{Oracle, ReferenceModel};
+use crate::metrics::Metrics;
+use crate::oracle::Oracle;
 use crate::packet::{Packet, PacketId, Time};
 use crate::protocol::{Discipline, Protocol};
 use crate::rate::{AdversaryModel, AdversaryModelSpec, Constraint, RateViolation};
 use crate::routes::{RouteId, RouteTable};
-use crate::sentinel::{
-    self, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Severity, Violation,
-    ViolationReport,
-};
-use crate::telemetry::{SpanKind, Telemetry, TelemetryConfig, TelemetrySink};
+use crate::sentinel::{InvariantKind, ViolationReport};
+use crate::telemetry::SpanKind;
+
+// The probes (sentinel, telemetry, observatory) and their one schedule
+// live in `probes.rs`, a child of this module so their `impl Engine`
+// blocks read the engine's state directly.
+#[path = "probes.rs"]
+mod probes;
+use probes::{Probes, StepTally};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
@@ -95,11 +98,11 @@ pub enum EngineError {
     /// itself, reported instead of panicking so a sweep harness can
     /// quarantine the run.
     Internal(String),
-    /// A sentinel invariant at [`Severity::Halt`] was violated.
-    /// Carries the full report: what failed, when, and the minimal
-    /// reproduction bundle (seed, step, snapshot, fault plan). Mapped
-    /// to [`crate::SimError::InvariantViolated`] at the `SimError`
-    /// boundary.
+    /// A sentinel invariant at [`crate::Severity::Halt`] was
+    /// violated. Carries the full report: what failed, when, and the
+    /// minimal reproduction bundle (seed, step, snapshot, fault plan).
+    /// Mapped to [`crate::SimError::InvariantViolated`] at the
+    /// `SimError` boundary.
     Invariant(Box<ViolationReport>),
 }
 
@@ -245,24 +248,12 @@ pub struct Engine<P: Protocol> {
     faults: Option<FaultPlan>,
     /// Every fault that took effect, in time order.
     fault_log: Vec<FaultEvent>,
-    /// Attached runtime invariant sentinel, if any.
-    sentinel: Option<Sentinel>,
-    /// Cached step of the next sentinel round (`Time::MAX` when no
-    /// sentinel is attached or its cadence is 0): the per-step gate is
-    /// one compare on a hot field instead of a probe through the
-    /// `Option<Sentinel>`. Kept in sync by `attach_sentinel`,
-    /// `restore_sentinel_state`, and `run_sentinel_checks`.
-    sentinel_next: Time,
     /// Attached lockstep differential oracle, if any.
     oracle: Option<Oracle>,
-    /// Telemetry state (disabled by default). The per-step cost while
-    /// disabled is two boolean reads and one compare against the
-    /// cached `window_next` gate — the same shape as `sentinel_next`.
-    telemetry: Telemetry,
-    /// The queue observatory (detached by default). While detached the
-    /// step loop pays one compare against the cached `observe.next`
-    /// tick gate plus one boolean read per span site.
-    observe: Observe,
+    /// Sentinel, telemetry and observatory behind one next-due gate
+    /// (see `probes.rs`). With nothing attached the step loop pays one
+    /// compare against that gate plus the telemetry and span flag reads.
+    probes: Probes,
     /// Record an [`Absorption`] per absorbed packet (off by default —
     /// the hot path then pays one boolean read per absorption and the
     /// log never allocates).
@@ -276,9 +267,9 @@ impl<P: Protocol> Engine<P> {
     pub fn new(graph: Arc<Graph>, protocol: P, cfg: EngineConfig) -> Self {
         let m = graph.edge_count();
         let model = cfg.validate.as_ref().map(|spec| spec.build(m));
-        let metrics = Metrics::new(m, cfg.sample_every);
+        let metrics = Metrics::new(m);
         let discipline = protocol.discipline();
-        Engine {
+        let mut engine = Engine {
             graph,
             protocol,
             discipline,
@@ -296,37 +287,13 @@ impl<P: Protocol> Engine<P> {
             delivered: Vec::new(),
             faults: None,
             fault_log: Vec::new(),
-            sentinel: None,
-            sentinel_next: Time::MAX,
             oracle: None,
-            telemetry: Telemetry::disabled(),
-            observe: Observe::disabled(),
+            probes: Probes::detached(),
             record_absorptions: false,
             absorptions: Vec::new(),
-        }
-    }
-
-    /// The step of the next sentinel round implied by the attached
-    /// sentinel's state, or `Time::MAX` when checks are off.
-    fn sentinel_next_due(&self) -> Time {
-        match &self.sentinel {
-            Some(s) if s.config().cadence > 0 => {
-                s.state().last_check.saturating_add(s.config().cadence)
-            }
-            _ => Time::MAX,
-        }
-    }
-
-    /// Attach a runtime invariant sentinel. The check baseline (the
-    /// unit-speed crossing counters) is taken from the engine's current
-    /// state, so attaching mid-run is legal.
-    pub fn attach_sentinel(&mut self, cfg: SentinelConfig) {
-        self.sentinel = Some(Sentinel::new(
-            cfg,
-            self.time,
-            &self.metrics.crossings_per_edge,
-        ));
-        self.sentinel_next = self.sentinel_next_due();
+        };
+        engine.reschedule();
+        engine
     }
 
     /// Attach a lockstep differential oracle diffing the naive
@@ -338,79 +305,17 @@ impl<P: Protocol> Engine<P> {
     /// attaching mid-run is legal.
     ///
     /// Divergences are raised as [`InvariantKind::OracleDivergence`]
-    /// under the attached sentinel's severity policy ([`Severity::Halt`]
-    /// when no sentinel is attached).
+    /// under the attached sentinel's severity policy
+    /// ([`crate::Severity::Halt`] when no sentinel is attached).
     pub fn attach_oracle(&mut self, protocol: Box<dyn Protocol>, every: u64) {
         let mut oracle = Oracle::new(protocol, every, self.graph.edge_count());
         oracle.model.resync(self);
         self.oracle = Some(oracle);
     }
 
-    /// The attached sentinel, if any.
-    pub fn sentinel(&self) -> Option<&Sentinel> {
-        self.sentinel.as_ref()
-    }
-
     /// The attached differential oracle, if any.
     pub fn oracle(&self) -> Option<&Oracle> {
         self.oracle.as_ref()
-    }
-
-    /// Attach (or reconfigure) telemetry. Counters restart at zero and
-    /// the window baseline is taken from the engine's current state,
-    /// so attaching mid-run is legal — window records then cover only
-    /// what happens after the attach. When the config leaves
-    /// `provenance.fault_plan_id` unset and a fault plan is installed,
-    /// the plan's [`FaultPlan::plan_id`] is filled in automatically.
-    pub fn attach_telemetry(&mut self, cfg: TelemetryConfig) {
-        let mut cfg = cfg;
-        if cfg.provenance.fault_plan_id.is_none() {
-            cfg.provenance.fault_plan_id = self.faults.as_ref().map(|f| f.plan_id());
-        }
-        if cfg.provenance.model_fingerprint.is_none() {
-            cfg.provenance.model_fingerprint = self.model.as_ref().map(|m| m.spec().fingerprint());
-        }
-        self.telemetry
-            .configure(cfg, self.time, &self.metrics.crossings_per_edge);
-    }
-
-    /// Attach a telemetry sink; emits a
-    /// [`crate::telemetry::TelemetryEvent::RunStart`] immediately.
-    /// Call after [`Engine::attach_telemetry`] so the announced
-    /// provenance is the configured one.
-    pub fn set_telemetry_sink(&mut self, sink: Box<dyn TelemetrySink>) {
-        self.telemetry.set_sink(sink, self.time);
-    }
-
-    /// The telemetry state: level, counter totals, timing histograms.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Attach (or reconfigure) the queue observatory: fixed-cadence
-    /// backlog ticks with a certificate-margin series, and seeded
-    /// 1-in-N packet-lifecycle span sampling. All preallocation
-    /// happens here; the step loop stays heap-free. When
-    /// `cfg.bound` is `None` and a sentinel with an enforceable
-    /// [`crate::CertificateSpec`] is attached, the margin tracker
-    /// inherits the theorem bound — attach the sentinel first.
-    /// Records and spans reach the sink attached via
-    /// [`Engine::set_telemetry_sink`]; without one, the in-memory
-    /// series ([`Engine::observatory`]) still fills.
-    pub fn attach_observatory(&mut self, cfg: ObserveConfig) {
-        let bound = cfg.bound.or_else(|| {
-            self.sentinel
-                .as_ref()
-                .and_then(|s| s.config().certificate_spec)
-                .and_then(|spec| spec.bound())
-        });
-        self.observe
-            .configure(cfg, self.time, self.graph.edge_count(), bound);
-    }
-
-    /// The observatory state: backlog/margin series and span tallies.
-    pub fn observatory(&self) -> &Observe {
-        &self.observe
     }
 
     /// Change the backlog-series sampling cadence
@@ -421,38 +326,7 @@ impl<P: Protocol> Engine<P> {
     /// carry a backlog series.
     pub fn set_sample_every(&mut self, every: Time) {
         self.cfg.sample_every = every;
-        self.metrics.sample_every = every;
-    }
-
-    /// Close out telemetry for the run: emit the final partial window
-    /// (if any steps ran since the last window boundary) and a
-    /// [`crate::telemetry::TelemetryEvent::RunEnd`], then flush the
-    /// sink. Call once when the run is over; a no-op when telemetry is
-    /// off. The per-window crossing records plus this final partial
-    /// window sum exactly to [`Metrics::crossings_per_edge`] when
-    /// telemetry was attached before the first step.
-    pub fn finish_telemetry(&mut self) {
-        self.telemetry
-            .finish(self.time, &self.metrics.crossings_per_edge);
-    }
-
-    /// Checkpoint support (crate-only): the sentinel's dynamic state.
-    pub(crate) fn sentinel_state(&self) -> Option<&SentinelState> {
-        self.sentinel.as_ref().map(|s| s.state())
-    }
-
-    /// Checkpoint support (crate-only): restore a checkpointed sentinel
-    /// state. Returns `false` when no sentinel is attached (the caller
-    /// has already verified presence matches).
-    pub(crate) fn restore_sentinel_state(&mut self, state: SentinelState) -> bool {
-        match self.sentinel.as_mut() {
-            Some(s) => {
-                s.set_state(state);
-                self.sentinel_next = self.sentinel_next_due();
-                true
-            }
-            None => false,
-        }
+        self.reschedule();
     }
 
     /// Install a fault schedule. Only permitted before the first step,
@@ -615,21 +489,7 @@ impl<P: Protocol> Engine<P> {
             oracle.model.resync(self);
             self.oracle = Some(oracle);
         }
-        // Re-baseline the sentinel's interval checks at the restored
-        // clock (a checkpointed sentinel state, if any, is reinstated
-        // by the caller afterwards and overrides this).
-        let crossings = &self.metrics.crossings_per_edge;
-        if let Some(s) = self.sentinel.as_mut() {
-            s.state.last_check = time;
-            s.state.crossings_at_last_check.clear();
-            s.state.crossings_at_last_check.extend_from_slice(crossings);
-        }
-        self.sentinel_next = self.sentinel_next_due();
-        // A restore discontinuously moves the clock and the crossing
-        // totals; re-anchor the telemetry windows there so the next
-        // window record's deltas cover only post-restore steps.
-        self.telemetry
-            .rebaseline(time, &self.metrics.crossings_per_edge);
+        self.restart_probes();
     }
 
     /// Checkpoint support (crate-only): the full internal state beyond
@@ -655,7 +515,8 @@ impl<P: Protocol> Engine<P> {
     /// Checkpoint support (crate-only): restore the state captured by
     /// [`Engine::full_state`]. The caller (`crate::checkpoint`) has
     /// validated that the checkpoint matches this engine's graph and
-    /// that the model specs agree.
+    /// that the model specs agree, and calls [`Engine::restore_state`]
+    /// next, which re-anchors the probes at the restored state.
     pub(crate) fn restore_full_state(
         &mut self,
         model: Option<AdversaryModel>,
@@ -667,8 +528,6 @@ impl<P: Protocol> Engine<P> {
         self.last_route_use = last_route_use;
         self.metrics = metrics;
         self.fault_log = fault_log;
-        self.telemetry
-            .rebaseline(self.time, &self.metrics.crossings_per_edge);
     }
 
     /// Iterate over every live packet (buffer order within each edge,
@@ -751,14 +610,14 @@ impl<P: Protocol> Engine<P> {
         let (addr, len) = (edges.as_ptr() as usize, edges.len());
         for hit in self.inject_memo.iter().flatten() {
             if hit.addr == addr && hit.len == len {
-                if self.telemetry.counters_on {
-                    self.telemetry.counters.memo_hits += 1;
+                if self.probes.telemetry.counters_on {
+                    self.probes.telemetry.counters.memo_hits += 1;
                 }
                 return hit.resolved;
             }
         }
-        if self.telemetry.counters_on {
-            self.telemetry.counters.memo_misses += 1;
+        if self.probes.telemetry.counters_on {
+            self.probes.telemetry.counters.memo_misses += 1;
         }
         let resolved = self.intern_for_admit(edges);
         self.inject_memo[self.inject_memo_cursor] = Some(InjectMemoEntry {
@@ -800,16 +659,9 @@ impl<P: Protocol> Engine<P> {
         let len = self.buffers.push_back(first.index(), p) as u64;
         self.metrics.injected += 1;
         self.metrics.on_queue_len(first, len);
-        if self.observe.spans_on && self.observe.sampled(id.0) {
-            self.observe.push_span(SpanRec {
-                time: t,
-                op: SpanKind::Inject,
-                packet: id.0,
-                edge: first.index() as u32,
-                hop: 0,
-                wait: 0,
-            });
-        }
+        self.probes
+            .observe
+            .span(t, SpanKind::Inject, id.0, first, 0, 0);
         id
     }
 
@@ -845,27 +697,22 @@ impl<P: Protocol> Engine<P> {
         ) as u64;
         self.metrics.injected += n;
         self.metrics.on_queue_len(first, len);
-        if self.telemetry.counters_on {
-            self.telemetry.counters.cohorts_admitted += 1;
+        if self.probes.telemetry.counters_on {
+            self.probes.telemetry.counters.cohorts_admitted += 1;
         }
-        if self.observe.spans_on {
+        if self.probes.observe.spans_on {
             // The sampled residue class is arithmetic (every
             // `mask + 1`-th id), so the cohort's sampled members are
             // stepped directly instead of testing all n ids.
-            let stride = self.observe.span_mask + 1;
-            let mut id = (base & !self.observe.span_mask) | self.observe.span_residue;
+            let stride = self.probes.observe.span_mask + 1;
+            let mut id = (base & !self.probes.observe.span_mask) | self.probes.observe.span_residue;
             if id < base {
                 id += stride;
             }
             while id < base + n {
-                self.observe.push_span(SpanRec {
-                    time: t,
-                    op: SpanKind::Inject,
-                    packet: id,
-                    edge: first.index() as u32,
-                    hop: 0,
-                    wait: 0,
-                });
+                self.probes
+                    .observe
+                    .span(t, SpanKind::Inject, id, first, 0, 0);
                 id += stride;
             }
         }
@@ -877,11 +724,13 @@ impl<P: Protocol> Engine<P> {
     ///
     /// The step is a pipeline of substages, in model order: send
     /// (substep 1), wire faults, receive (substep 2a), inject
-    /// (substep 2b), burst faults, oracle, sample, sentinel. The
-    /// oracle stage steps the naive [`ReferenceModel`] alongside and
-    /// diffs it against the engine, which is how the equivalence tests
-    /// pin this composition. The oracle and sentinel stages are no-ops
-    /// unless attached.
+    /// (substep 2b), burst faults, oracle, then the probes. The
+    /// oracle stage steps the naive [`crate::ReferenceModel`] alongside
+    /// and diffs it against the engine, which is how the equivalence
+    /// tests pin this composition. The oracle is a no-op unless
+    /// attached; the probes (backlog sample, sentinel, observatory
+    /// tick, telemetry window) run only when the one next-due gate is
+    /// reached (see `probes.rs`).
     pub fn step<I>(&mut self, injections: I) -> Result<(), EngineError>
     where
         I: IntoIterator,
@@ -890,21 +739,13 @@ impl<P: Protocol> Engine<P> {
         let t = self.time + 1;
         self.time = t;
         let faults_active = self.faults.as_ref().is_some_and(|f| f.active_at(t));
-        // The telemetry level, folded to two booleans read once per
-        // step (the level itself never changes mid-step). When off,
-        // everything below degrades to dead branches plus the one
-        // `window_next` compare at the end. Timing is *sampled*: a
-        // full set of per-substage clock reads would dominate a fast
-        // step, so only every `timing_stride`-th step is measured —
-        // the decision is made here, once, through the cached
-        // `timing_next` gate, and the substage methods read the cached
-        // `timing_this_step` flag.
-        let tel_counters = self.telemetry.counters_on;
-        let tel_timing = t >= self.telemetry.timing_next;
-        self.telemetry.timing_this_step = tel_timing;
-        if tel_timing {
-            self.telemetry.timing_next = t + self.telemetry.timing_stride;
-        }
+        // The telemetry level, folded to booleans read once per step.
+        // Timing is *sampled*: a full set of per-substage clock reads
+        // would dominate a fast step, so the probe schedule arms the
+        // `timing_this_step` flag only for every `timing_stride`-th
+        // step, and the substage methods read that flag.
+        let tel_counters = self.probes.telemetry.counters_on;
+        let tel_timing = self.probes.telemetry.timing_this_step;
         let step_t0 = tel_timing.then(std::time::Instant::now);
 
         debug_assert!(self.in_transit.is_empty());
@@ -915,32 +756,24 @@ impl<P: Protocol> Engine<P> {
         // two — so a sampled step costs 6 clock reads end to end.
         let deactivated = self.buffers.begin_step();
         if tel_counters && deactivated > 0 {
-            self.telemetry.counters.buffers_compacted += deactivated as u64;
+            self.probes.telemetry.counters.buffers_compacted += deactivated as u64;
         }
         let send_t0 = tel_timing.then(std::time::Instant::now);
         self.substep_send(t, faults_active)?;
         let sent = self.in_transit.len() as u64;
         let wire_t0 = tel_timing.then(std::time::Instant::now);
         self.substep_wire_faults(t, faults_active);
-        let delivered_len = self.delivered.len() as u64;
+        let delivered = self.delivered.len() as u64;
         self.substep_receive(t);
         let recv_t1 = tel_timing.then(std::time::Instant::now);
         if let (Some(a), Some(b), Some(c), Some(d)) = (step_t0, send_t0, wire_t0, recv_t1) {
             // compact = step start → send start; send = the send
             // loop alone; receive includes the wire stage (a swap
             // on fault-free steps).
-            self.telemetry
-                .timings
-                .compact
-                .record_duration(b.duration_since(a));
-            self.telemetry
-                .timings
-                .send
-                .record_duration(c.duration_since(b));
-            self.telemetry
-                .timings
-                .receive
-                .record_duration(d.duration_since(c));
+            let timings = &mut self.probes.telemetry.timings;
+            timings.compact.record_duration(b.duration_since(a));
+            timings.send.record_duration(c.duration_since(b));
+            timings.receive.record_duration(d.duration_since(c));
         }
         let inject_t0 = tel_timing.then(std::time::Instant::now);
         if self.oracle.is_some() {
@@ -952,91 +785,31 @@ impl<P: Protocol> Engine<P> {
             self.substep_inject(t, buffered.iter())?;
             self.substep_burst(t, faults_active);
             if let Some(t0) = inject_t0 {
-                self.telemetry.timings.inject.record_duration(t0.elapsed());
+                let timings = &mut self.probes.telemetry.timings;
+                timings.inject.record_duration(t0.elapsed());
             }
             self.substep_oracle(t, &buffered)?;
         } else {
             self.substep_inject(t, injections)?;
             self.substep_burst(t, faults_active);
             if let Some(t0) = inject_t0 {
-                self.telemetry.timings.inject.record_duration(t0.elapsed());
+                let timings = &mut self.probes.telemetry.timings;
+                timings.inject.record_duration(t0.elapsed());
             }
         }
-        self.substep_sample(t);
-        self.substep_sentinel(t)?;
 
-        if tel_counters {
-            let absorbed_delta = self.metrics.absorbed - absorbed0;
-            let c = &mut self.telemetry.counters;
-            c.steps += 1;
-            c.packets_sent += sent;
-            c.packets_absorbed += absorbed_delta;
-            // Everything delivered and not absorbed moved to its next
-            // buffer.
-            c.packets_forwarded += delivered_len.saturating_sub(absorbed_delta);
-            c.packets_injected += self.metrics.injected - injected0;
+        let tally = StepTally {
+            sent,
+            delivered,
+            absorbed0,
+            injected0,
+            t0: step_t0,
+        };
+        if t >= self.probes.next_due {
+            return self.run_due_probes(t, tally);
         }
-        if let Some(t0) = step_t0 {
-            self.telemetry.timings.step.record_duration(t0.elapsed());
-        }
-        if self.observe.spans_on && !self.observe.span_scratch.is_empty() {
-            self.flush_spans();
-        }
-        if t >= self.observe.next {
-            self.observe_tick(t);
-        }
-        if t >= self.telemetry.window_next {
-            self.telemetry
-                .emit_window(t, &self.metrics.crossings_per_edge);
-        }
+        self.end_step(tally);
         Ok(())
-    }
-
-    /// Flush the step's staged observatory spans through the telemetry
-    /// sink. The scratch is cleared either way, so a sink attached
-    /// mid-run starts clean.
-    fn flush_spans(&mut self) {
-        if self.telemetry.has_sink() {
-            for rec in &self.observe.span_scratch {
-                self.telemetry
-                    .emit_span(rec.time, rec.packet, rec.op, rec.edge, rec.hop, rec.wait);
-            }
-            let n = self.observe.span_scratch.len() as u64;
-            self.observe.note_flushed(n);
-        }
-        self.observe.span_scratch.clear();
-    }
-
-    /// One observatory backlog tick: capture total-Q(t), the running
-    /// queue/wait peaks, and (within the edge cap) the sparse per-edge
-    /// depths; record the certificate margin; emit the `backlog`
-    /// record.
-    #[cold]
-    fn observe_tick(&mut self, t: Time) {
-        let total = self.metrics.backlog();
-        let max_queue = self.metrics.max_queue();
-        let max_wait = self.metrics.max_buffer_wait;
-        let margin = self.observe.record_tick(t, total, max_queue, max_wait);
-        if self.telemetry.has_sink() {
-            self.observe.depth_scratch.clear();
-            if self.observe.track_depths {
-                for ei in 0..self.buffers.edge_count() {
-                    let depth = self.buffers.len(ei);
-                    if depth > 0 {
-                        self.observe.depth_scratch.push((ei as u32, depth as u32));
-                    }
-                }
-            }
-            self.telemetry.emit_backlog(
-                t,
-                total,
-                max_queue,
-                max_wait,
-                self.observe.bound(),
-                margin,
-                &self.observe.depth_scratch,
-            );
-        }
     }
 
     /// Substep 1: send one packet from each nonempty buffer, unless an
@@ -1093,16 +866,9 @@ impl<P: Protocol> Engine<P> {
         })?;
         let wait = t - p.arrived_at;
         self.metrics.on_send(edge, wait);
-        if self.observe.spans_on && self.observe.sampled(p.id.0) {
-            self.observe.push_span(SpanRec {
-                time: t,
-                op: SpanKind::Send,
-                packet: p.id.0,
-                edge: ei as u32,
-                hop: p.hop,
-                wait,
-            });
-        }
+        self.probes
+            .observe
+            .span(t, SpanKind::Send, p.id.0, edge, p.hop, wait);
         self.in_transit.push(p);
         Ok(())
     }
@@ -1131,16 +897,9 @@ impl<P: Protocol> Engine<P> {
                     edge: crossed,
                     id: p.id,
                 });
-                if self.observe.spans_on && self.observe.sampled(p.id.0) {
-                    self.observe.push_span(SpanRec {
-                        time: t,
-                        op: SpanKind::Drop,
-                        packet: p.id.0,
-                        edge: crossed.index() as u32,
-                        hop: p.hop,
-                        wait: 0,
-                    });
-                }
+                self.probes
+                    .observe
+                    .span(t, SpanKind::Drop, p.id.0, crossed, p.hop, 0);
                 continue;
             }
             let copy = if copied {
@@ -1157,16 +916,9 @@ impl<P: Protocol> Engine<P> {
                 // lifecycle (enqueue → … → absorb) spans appear iff
                 // *its* id is in the residue class, so the `dup` span
                 // is keyed to the clone, not the original.
-                if self.observe.spans_on && self.observe.sampled(id.0) {
-                    self.observe.push_span(SpanRec {
-                        time: t,
-                        op: SpanKind::Duplicate,
-                        packet: id.0,
-                        edge: crossed.index() as u32,
-                        hop: p.hop,
-                        wait: 0,
-                    });
-                }
+                self.probes
+                    .observe
+                    .span(t, SpanKind::Duplicate, id.0, crossed, p.hop, 0);
                 Some(Packet { id, ..p })
             } else {
                 None
@@ -1198,16 +950,13 @@ impl<P: Protocol> Engine<P> {
                     continue;
                 }
                 self.metrics.on_absorb(t - p.injected_at);
-                if self.observe.spans_on && self.observe.sampled(p.id.0) {
+                if self.probes.observe.spans_on {
+                    // Resolve the crossed edge only when spans are on.
                     let crossed = self.routes.get(p.route)[p.hop as usize];
-                    self.observe.push_span(SpanRec {
-                        time: t,
-                        op: SpanKind::Absorb,
-                        packet: p.id.0,
-                        edge: crossed.index() as u32,
-                        hop: p.hop,
-                        wait: t - p.injected_at,
-                    });
+                    let latency = t - p.injected_at;
+                    self.probes
+                        .observe
+                        .span(t, SpanKind::Absorb, p.id.0, crossed, p.hop, latency);
                 }
                 if self.record_absorptions {
                     self.absorptions.push(Absorption {
@@ -1226,16 +975,9 @@ impl<P: Protocol> Engine<P> {
                 let next = memo[p.hop as usize];
                 let len = self.buffers.push_back(next.index(), p) as u64;
                 self.metrics.on_queue_len(next, len);
-                if self.observe.spans_on && self.observe.sampled(p.id.0) {
-                    self.observe.push_span(SpanRec {
-                        time: t,
-                        op: SpanKind::Enqueue,
-                        packet: p.id.0,
-                        edge: next.index() as u32,
-                        hop: p.hop,
-                        wait: 0,
-                    });
-                }
+                self.probes
+                    .observe
+                    .span(t, SpanKind::Enqueue, p.id.0, next, p.hop, 0);
             }
         }
         self.delivered = delivered;
@@ -1313,6 +1055,7 @@ impl<P: Protocol> Engine<P> {
             None => return Ok(()),
         };
         let oracle_t0 = self
+            .probes
             .telemetry
             .timing_this_step
             .then(std::time::Instant::now);
@@ -1320,254 +1063,20 @@ impl<P: Protocol> Engine<P> {
         let due = oracle.due(t);
         let diverged = if due { oracle.model().diff(self) } else { None };
         self.oracle = Some(oracle);
-        if due && self.telemetry.counters_on {
-            self.telemetry.counters.oracle_diffs += 1;
+        if due && self.probes.telemetry.counters_on {
+            self.probes.telemetry.counters.oracle_diffs += 1;
         }
         if let Some(t0) = oracle_t0 {
-            self.telemetry.timings.oracle.record_duration(t0.elapsed());
+            self.probes
+                .telemetry
+                .timings
+                .oracle
+                .record_duration(t0.elapsed());
         }
         if let Some(detail) = diverged {
             self.raise(InvariantKind::OracleDivergence, t, detail)?;
         }
         Ok(())
-    }
-
-    /// Sentinel stage: at the configured cadence, run the invariant
-    /// checks. The hot path pays one branch.
-    #[inline]
-    fn substep_sentinel(&mut self, t: Time) -> Result<(), EngineError> {
-        if t >= self.sentinel_next {
-            self.run_sentinel_checks(t)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// One sentinel check round. Cheap O(E) checks run every round;
-    /// the O(backlog) per-packet checks and the snapshot round trip
-    /// run at their configured strides.
-    #[cold]
-    fn run_sentinel_checks(&mut self, t: Time) -> Result<(), EngineError> {
-        let round_t0 = self
-            .telemetry
-            .timing_this_step
-            .then(std::time::Instant::now);
-        if self.telemetry.counters_on {
-            self.telemetry.counters.sentinel_rounds += 1;
-        }
-        let (deep, roundtrip, unit_detail, cert) = {
-            let s = self.sentinel.as_ref().expect("gated by substep_sentinel");
-            let elapsed = t.saturating_sub(s.state().last_check);
-            (
-                s.deep_due(t),
-                s.roundtrip_due(t),
-                sentinel::unit_speed_violation(
-                    &s.state().crossings_at_last_check,
-                    &self.metrics.crossings_per_edge,
-                    elapsed,
-                ),
-                s.config().certificate_spec,
-            )
-        };
-
-        // Conservation: recount the live packets from the buffers —
-        // never trust the cached backlog to audit itself.
-        let live: u64 = (0..self.buffers.edge_count())
-            .map(|ei| self.buffers.len(ei) as u64)
-            .sum();
-        if let Some(detail) = sentinel::conservation_violation(&self.metrics, live) {
-            self.raise(InvariantKind::Conservation, t, detail)?;
-        }
-        if let Some(detail) = unit_detail {
-            self.raise(InvariantKind::UnitSpeed, t, detail)?;
-        }
-
-        if let Some(bound) = cert.and_then(|spec| spec.bound()) {
-            if self.metrics.max_buffer_wait > bound {
-                let detail = format!(
-                    "observed buffer wait {} exceeds the theorem bound {}",
-                    self.metrics.max_buffer_wait, bound
-                );
-                self.raise(InvariantKind::Certificate, t, detail)?;
-            }
-            if deep {
-                // In-buffer waits: a packet already queued longer than
-                // the bound can only exceed it further when sent.
-                let routes = &self.routes;
-                let overdue = self.buffers.packets().find_map(|p| {
-                    let waited = t.saturating_sub(p.arrived_at);
-                    (waited > bound).then(|| {
-                        format!(
-                            "packet {:?} has waited {waited} steps at edge {:?} \
-                             (theorem bound {bound})",
-                            p.id,
-                            routes.get(p.route)[p.hop as usize]
-                        )
-                    })
-                });
-                if let Some(detail) = overdue {
-                    self.raise(InvariantKind::Certificate, t, detail)?;
-                }
-            }
-        }
-
-        if deep {
-            if let Some(detail) = self.route_progress_violation(t) {
-                self.raise(InvariantKind::RouteProgress, t, detail)?;
-            }
-        }
-
-        if roundtrip {
-            let snap = crate::snapshot::capture(self);
-            if let Err(detail) = crate::snapshot::validate_payload(&snap, self.graph.edge_count()) {
-                self.raise(InvariantKind::SnapshotRoundTrip, t, detail)?;
-            } else if ReferenceModel::from_snapshot(&snap).to_snapshot() != snap {
-                self.raise(
-                    InvariantKind::SnapshotRoundTrip,
-                    t,
-                    "snapshot does not survive a reference-model round trip".into(),
-                )?;
-            }
-        }
-
-        let crossings = &self.metrics.crossings_per_edge;
-        let s = self.sentinel.as_mut().expect("gated by substep_sentinel");
-        s.state.last_check = t;
-        // Copy in place: reallocating O(E) every round is measurable
-        // on nanosecond-scale steps.
-        s.state.crossings_at_last_check.clear();
-        s.state.crossings_at_last_check.extend_from_slice(crossings);
-        s.state.checks_run += 1;
-        self.sentinel_next = self.sentinel_next_due();
-        if let Some(t0) = round_t0 {
-            self.telemetry
-                .timings
-                .sentinel
-                .record_duration(t0.elapsed());
-        }
-        Ok(())
-    }
-
-    /// First route-progress violation among the queued packets:
-    /// resolvable route id with consistent interned contents, in-range
-    /// hop, packet stored at its current route edge, coherent
-    /// timestamps, id below the allocation watermark. Also re-verifies
-    /// the route table itself: interning is trusted on the hot path, so
-    /// the deep cadence is where a corrupted intern (duplicate entries,
-    /// a mis-filed hash chain) would surface.
-    fn route_progress_violation(&self, t: Time) -> Option<String> {
-        if let Err(detail) = self.routes.verify_integrity() {
-            return Some(format!("route table corrupt: {detail}"));
-        }
-        for ei in 0..self.buffers.edge_count() {
-            for p in self.buffers.iter(ei) {
-                let Some(route) = self.routes.try_get(p.route) else {
-                    return Some(format!(
-                        "packet {:?} references unknown route id {:?}",
-                        p.id, p.route
-                    ));
-                };
-                if p.route_len as usize != route.len() {
-                    return Some(format!(
-                        "packet {:?} claims route length {} but its interned route has {} edges",
-                        p.id,
-                        p.route_len,
-                        route.len()
-                    ));
-                }
-                if p.hop as usize >= route.len() {
-                    return Some(format!(
-                        "packet {:?} has hop {} on a route of length {}",
-                        p.id,
-                        p.hop,
-                        route.len()
-                    ));
-                }
-                if route[p.hop as usize].index() != ei {
-                    return Some(format!(
-                        "packet {:?} is queued at edge {ei} but its route edge is {:?}",
-                        p.id, route[p.hop as usize]
-                    ));
-                }
-                if p.arrived_at > t || p.injected_at > p.arrived_at {
-                    return Some(format!(
-                        "packet {:?} has incoherent timestamps (injected {}, arrived {}, now {t})",
-                        p.id, p.injected_at, p.arrived_at
-                    ));
-                }
-                if p.id.0 >= self.next_id {
-                    return Some(format!(
-                        "packet {:?} is at or above the id watermark {}",
-                        p.id, self.next_id
-                    ));
-                }
-            }
-        }
-        None
-    }
-
-    /// Dispatch a violation according to the sentinel's severity
-    /// policy. With no sentinel attached (an oracle can be attached
-    /// alone), violations halt.
-    fn raise(&mut self, kind: InvariantKind, t: Time, detail: String) -> Result<(), EngineError> {
-        let severity = self
-            .sentinel
-            .as_ref()
-            .map_or(Severity::Halt, |s| s.config().severity_of(kind));
-        let violation = Violation {
-            kind,
-            time: t,
-            detail,
-        };
-        match severity {
-            Severity::Log => {
-                if let Some(s) = self.sentinel.as_mut() {
-                    s.state.log.push(violation);
-                }
-                Ok(())
-            }
-            Severity::Quarantine => {
-                let bundle = self.repro_bundle(t);
-                if let Some(s) = self.sentinel.as_mut() {
-                    s.state
-                        .quarantine
-                        .push(ViolationReport { violation, bundle });
-                }
-                Ok(())
-            }
-            Severity::Halt => {
-                let bundle = self.repro_bundle(t);
-                Err(EngineError::Invariant(Box::new(ViolationReport {
-                    violation,
-                    bundle,
-                })))
-            }
-        }
-    }
-
-    /// The minimal reproduction bundle for a violation observed at `t`.
-    fn repro_bundle(&self, t: Time) -> ReproBundle {
-        ReproBundle {
-            seed: self.sentinel.as_ref().and_then(|s| s.config().seed),
-            step: t,
-            snapshot: crate::snapshot::capture(self),
-            fault_plan: self.faults.clone(),
-            backlog: self.metrics.series.clone(),
-        }
-    }
-
-    /// Sampling stage: append to the backlog series on schedule.
-    fn substep_sample(&mut self, t: Time) {
-        if self.cfg.sample_every > 0 && t.is_multiple_of(self.cfg.sample_every) {
-            // max_len scans the active set; every nonempty buffer is
-            // active, so this equals the max over all buffers.
-            let max_queue = self.buffers.max_len();
-            self.metrics.series.push(BacklogSample {
-                time: t,
-                backlog: self.metrics.backlog(),
-                max_queue,
-            });
-        }
     }
 
     /// Run `steps` steps with no injections.

@@ -52,12 +52,10 @@ pub struct Metrics {
     pub(crate) duplicated: u64,
     /// Sampled backlog series (empty if sampling is disabled).
     pub(crate) series: Vec<BacklogSample>,
-    /// Sampling interval in steps (0 = disabled).
-    pub(crate) sample_every: Time,
 }
 
 impl Metrics {
-    pub(crate) fn new(edge_count: usize, sample_every: Time) -> Self {
+    pub(crate) fn new(edge_count: usize) -> Self {
         Metrics {
             max_queue_per_edge: vec![0; edge_count],
             crossings_per_edge: vec![0; edge_count],
@@ -68,7 +66,6 @@ impl Metrics {
             dropped: 0,
             duplicated: 0,
             series: Vec::new(),
-            sample_every,
         }
     }
 
@@ -126,11 +123,6 @@ impl Metrics {
     /// Sampled backlog series (empty if sampling is disabled).
     pub fn series(&self) -> &[BacklogSample] {
         &self.series
-    }
-
-    /// Sampling interval in steps (0 = disabled).
-    pub fn sample_every(&self) -> Time {
-        self.sample_every
     }
 
     /// Forget all *peak* statistics (queue peaks, wait/latency peaks)
@@ -194,7 +186,7 @@ mod tests {
 
     #[test]
     fn backlog_accounting() {
-        let mut m = Metrics::new(2, 0);
+        let mut m = Metrics::new(2);
         m.injected = 10;
         m.on_absorb(3);
         m.on_absorb(7);
@@ -205,7 +197,7 @@ mod tests {
 
     #[test]
     fn queue_peaks() {
-        let mut m = Metrics::new(3, 0);
+        let mut m = Metrics::new(3);
         m.on_queue_len(EdgeId(1), 5);
         m.on_queue_len(EdgeId(1), 3);
         m.on_queue_len(EdgeId(2), 4);
@@ -216,7 +208,7 @@ mod tests {
 
     #[test]
     fn conservation_with_faults() {
-        let mut m = Metrics::new(1, 0);
+        let mut m = Metrics::new(1);
         m.injected = 10;
         m.duplicated = 2;
         m.dropped = 3;
@@ -228,7 +220,7 @@ mod tests {
 
     #[test]
     fn reset_peaks_keeps_totals() {
-        let mut m = Metrics::new(2, 0);
+        let mut m = Metrics::new(2);
         m.injected = 4;
         m.on_queue_len(EdgeId(0), 9);
         m.on_send(EdgeId(1), 6);
@@ -244,7 +236,7 @@ mod tests {
 
     #[test]
     fn wait_peaks_and_crossings() {
-        let mut m = Metrics::new(2, 0);
+        let mut m = Metrics::new(2);
         m.on_send(EdgeId(0), 2);
         m.on_send(EdgeId(0), 9);
         m.on_send(EdgeId(1), 1);

@@ -6,8 +6,8 @@
 //! adversary — but [`crate::Metrics`] only keeps run-level peaks and
 //! totals, and the telemetry windows carry scalar counters. This
 //! module watches the trajectory itself. Three instruments, all
-//! zero-cost when detached (the step loop pays one integer compare and
-//! one branch):
+//! zero-cost when detached (the tick joins the engine's one probe
+//! schedule, and each span site reads one flag):
 //!
 //! * **Backlog recorder** — at a fixed cadence, the total live backlog
 //!   Q(t), the deepest-queue and worst-wait running peaks, and the
@@ -35,6 +35,8 @@
 //! the JSONL stream and emits per-edge backlog percentiles, the margin
 //! series, a span waterfall, and a
 //! Chrome-trace (`trace_event`) file loadable in Perfetto.
+
+use aqt_graph::EdgeId;
 
 use crate::packet::Time;
 use crate::telemetry::SpanKind;
@@ -134,9 +136,8 @@ pub struct SpanRec {
 pub struct Observe {
     enabled: bool,
     cadence: Time,
-    /// Hot gate: step of the next backlog tick, `Time::MAX` when
-    /// detached — the per-step cost of a detached observatory is this
-    /// one compare.
+    /// Step of the next backlog tick, `Time::MAX` when detached. One
+    /// input of the engine's probe schedule (`probes.rs`).
     pub(crate) next: Time,
     bound: Option<u64>,
     capacity: usize,
@@ -162,7 +163,8 @@ pub struct Observe {
     /// Spans staged during the current step (preallocated; flushed at
     /// end of step).
     pub(crate) span_scratch: Vec<SpanRec>,
-    spans_emitted: u64,
+    /// Spans flushed to the sink so far.
+    pub(crate) spans_emitted: u64,
     spans_dropped: u64,
 }
 
@@ -243,10 +245,35 @@ impl Observe {
         id & self.span_mask == self.span_residue
     }
 
+    /// Stage a lifecycle span for `packet` at `edge` when spans are on
+    /// and the packet is in the sampled residue class — the one call
+    /// every engine span site makes.
+    #[inline]
+    pub(crate) fn span(
+        &mut self,
+        time: Time,
+        op: SpanKind,
+        packet: u64,
+        edge: EdgeId,
+        hop: u32,
+        wait: Time,
+    ) {
+        if self.spans_on && self.sampled(packet) {
+            self.push_span(SpanRec {
+                time,
+                op,
+                packet,
+                edge: edge.index() as u32,
+                hop,
+                wait,
+            });
+        }
+    }
+
     /// Stage one span, dropping (and counting) past the scratch cap so
     /// the hot path never allocates.
     #[inline]
-    pub(crate) fn push_span(&mut self, rec: SpanRec) {
+    fn push_span(&mut self, rec: SpanRec) {
         if self.span_scratch.len() < SPAN_SCRATCH_CAP {
             self.span_scratch.push(rec);
         } else {
@@ -254,10 +281,12 @@ impl Observe {
         }
     }
 
-    /// Note `n` spans flushed to the sink (bookkeeping for
-    /// [`Observe::spans_emitted`]).
-    pub(crate) fn note_flushed(&mut self, n: u64) {
-        self.spans_emitted += n;
+    /// Put the next backlog tick one cadence after `now` (a restore
+    /// moved the clock). No-op while detached.
+    pub(crate) fn restart(&mut self, now: Time) {
+        if self.enabled {
+            self.next = now.saturating_add(self.cadence);
+        }
     }
 
     /// Record one backlog tick into the columnar store and advance the

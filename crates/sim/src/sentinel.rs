@@ -484,11 +484,8 @@ impl Sentinel {
         self.state.log.is_empty() && self.state.quarantine.is_empty()
     }
 
-    /// Is a check round due at step `t`?
-    ///
-    /// A threshold against the last completed round, not `t % cadence`:
-    /// this runs on every engine step, and a u64 division is a
-    /// measurable fraction of a drain-phase step. Under normal 1-step
+    /// Is a check round due at step `t`? A threshold against the last
+    /// completed round, not `t % cadence`; under normal 1-step
     /// advancement rounds still land exactly on cadence multiples (so
     /// the stride checks below, which *are* modular, stay aligned).
     #[inline]
@@ -625,7 +622,7 @@ mod tests {
 
     #[test]
     fn conservation_check() {
-        let mut m = Metrics::new(1, 0);
+        let mut m = Metrics::new(1);
         m.injected = 10;
         m.duplicated = 2;
         m.dropped = 3;

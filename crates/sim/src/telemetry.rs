@@ -11,9 +11,10 @@
 //!   counts (send/absorb/inject/compact), packets moved, cohorts
 //!   admitted, intern-memo hits/misses, sentinel/oracle passes. The
 //!   enablement level is folded into two booleans read once per step
-//!   (mirroring the sentinel's cached next-due gate), so the disabled
-//!   path costs a handful of predictable branches and never touches
-//!   the heap — `tests/alloc_regression.rs` pins this.
+//!   (window records and timing samples join the engine's one probe
+//!   schedule), so the disabled path costs a handful of predictable
+//!   branches and never touches the heap — `tests/alloc_regression.rs`
+//!   pins this.
 //! * **Stage timing** ([`StageTimings`]) — coarse [`Log2Histogram`]
 //!   latency histograms per substage and per oracle/sentinel pass.
 //!   `std::time::Instant` only; no external deps.
@@ -591,66 +592,20 @@ impl SpanKind {
 }
 
 impl TelemetryEvent<'_> {
-    /// The record's kind tag (the `kind` field of its JSONL form).
-    pub fn kind(&self) -> EventKind {
+    /// The record's kind tag: the `kind` field of its JSONL form.
+    pub fn kind(&self) -> &'static str {
         match self {
-            TelemetryEvent::RunStart { .. } => EventKind::RunStart,
-            TelemetryEvent::Window { .. } => EventKind::Window,
-            TelemetryEvent::RunEnd { .. } => EventKind::RunEnd,
-            TelemetryEvent::JobStarted { .. } => EventKind::JobStarted,
-            TelemetryEvent::JobFinished { .. } => EventKind::JobFinished,
-            TelemetryEvent::JobRetried { .. } => EventKind::JobRetried,
-            TelemetryEvent::JobQuarantined { .. } => EventKind::JobQuarantined,
-            TelemetryEvent::SweepProgress { .. } => EventKind::SweepProgress,
-            TelemetryEvent::WorkloadWindow { .. } => EventKind::WorkloadWindow,
-            TelemetryEvent::Backlog { .. } => EventKind::Backlog,
-            TelemetryEvent::Span { .. } => EventKind::Span,
-        }
-    }
-}
-
-/// Kind tag of a [`TelemetryEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// [`TelemetryEvent::RunStart`].
-    RunStart,
-    /// [`TelemetryEvent::Window`].
-    Window,
-    /// [`TelemetryEvent::RunEnd`].
-    RunEnd,
-    /// [`TelemetryEvent::JobStarted`].
-    JobStarted,
-    /// [`TelemetryEvent::JobFinished`].
-    JobFinished,
-    /// [`TelemetryEvent::JobRetried`].
-    JobRetried,
-    /// [`TelemetryEvent::JobQuarantined`].
-    JobQuarantined,
-    /// [`TelemetryEvent::SweepProgress`].
-    SweepProgress,
-    /// [`TelemetryEvent::WorkloadWindow`].
-    WorkloadWindow,
-    /// [`TelemetryEvent::Backlog`].
-    Backlog,
-    /// [`TelemetryEvent::Span`].
-    Span,
-}
-
-impl EventKind {
-    /// The JSONL `kind` string.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::RunStart => "run_start",
-            EventKind::Window => "window",
-            EventKind::RunEnd => "run_end",
-            EventKind::JobStarted => "job_started",
-            EventKind::JobFinished => "job_finished",
-            EventKind::JobRetried => "job_retried",
-            EventKind::JobQuarantined => "job_quarantined",
-            EventKind::SweepProgress => "sweep_progress",
-            EventKind::WorkloadWindow => "workload_window",
-            EventKind::Backlog => "backlog",
-            EventKind::Span => "span",
+            TelemetryEvent::RunStart { .. } => "run_start",
+            TelemetryEvent::Window { .. } => "window",
+            TelemetryEvent::RunEnd { .. } => "run_end",
+            TelemetryEvent::JobStarted { .. } => "job_started",
+            TelemetryEvent::JobFinished { .. } => "job_finished",
+            TelemetryEvent::JobRetried { .. } => "job_retried",
+            TelemetryEvent::JobQuarantined { .. } => "job_quarantined",
+            TelemetryEvent::SweepProgress { .. } => "sweep_progress",
+            TelemetryEvent::WorkloadWindow { .. } => "workload_window",
+            TelemetryEvent::Backlog { .. } => "backlog",
+            TelemetryEvent::Span { .. } => "span",
         }
     }
 }
@@ -828,7 +783,7 @@ impl TelemetrySink for JsonlSink {
         write!(
             line,
             "{{\"schema\":{TELEMETRY_SCHEMA_VERSION},\"kind\":\"{}\"",
-            event.kind().as_str()
+            event.kind()
         )
         .unwrap();
         match event {
@@ -1006,8 +961,8 @@ impl Drop for JsonlSink {
 /// goes through [`JsonlSink`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactRecord {
-    /// Record kind.
-    pub kind: EventKind,
+    /// Record kind (the JSONL `kind` string).
+    pub kind: &'static str,
     /// Step for engine records; job/`done` index for sweep records.
     pub time: Time,
     /// Kind-specific: window/run packets sent; job attempts; sweep
@@ -1075,30 +1030,31 @@ impl RingSink {
 
 impl TelemetrySink for RingSink {
     fn record(&mut self, event: &TelemetryEvent<'_>) {
+        let kind = event.kind();
         let rec = match *event {
             TelemetryEvent::RunStart { time, .. } => CompactRecord {
-                kind: EventKind::RunStart,
+                kind,
                 time,
                 v0: 0,
                 v1: 0,
                 v2: 0,
             },
             TelemetryEvent::Window { end, counters, .. } => CompactRecord {
-                kind: EventKind::Window,
+                kind,
                 time: end,
                 v0: counters.packets_sent,
                 v1: counters.packets_absorbed,
                 v2: counters.packets_injected,
             },
             TelemetryEvent::RunEnd { time, counters, .. } => CompactRecord {
-                kind: EventKind::RunEnd,
+                kind,
                 time,
                 v0: counters.packets_sent,
                 v1: counters.packets_absorbed,
                 v2: counters.packets_injected,
             },
             TelemetryEvent::JobStarted { index, total } => CompactRecord {
-                kind: EventKind::JobStarted,
+                kind,
                 time: index as Time,
                 v0: total as u64,
                 v1: 0,
@@ -1109,7 +1065,7 @@ impl TelemetrySink for RingSink {
                 attempts,
                 secs,
             } => CompactRecord {
-                kind: EventKind::JobFinished,
+                kind,
                 time: index as Time,
                 v0: attempts as u64,
                 v1: secs.to_bits(),
@@ -1120,14 +1076,14 @@ impl TelemetrySink for RingSink {
                 attempt,
                 backoff_ms,
             } => CompactRecord {
-                kind: EventKind::JobRetried,
+                kind,
                 time: index as Time,
                 v0: attempt as u64,
                 v1: backoff_ms,
                 v2: 0,
             },
             TelemetryEvent::JobQuarantined { index, attempts } => CompactRecord {
-                kind: EventKind::JobQuarantined,
+                kind,
                 time: index as Time,
                 v0: attempts as u64,
                 v1: 0,
@@ -1139,7 +1095,7 @@ impl TelemetrySink for RingSink {
                 elapsed_secs,
                 eta_secs,
             } => CompactRecord {
-                kind: EventKind::SweepProgress,
+                kind,
                 time: done as Time,
                 v0: total as u64,
                 v1: elapsed_secs.to_bits(),
@@ -1152,7 +1108,7 @@ impl TelemetrySink for RingSink {
                 offered,
                 ..
             } => CompactRecord {
-                kind: EventKind::WorkloadWindow,
+                kind,
                 time: end,
                 v0: goodput,
                 v1: wasted,
@@ -1165,7 +1121,7 @@ impl TelemetrySink for RingSink {
                 margin,
                 ..
             } => CompactRecord {
-                kind: EventKind::Backlog,
+                kind,
                 time,
                 v0: total,
                 v1: max_queue,
@@ -1180,7 +1136,7 @@ impl TelemetrySink for RingSink {
                 wait,
                 ..
             } => CompactRecord {
-                kind: EventKind::Span,
+                kind,
                 time,
                 v0: packet,
                 v1: edge as u64,
@@ -1345,21 +1301,19 @@ impl TelemetrySink for SharedSink {
 
 /// The engine-owned telemetry state: config, counters, timings, window
 /// bookkeeping, and the attached sink. Constructed disabled; the
-/// per-step cost while disabled is two boolean tests and one integer
-/// compare (`window_next == Time::MAX`), mirroring the sentinel's
-/// cached next-due gate.
+/// per-step cost while disabled is two boolean tests. The window and
+/// timing-sample steps are inputs of the engine's one probe schedule
+/// (`probes.rs`), which also arms `timing_this_step`.
 pub struct Telemetry {
     level: TelemetryLevel,
     /// Hot flag: counters are being maintained (read once per step).
     pub(crate) counters_on: bool,
-    /// Hot flag: stage timing is being maintained (read once per
-    /// step).
-    pub(crate) timing_on: bool,
-    /// Hot flag: *this* step is a timing sample — set at the top of
-    /// `Engine::step` from the `timing_next` gate and read by the
-    /// substage methods, so sampling is decided exactly once per step.
+    /// Hot flag: *this* step is a timing sample — armed before the
+    /// step by the probe schedule and read by the substage methods, so
+    /// sampling is decided exactly once per step.
     pub(crate) timing_this_step: bool,
-    /// Step of the next timing sample; `Time::MAX` when timing is off.
+    /// Step of the next timing sample, never behind the next step;
+    /// `Time::MAX` when timing is off.
     pub(crate) timing_next: Time,
     /// Steps between timing samples (≥ 1 when timing is on).
     pub(crate) timing_stride: Time,
@@ -1367,11 +1321,9 @@ pub struct Telemetry {
     pub(crate) counters: TelemetryCounters,
     /// Stage timing histograms.
     pub(crate) timings: StageTimings,
-    provenance: Provenance,
+    /// Run identity stamped on every engine-emitted record.
+    pub(crate) provenance: Provenance,
     window: Time,
-    /// Step of the next window emission; `Time::MAX` when windows are
-    /// off — the per-step gate is one compare.
-    pub(crate) window_next: Time,
     window_start: Time,
     counters_at_window_start: TelemetryCounters,
     /// Per-edge crossings at the last window boundary (preallocated).
@@ -1379,7 +1331,8 @@ pub struct Telemetry {
     /// Scratch for per-window crossing deltas (preallocated; window
     /// records borrow it).
     crossings_scratch: Vec<u64>,
-    sink: Option<Box<dyn TelemetrySink>>,
+    /// Where engine records go (the observatory's too), if anywhere.
+    pub(crate) sink: Option<Box<dyn TelemetrySink>>,
 }
 
 impl Telemetry {
@@ -1388,7 +1341,6 @@ impl Telemetry {
         Telemetry {
             level: TelemetryLevel::Off,
             counters_on: false,
-            timing_on: false,
             timing_this_step: false,
             timing_next: Time::MAX,
             timing_stride: 0,
@@ -1396,7 +1348,6 @@ impl Telemetry {
             timings: StageTimings::default(),
             provenance: Provenance::default(),
             window: 0,
-            window_next: Time::MAX,
             window_start: 0,
             counters_at_window_start: TelemetryCounters::default(),
             crossings_at_window_start: Vec::new(),
@@ -1411,7 +1362,6 @@ impl Telemetry {
     pub(crate) fn configure(&mut self, cfg: TelemetryConfig, now: Time, crossings: &[u64]) {
         self.level = cfg.level;
         self.counters_on = cfg.level.counters();
-        self.timing_on = cfg.level.timing();
         self.timing_stride = if cfg.level.timing() {
             cfg.timing_sample_every.max(1)
         } else {
@@ -1429,11 +1379,6 @@ impl Telemetry {
     /// totals jump).
     pub(crate) fn rebaseline(&mut self, now: Time, crossings: &[u64]) {
         self.window_start = now;
-        self.window_next = if self.window > 0 {
-            now.saturating_add(self.window)
-        } else {
-            Time::MAX
-        };
         // First post-(re)baseline step is a timing sample, then every
         // `timing_stride`-th.
         self.timing_next = if self.timing_stride > 0 {
@@ -1441,7 +1386,6 @@ impl Telemetry {
         } else {
             Time::MAX
         };
-        self.timing_this_step = false;
         self.counters_at_window_start = self.counters;
         self.crossings_at_window_start.clear();
         self.crossings_at_window_start.extend_from_slice(crossings);
@@ -1449,14 +1393,13 @@ impl Telemetry {
         self.crossings_scratch.resize(crossings.len(), 0);
     }
 
-    /// Attach `sink` and announce the run.
-    pub(crate) fn set_sink(&mut self, sink: Box<dyn TelemetrySink>, now: Time) {
-        let mut sink = sink;
-        sink.record(&TelemetryEvent::RunStart {
-            time: now,
-            provenance: &self.provenance,
-        });
-        self.sink = Some(sink);
+    /// Step at which the open window closes; `Time::MAX` when windows
+    /// are off.
+    pub(crate) fn window_end(&self) -> Time {
+        match self.window {
+            0 => Time::MAX,
+            w => self.window_start.saturating_add(w),
+        }
     }
 
     /// Close the window `(window_start, now]` and emit it through the
@@ -1482,11 +1425,6 @@ impl Telemetry {
         self.counters_at_window_start = self.counters;
         let start = self.window_start;
         self.window_start = now;
-        self.window_next = if self.window > 0 {
-            now.saturating_add(self.window)
-        } else {
-            Time::MAX
-        };
         if let Some(sink) = self.sink.as_mut() {
             sink.record(&TelemetryEvent::Window {
                 start,
@@ -1498,79 +1436,25 @@ impl Telemetry {
         }
     }
 
-    /// Is a sink attached? (The observatory skips span collection
-    /// when there is nowhere to send the spans.)
-    pub(crate) fn has_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Emit one observatory backlog tick through the attached sink,
-    /// stamped with this run's provenance. No-op without a sink.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_backlog(
-        &mut self,
-        time: Time,
-        total: u64,
-        max_queue: u64,
-        max_wait: Time,
-        bound: Option<u64>,
-        margin: Option<i64>,
-        depths: &[(u32, u32)],
-    ) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&TelemetryEvent::Backlog {
-                time,
-                total,
-                max_queue,
-                max_wait,
-                bound,
-                margin,
-                depths,
-                provenance: &self.provenance,
-            });
-        }
-    }
-
-    /// Emit one sampled packet-lifecycle span through the attached
-    /// sink, stamped with this run's provenance. No-op without a sink.
-    pub(crate) fn emit_span(
-        &mut self,
-        time: Time,
-        packet: u64,
-        op: SpanKind,
-        edge: u32,
-        hop: u32,
-        wait: Time,
-    ) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.record(&TelemetryEvent::Span {
-                time,
-                packet,
-                op,
-                edge,
-                hop,
-                wait,
-                provenance: &self.provenance,
-            });
-        }
-    }
-
-    /// Emit the final partial window (if any steps are pending) and a
-    /// [`TelemetryEvent::RunEnd`], then flush the sink.
+    /// Unless the level is off, emit the final partial window (if any
+    /// steps are pending) and a [`TelemetryEvent::RunEnd`]. Then flush
+    /// the sink at any level: an observatory-only run's records must
+    /// reach the writer when the run closes.
     pub(crate) fn finish(&mut self, now: Time, crossings: &[u64]) {
-        if self.level == TelemetryLevel::Off {
-            return;
-        }
-        if self.window > 0 && now > self.window_start {
-            self.emit_window(now, crossings);
+        if self.level != TelemetryLevel::Off {
+            if self.window > 0 && now > self.window_start {
+                self.emit_window(now, crossings);
+            }
+            if let Some(sink) = self.sink.as_mut() {
+                sink.record(&TelemetryEvent::RunEnd {
+                    time: now,
+                    counters: self.counters,
+                    timings: &self.timings,
+                    provenance: &self.provenance,
+                });
+            }
         }
         if let Some(sink) = self.sink.as_mut() {
-            sink.record(&TelemetryEvent::RunEnd {
-                time: now,
-                counters: self.counters,
-                timings: &self.timings,
-                provenance: &self.provenance,
-            });
             sink.flush();
         }
     }
@@ -1730,7 +1614,7 @@ mod tests {
 
     #[test]
     fn shared_sink_fans_in_from_clones() {
-        struct Kinds(Arc<Mutex<Vec<EventKind>>>);
+        struct Kinds(Arc<Mutex<Vec<&'static str>>>);
         impl TelemetrySink for Kinds {
             fn record(&mut self, event: &TelemetryEvent<'_>) {
                 self.0.lock().unwrap().push(event.kind());
@@ -1745,9 +1629,6 @@ mod tests {
             attempts: 1,
             secs: 0.5,
         });
-        assert_eq!(
-            *seen.lock().unwrap(),
-            [EventKind::JobStarted, EventKind::JobFinished]
-        );
+        assert_eq!(*seen.lock().unwrap(), ["job_started", "job_finished"]);
     }
 }

@@ -19,7 +19,8 @@ use std::sync::Arc;
 use aqt_graph::{topologies, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::{
-    Engine, EngineConfig, JsonlSink, Provenance, RingSink, TelemetryConfig, TelemetrySink, Time,
+    Engine, EngineConfig, JsonlSink, ObserveConfig, Provenance, RingSink, SentinelConfig,
+    TelemetryConfig, TelemetrySink, Time,
 };
 
 /// System allocator with a per-thread counter on every acquiring call
@@ -183,4 +184,49 @@ fn jsonl_sink_drain_steps_do_not_allocate() {
         "JSONL-sink drain must be allocation-free: {allocations} allocations in 2000 steps",
     );
     assert_eq!(eng.telemetry().counters().windows_emitted, 8);
+}
+
+/// The drain with the observatory and the sentinel attached: backlog
+/// ticks every 64 steps into the preallocated columnar store, 1-in-64
+/// lifecycle spans staged in the preallocated scratch and flushed into
+/// a ring sink, and the default sentinel's cheap O(E) rounds. Ticks,
+/// span flushes and the rounds at steps 1024 and 2048 all land inside
+/// the measured window, so the probe schedule's slow path is covered.
+#[test]
+fn observatory_and_sentinel_drain_steps_do_not_allocate() {
+    let graph = Arc::new(topologies::line(256));
+    let e0 = graph.edge_ids().next().expect("line has edges");
+    let unit = Route::single(&graph, e0).expect("unit route");
+    let mut eng = Engine::new(
+        Arc::clone(&graph),
+        Fifo,
+        EngineConfig {
+            sample_every: 0,
+            ..Default::default()
+        },
+    );
+    eng.attach_sentinel(SentinelConfig::default());
+    eng.attach_observatory(
+        ObserveConfig::default()
+            .with_cadence(64)
+            .with_span_sample_every(64),
+    );
+    eng.set_telemetry_sink(Box::new(RingSink::with_capacity(64)));
+    eng.seed_cohort(unit, 0, 20_000).expect("seeding");
+
+    eng.run_quiet(100).expect("warm-up");
+
+    let before = allocations();
+    eng.run_quiet(2_000).expect("measured drain");
+    let after = allocations();
+
+    assert_eq!(
+        after - before,
+        0,
+        "observatory + sentinel drain must be allocation-free: {} allocations in 2000 steps",
+        after - before
+    );
+    assert_eq!(eng.sentinel().expect("attached").checks_run(), 2);
+    assert_eq!(eng.observatory().ticks(), 2_100 / 64);
+    assert!(eng.observatory().spans_emitted() > 0, "spans were flushed");
 }

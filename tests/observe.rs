@@ -274,3 +274,114 @@ fn observatory_series_and_margin() {
         ]
     );
 }
+
+/// An observatory-only run (telemetry left at `Off`) still has its sink
+/// flushed by `finish_telemetry`: the backlog and span records reach
+/// the writer when the run closes, not only when the engine is
+/// dropped. No `run_end` record is added at `Off`.
+#[test]
+fn finish_telemetry_flushes_observatory_only_runs() {
+    #[derive(Clone)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let g = Arc::new(topologies::ring(6));
+    let mut eng = Engine::new(
+        Arc::clone(&g),
+        by_name("FIFO", 3).unwrap(),
+        EngineConfig::default(),
+    );
+    eng.attach_observatory(
+        ObserveConfig::default()
+            .with_cadence(8)
+            .with_span_sample_every(1),
+    );
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    // Large enough to hold the whole run: only a flush empties it.
+    let writer = std::io::BufWriter::with_capacity(1 << 20, buf.clone());
+    eng.set_telemetry_sink(Box::new(aqt_sim::JsonlSink::from_writer(writer)));
+    eng.seed_cohort(ring_route(&g, 0), 1, 4).unwrap();
+    for t in 1..=40 {
+        eng.step([Injection::new(ring_route(&g, t % 6), 2)])
+            .unwrap();
+    }
+    assert!(
+        buf.0.lock().unwrap().is_empty(),
+        "the buffered writer holds the stream until a flush"
+    );
+    eng.finish_telemetry();
+
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    assert!(
+        text.contains("\"kind\":\"backlog\""),
+        "backlog ticks flushed"
+    );
+    assert!(text.contains("\"kind\":\"span\""), "spans flushed");
+    assert!(
+        !text.contains("\"kind\":\"run_end\""),
+        "no record added at Off"
+    );
+    drop(eng);
+    assert_eq!(
+        buf.0.lock().unwrap().len(),
+        text.len(),
+        "nothing was left behind for the drop to flush"
+    );
+}
+
+/// A checkpoint restore re-anchors the observatory's tick schedule at
+/// the restored clock: with the checkpoint on a multiple of the
+/// cadence, the resumed run ticks at exactly the steps the
+/// uninterrupted run does.
+#[test]
+fn restore_reanchors_observatory_ticks() {
+    let g = Arc::new(topologies::ring(6));
+    let observed = || {
+        let mut eng = Engine::new(
+            Arc::clone(&g),
+            by_name("FIFO", 3).unwrap(),
+            EngineConfig::default(),
+        );
+        eng.attach_observatory(ObserveConfig::default().with_cadence(8));
+        eng
+    };
+    let drive = |eng: &mut Engine<Box<dyn Protocol>>, from: u64, to: u64| {
+        for t in from + 1..=to {
+            eng.step([Injection::new(ring_route(&g, t % 6), 2)])
+                .unwrap();
+        }
+    };
+
+    let mut whole = observed();
+    drive(&mut whole, 0, 64);
+
+    let mut first = observed();
+    drive(&mut first, 0, 32);
+    let ck = aqt_sim::checkpoint::checkpoint(&first);
+    let mut resumed = observed();
+    aqt_sim::checkpoint::restore(&mut resumed, &ck).unwrap();
+    drive(&mut resumed, 32, 64);
+
+    let after: Vec<u64> = whole
+        .observatory()
+        .times()
+        .iter()
+        .copied()
+        .filter(|&t| t > 32)
+        .collect();
+    assert_eq!(after, [40, 48, 56, 64]);
+    assert_eq!(resumed.observatory().times(), after.as_slice());
+    assert_eq!(
+        resumed.observatory().totals(),
+        &whole.observatory().totals()[4..],
+        "same ticks, same trajectory"
+    );
+}

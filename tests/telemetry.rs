@@ -27,7 +27,7 @@ struct Capture {
 
 impl TelemetrySink for Capture {
     fn record(&mut self, event: &TelemetryEvent<'_>) {
-        self.kinds.lock().unwrap().push(event.kind().as_str());
+        self.kinds.lock().unwrap().push(event.kind());
         if let TelemetryEvent::Window {
             start,
             end,
@@ -471,4 +471,105 @@ fn sim_sweep_quarantine_is_reported() {
 
     let kinds = capture.kinds.lock().unwrap();
     assert_eq!(kinds.iter().filter(|s| **s == "job_quarantined").count(), 1);
+}
+
+/// Whole-stream pin of one small engine run with every probe attached:
+/// sentinel (cadence 16, every invariant at `Log`), oracle every 4
+/// steps, `Counters` telemetry with a 16-step window, and the
+/// observatory ticking every 8 steps with 1-in-1 spans, over a seeded
+/// cohort, scheduled injections and a drop plus a duplicate fault.
+/// The JSONL bytes — how `span`, `backlog` and `window` records
+/// interleave within and across steps — are pinned by line count,
+/// per-kind counts and an FNV-1a hash, so any change to the order in
+/// which the probes fire shows up here.
+#[test]
+fn engine_stream_is_pinned() {
+    use aqt_graph::EdgeId;
+    use aqt_sim::{FaultPlan, InvariantKind, JsonlSink, ObserveConfig, SentinelConfig, Severity};
+
+    #[derive(Clone)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let g = Arc::new(topologies::ring(6));
+    let route = |start: u32, len: u32| {
+        let ids: Vec<EdgeId> = (0..len).map(|k| EdgeId((start + k) % 6)).collect();
+        Route::new(&g, ids).expect("contiguous ring edges")
+    };
+    let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
+    let sentinel = InvariantKind::ALL.iter().fold(
+        SentinelConfig::default().with_cadence(16).with_seed(5),
+        |cfg, &kind| cfg.with_severity(kind, Severity::Log),
+    );
+    eng.attach_sentinel(sentinel);
+    eng.attach_oracle(Box::new(Fifo), 4);
+    eng.install_faults(
+        FaultPlan::new()
+            .with_drop(EdgeId(1), 3)
+            .with_duplicate(EdgeId(2), 5),
+    )
+    .unwrap();
+    eng.attach_telemetry(
+        TelemetryConfig::default()
+            .with_window(16)
+            .with_provenance(Provenance {
+                seed: Some(5),
+                protocol: "FIFO".to_string(),
+                ..Provenance::default()
+            }),
+    );
+    eng.attach_observatory(
+        ObserveConfig::default()
+            .with_cadence(8)
+            .with_span_sample_every(1),
+    );
+    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    eng.set_telemetry_sink(Box::new(JsonlSink::from_writer(buf.clone())));
+    eng.seed_cohort(route(0, 4), 1, 5).unwrap();
+    for t in 1..=64u32 {
+        let injections: Vec<Injection> = match t % 5 {
+            0 => vec![Injection::cohort(route(t % 6, 3), 2, 2)],
+            2 => vec![Injection::new(route((t + 3) % 6, 2), 3)],
+            _ => Vec::new(),
+        };
+        eng.step(injections).expect("step");
+    }
+    eng.finish_telemetry();
+
+    let bytes = buf.0.lock().unwrap().clone();
+    let text = String::from_utf8(bytes.clone()).expect("utf8");
+    let kinds: Vec<&str> = text
+        .lines()
+        .map(|l| {
+            let rest = l.split("\"kind\":\"").nth(1).expect("kind field");
+            rest.split('"').next().unwrap()
+        })
+        .collect();
+    let count = |k: &str| kinds.iter().filter(|s| **s == k).count();
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (
+            kinds.len(),
+            count("run_start"),
+            count("span"),
+            count("backlog"),
+            count("window"),
+            count("run_end"),
+        ),
+        (292, 1, 278, 8, 4, 1),
+        "record counts"
+    );
+    assert!(text.contains("\"op\":\"drop\""), "the drop fault fired");
+    assert!(text.contains("\"op\":\"dup\""), "the duplicate fault fired");
+    assert_eq!(hash, 0xb6fb_60ff_9050_ddcc, "stream hash");
 }
