@@ -100,7 +100,7 @@ pub use sentinel::{
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use source::{run_with_source, TrafficSource};
 pub use telemetry::{
-    JsonlSink, Log2Histogram, Provenance, RingSink, SharedSink, SpanKind, StageTimings, StderrSink,
-    TeeSink, Telemetry, TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetryLevel,
-    TelemetrySink, WorkloadCounters, TELEMETRY_SCHEMA_VERSION,
+    JsonlSink, Log2Histogram, Provenance, RingSink, SharedSink, SpanKind, StageTimings, TeeSink,
+    Telemetry, TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetryLevel, TelemetrySink,
+    WorkloadCounters, TELEMETRY_SCHEMA_VERSION,
 };

@@ -19,11 +19,12 @@
 //!   latency histograms per substage and per oracle/sentinel pass.
 //!   `std::time::Instant` only; no external deps.
 //! * **Structured export** — a [`TelemetrySink`] trait fed
-//!   [`TelemetryEvent`]s: a schema-versioned JSONL writer
-//!   ([`JsonlSink`], versioned like snapshots — see
-//!   [`TELEMETRY_SCHEMA_VERSION`]), a preallocated in-memory ring
-//!   buffer ([`RingSink`]), a human-readable progress printer
-//!   ([`StderrSink`]), a fan-out ([`TeeSink`]) and a thread-safe
+//!   [`TelemetryEvent`]s. [`TelemetryEvent::write_jsonl`] is the one
+//!   encoder: a schema-versioned JSONL line per record (versioned like
+//!   snapshots — see [`TELEMETRY_SCHEMA_VERSION`]). The sinks are thin:
+//!   a JSONL writer over any `io::Write` ([`JsonlSink`]), a
+//!   preallocated in-memory ring of the latest record kinds
+//!   ([`RingSink`]), a fan-out ([`TeeSink`]) and a thread-safe
 //!   shareable handle ([`SharedSink`]). Every engine-emitted record
 //!   carries the run's [`Provenance`] (seed, schedule hash, protocol,
 //!   fault-plan id), so a JSONL line is joinable to the
@@ -31,8 +32,10 @@
 //!
 //! The sweep harness ([`crate::parallel::run_sweep_with_progress`])
 //! reports per-job start/finish/retry/quarantine events plus an ETA
-//! line through the same sink family.
+//! line through the same sink family; a [`JsonlSink`] over stderr is
+//! the progress printer.
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -608,188 +611,25 @@ impl TelemetryEvent<'_> {
             TelemetryEvent::Span { .. } => "span",
         }
     }
-}
 
-/// A consumer of telemetry records. `Send` so one sink can serve a
-/// multi-threaded sweep (through [`SharedSink`]) and so an engine
-/// carrying a sink stays movable across threads.
-///
-/// `record` must not assume the borrowed slices in the event outlive
-/// the call.
-pub trait TelemetrySink: Send {
-    /// Consume one record.
-    fn record(&mut self, event: &TelemetryEvent<'_>);
-
-    /// Flush any buffered output (no-op by default).
-    fn flush(&mut self) {}
-}
-
-// ---------------------------------------------------------------------
-// JSONL sink
-// ---------------------------------------------------------------------
-
-/// Writes one schema-versioned JSON object per record, newline
-/// delimited. The line buffer is reused across records, so steady-state
-/// emission performs no allocation beyond what the underlying writer
-/// does.
-pub struct JsonlSink {
-    out: Box<dyn Write + Send>,
-    line: String,
-    records: u64,
-}
-
-impl JsonlSink {
-    /// JSONL to a (buffered) file at `path`, truncating.
-    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let f = std::fs::File::create(path)?;
-        Ok(Self::from_writer(std::io::BufWriter::new(f)))
-    }
-
-    /// JSONL to an arbitrary writer.
-    pub fn from_writer(w: impl Write + Send + 'static) -> Self {
-        JsonlSink {
-            out: Box::new(w),
-            line: String::with_capacity(256),
-            records: 0,
-        }
-    }
-
-    /// Records written so far.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    fn provenance_fields(line: &mut String, p: &Provenance) {
-        use std::fmt::Write as _;
-        match p.seed {
-            Some(s) => write!(line, ",\"seed\":{s}").unwrap(),
-            None => line.push_str(",\"seed\":null"),
-        }
-        match p.schedule_hash {
-            Some(h) => write!(line, ",\"schedule_hash\":{h}").unwrap(),
-            None => line.push_str(",\"schedule_hash\":null"),
-        }
-        line.push_str(",\"protocol\":\"");
-        escape_into(line, &p.protocol);
-        line.push('"');
-        match p.fault_plan_id {
-            Some(h) => write!(line, ",\"fault_plan_id\":{h}").unwrap(),
-            None => line.push_str(",\"fault_plan_id\":null"),
-        }
-        match p.model_fingerprint {
-            Some(h) => write!(line, ",\"model_fingerprint\":{h}").unwrap(),
-            None => line.push_str(",\"model_fingerprint\":null"),
-        }
-    }
-
-    fn counter_fields(line: &mut String, c: &TelemetryCounters) {
-        use std::fmt::Write as _;
-        write!(
-            line,
-            ",\"steps\":{},\"packets_sent\":{},\"packets_forwarded\":{},\
-             \"packets_absorbed\":{},\"packets_injected\":{},\"cohorts_admitted\":{},\
-             \"buffers_compacted\":{},\"memo_hits\":{},\"memo_misses\":{},\
-             \"sentinel_rounds\":{},\"oracle_diffs\":{},\"windows_emitted\":{}",
-            c.steps,
-            c.packets_sent,
-            c.packets_forwarded,
-            c.packets_absorbed,
-            c.packets_injected,
-            c.cohorts_admitted,
-            c.buffers_compacted,
-            c.memo_hits,
-            c.memo_misses,
-            c.sentinel_rounds,
-            c.oracle_diffs,
-            c.windows_emitted
-        )
-        .unwrap();
-    }
-
-    fn workload_fields(line: &mut String, c: &WorkloadCounters) {
-        use std::fmt::Write as _;
-        write!(
-            line,
-            ",\"requests_issued\":{},\"requests_completed\":{},\
-             \"requests_abandoned\":{},\"requests_shed\":{},\
-             \"requests_in_flight\":{},\"attempts_issued\":{},\
-             \"attempts_retried\":{},\"attempts_shed\":{},\
-             \"completions_wasted\":{}",
-            c.requests_issued,
-            c.requests_completed,
-            c.requests_abandoned,
-            c.requests_shed,
-            c.requests_in_flight,
-            c.attempts_issued,
-            c.attempts_retried,
-            c.attempts_shed,
-            c.completions_wasted
-        )
-        .unwrap();
-    }
-
-    fn timing_fields(line: &mut String, t: &StageTimings) {
-        use std::fmt::Write as _;
-        line.push_str(",\"timings\":{");
-        let stages: [(&str, &Log2Histogram); 7] = [
-            ("send", &t.send),
-            ("compact", &t.compact),
-            ("receive", &t.receive),
-            ("inject", &t.inject),
-            ("oracle", &t.oracle),
-            ("sentinel", &t.sentinel),
-            ("step", &t.step),
-        ];
-        for (i, (name, h)) in stages.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            write!(
-                line,
-                "\"{name}\":{{\"count\":{},\"total_ns\":{},\"mean_ns\":{:.1},\
-                 \"p50_ns_le\":{},\"p99_ns_le\":{}}}",
-                h.count(),
-                h.total_nanos(),
-                h.mean_nanos(),
-                h.quantile_bound(0.50).unwrap_or(0),
-                h.quantile_bound(0.99).unwrap_or(0),
-            )
-            .unwrap();
-        }
-        line.push('}');
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars),
-/// appended to `out` so the sink's reused line buffer is the only
-/// storage.
-fn escape_into(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-            c => out.push(c),
-        }
-    }
-}
-
-impl TelemetrySink for JsonlSink {
-    fn record(&mut self, event: &TelemetryEvent<'_>) {
-        use std::fmt::Write as _;
-        let line = &mut self.line;
-        line.clear();
+    /// Append this record's JSONL line to `line`: one JSON object,
+    /// `{"schema":…,"kind":…` first and a newline last. The one encoder
+    /// of the telemetry schema — every field name and the field order
+    /// of every record kind live here and in the private helpers below,
+    /// and every sink that writes text goes through it. Appends into
+    /// the caller's buffer, so a reused buffer makes steady-state
+    /// encoding heap-free.
+    pub fn write_jsonl(&self, line: &mut String) {
         write!(
             line,
             "{{\"schema\":{TELEMETRY_SCHEMA_VERSION},\"kind\":\"{}\"",
-            event.kind()
+            self.kind()
         )
         .unwrap();
-        match event {
+        match self {
             TelemetryEvent::RunStart { time, provenance } => {
                 write!(line, ",\"time\":{time}").unwrap();
-                Self::provenance_fields(line, provenance);
+                provenance_fields(line, provenance);
             }
             TelemetryEvent::Window {
                 start,
@@ -799,7 +639,7 @@ impl TelemetrySink for JsonlSink {
                 provenance,
             } => {
                 write!(line, ",\"start\":{start},\"end\":{end}").unwrap();
-                Self::counter_fields(line, counters);
+                counter_fields(line, counters);
                 line.push_str(",\"crossings\":[");
                 for (i, c) in crossings.iter().enumerate() {
                     if i > 0 {
@@ -808,7 +648,7 @@ impl TelemetrySink for JsonlSink {
                     write!(line, "{c}").unwrap();
                 }
                 line.push(']');
-                Self::provenance_fields(line, provenance);
+                provenance_fields(line, provenance);
             }
             TelemetryEvent::RunEnd {
                 time,
@@ -817,9 +657,9 @@ impl TelemetrySink for JsonlSink {
                 provenance,
             } => {
                 write!(line, ",\"time\":{time}").unwrap();
-                Self::counter_fields(line, counters);
-                Self::timing_fields(line, timings);
-                Self::provenance_fields(line, provenance);
+                counter_fields(line, counters);
+                timing_fields(line, timings);
+                provenance_fields(line, provenance);
             }
             TelemetryEvent::JobStarted { index, total } => {
                 write!(line, ",\"index\":{index},\"total\":{total}").unwrap();
@@ -872,13 +712,13 @@ impl TelemetrySink for JsonlSink {
                 provenance,
             } => {
                 write!(line, ",\"start\":{start},\"end\":{end}").unwrap();
-                Self::workload_fields(line, counters);
+                workload_fields(line, counters);
                 write!(
                     line,
                     ",\"goodput\":{goodput},\"wasted\":{wasted},\"offered\":{offered}"
                 )
                 .unwrap();
-                Self::provenance_fields(line, provenance);
+                provenance_fields(line, provenance);
             }
             TelemetryEvent::Backlog {
                 time,
@@ -912,7 +752,7 @@ impl TelemetrySink for JsonlSink {
                     write!(line, "[{e},{d}]").unwrap();
                 }
                 line.push(']');
-                Self::provenance_fields(line, provenance);
+                provenance_fields(line, provenance);
             }
             TelemetryEvent::Span {
                 time,
@@ -930,14 +770,172 @@ impl TelemetrySink for JsonlSink {
                     op.as_str()
                 )
                 .unwrap();
-                Self::provenance_fields(line, provenance);
+                provenance_fields(line, provenance);
             }
         }
         line.push_str("}\n");
+    }
+}
+
+fn provenance_fields(line: &mut String, p: &Provenance) {
+    match p.seed {
+        Some(s) => write!(line, ",\"seed\":{s}").unwrap(),
+        None => line.push_str(",\"seed\":null"),
+    }
+    match p.schedule_hash {
+        Some(h) => write!(line, ",\"schedule_hash\":{h}").unwrap(),
+        None => line.push_str(",\"schedule_hash\":null"),
+    }
+    line.push_str(",\"protocol\":\"");
+    escape_into(line, &p.protocol);
+    line.push('"');
+    match p.fault_plan_id {
+        Some(h) => write!(line, ",\"fault_plan_id\":{h}").unwrap(),
+        None => line.push_str(",\"fault_plan_id\":null"),
+    }
+    match p.model_fingerprint {
+        Some(h) => write!(line, ",\"model_fingerprint\":{h}").unwrap(),
+        None => line.push_str(",\"model_fingerprint\":null"),
+    }
+}
+
+fn counter_fields(line: &mut String, c: &TelemetryCounters) {
+    write!(
+        line,
+        ",\"steps\":{},\"packets_sent\":{},\"packets_forwarded\":{},\
+         \"packets_absorbed\":{},\"packets_injected\":{},\"cohorts_admitted\":{},\
+         \"buffers_compacted\":{},\"memo_hits\":{},\"memo_misses\":{},\
+         \"sentinel_rounds\":{},\"oracle_diffs\":{},\"windows_emitted\":{}",
+        c.steps,
+        c.packets_sent,
+        c.packets_forwarded,
+        c.packets_absorbed,
+        c.packets_injected,
+        c.cohorts_admitted,
+        c.buffers_compacted,
+        c.memo_hits,
+        c.memo_misses,
+        c.sentinel_rounds,
+        c.oracle_diffs,
+        c.windows_emitted
+    )
+    .unwrap();
+}
+
+fn workload_fields(line: &mut String, c: &WorkloadCounters) {
+    write!(
+        line,
+        ",\"requests_issued\":{},\"requests_completed\":{},\
+         \"requests_abandoned\":{},\"requests_shed\":{},\
+         \"requests_in_flight\":{},\"attempts_issued\":{},\
+         \"attempts_retried\":{},\"attempts_shed\":{},\
+         \"completions_wasted\":{}",
+        c.requests_issued,
+        c.requests_completed,
+        c.requests_abandoned,
+        c.requests_shed,
+        c.requests_in_flight,
+        c.attempts_issued,
+        c.attempts_retried,
+        c.attempts_shed,
+        c.completions_wasted
+    )
+    .unwrap();
+}
+
+fn timing_fields(line: &mut String, t: &StageTimings) {
+    line.push_str(",\"timings\":{");
+    let stages: [(&str, &Log2Histogram); 7] = [
+        ("send", &t.send),
+        ("compact", &t.compact),
+        ("receive", &t.receive),
+        ("inject", &t.inject),
+        ("oracle", &t.oracle),
+        ("sentinel", &t.sentinel),
+        ("step", &t.step),
+    ];
+    for (i, (name, h)) in stages.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        write!(
+            line,
+            "\"{name}\":{{\"count\":{},\"total_ns\":{},\"mean_ns\":{:.1},\
+             \"p50_ns_le\":{},\"p99_ns_le\":{}}}",
+            h.count(),
+            h.total_nanos(),
+            h.mean_nanos(),
+            h.quantile_bound(0.50).unwrap_or(0),
+            h.quantile_bound(0.99).unwrap_or(0),
+        )
+        .unwrap();
+    }
+    line.push('}');
+}
+
+/// Minimal JSON string escaping (quotes, backslashes, control chars),
+/// appended to `out` so the caller's line buffer is the only storage.
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => out.push(c),
+        }
+    }
+}
+
+/// A consumer of telemetry records. `Send` so one sink can serve a
+/// multi-threaded sweep (through [`SharedSink`]) and so an engine
+/// carrying a sink stays movable across threads.
+///
+/// `record` must not assume the borrowed slices in the event outlive
+/// the call.
+pub trait TelemetrySink: Send {
+    /// Consume one record.
+    fn record(&mut self, event: &TelemetryEvent<'_>);
+
+    /// Flush any buffered output (no-op by default).
+    fn flush(&mut self) {}
+}
+
+// ---------------------------------------------------------------------
+// JSONL sink
+// ---------------------------------------------------------------------
+
+/// Writes one schema-versioned JSON object per record, newline
+/// delimited ([`TelemetryEvent::write_jsonl`]). The line buffer is
+/// reused across records, so steady-state emission performs no
+/// allocation beyond what the underlying writer does.
+pub struct JsonlSink {
+    out: Box<dyn Write + Send>,
+    line: String,
+}
+
+impl JsonlSink {
+    /// JSONL to a (buffered) file at `path`, truncating.
+    pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
+        let f = std::fs::File::create(path)?;
+        Ok(Self::from_writer(std::io::BufWriter::new(f)))
+    }
+
+    /// JSONL to an arbitrary writer.
+    pub fn from_writer(w: impl Write + Send + 'static) -> Self {
+        JsonlSink {
+            out: Box::new(w),
+            line: String::with_capacity(256),
+        }
+    }
+}
+
+impl TelemetrySink for JsonlSink {
+    fn record(&mut self, event: &TelemetryEvent<'_>) {
+        self.line.clear();
+        event.write_jsonl(&mut self.line);
         // Telemetry is observability, not state: an I/O error (disk
         // full mid-sweep) must not kill the run it is watching.
-        let _ = self.out.write_all(line.as_bytes());
-        self.records += 1;
+        let _ = self.out.write_all(self.line.as_bytes());
     }
 
     fn flush(&mut self) {
@@ -955,34 +953,14 @@ impl Drop for JsonlSink {
 // Ring sink
 // ---------------------------------------------------------------------
 
-/// A fixed-size summary of one record, small and `Copy` so the ring
-/// buffer never allocates. Per-edge window detail is dropped — the
-/// ring is the cheap "last N things that happened" view; full detail
-/// goes through [`JsonlSink`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactRecord {
-    /// Record kind (the JSONL `kind` string).
-    pub kind: &'static str,
-    /// Step for engine records; job/`done` index for sweep records.
-    pub time: Time,
-    /// Kind-specific: window/run packets sent; job attempts; sweep
-    /// total.
-    pub v0: u64,
-    /// Kind-specific: window/run packets absorbed; job/sweep seconds
-    /// (as `f64::to_bits`).
-    pub v1: u64,
-    /// Kind-specific: window/run packets injected; sweep ETA seconds
-    /// (as `f64::to_bits`).
-    pub v2: u64,
-}
-
-/// Preallocated in-memory ring buffer of [`CompactRecord`]s: records
-/// past the capacity overwrite the oldest. Steady-state `record` does
-/// not allocate (the alloc-regression gate runs with this sink
-/// attached).
+/// Preallocated in-memory ring of the latest record kinds
+/// ([`TelemetryEvent::kind`]): records past the capacity overwrite the
+/// oldest. The cheap "last N things that happened" view; full detail
+/// goes through [`JsonlSink`]. Steady-state `record` does not allocate
+/// (the alloc-regression gate runs with this sink attached).
 #[derive(Debug)]
 pub struct RingSink {
-    buf: Vec<CompactRecord>,
+    buf: Vec<&'static str>,
     cap: usize,
     /// Index of the slot the next record lands in.
     next: usize,
@@ -990,7 +968,7 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A ring holding the latest `capacity` records (min 1), fully
+    /// A ring holding the latest `capacity` record kinds (min 1), fully
     /// preallocated.
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.max(1);
@@ -1017,136 +995,27 @@ impl RingSink {
         self.total
     }
 
-    /// Held records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &CompactRecord> {
+    /// Held record kinds, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
         let split = if self.buf.len() < self.cap {
             0
         } else {
             self.next
         };
-        self.buf[split..].iter().chain(self.buf[..split].iter())
+        self.buf[split..]
+            .iter()
+            .chain(self.buf[..split].iter())
+            .copied()
     }
 }
 
 impl TelemetrySink for RingSink {
     fn record(&mut self, event: &TelemetryEvent<'_>) {
         let kind = event.kind();
-        let rec = match *event {
-            TelemetryEvent::RunStart { time, .. } => CompactRecord {
-                kind,
-                time,
-                v0: 0,
-                v1: 0,
-                v2: 0,
-            },
-            TelemetryEvent::Window { end, counters, .. } => CompactRecord {
-                kind,
-                time: end,
-                v0: counters.packets_sent,
-                v1: counters.packets_absorbed,
-                v2: counters.packets_injected,
-            },
-            TelemetryEvent::RunEnd { time, counters, .. } => CompactRecord {
-                kind,
-                time,
-                v0: counters.packets_sent,
-                v1: counters.packets_absorbed,
-                v2: counters.packets_injected,
-            },
-            TelemetryEvent::JobStarted { index, total } => CompactRecord {
-                kind,
-                time: index as Time,
-                v0: total as u64,
-                v1: 0,
-                v2: 0,
-            },
-            TelemetryEvent::JobFinished {
-                index,
-                attempts,
-                secs,
-            } => CompactRecord {
-                kind,
-                time: index as Time,
-                v0: attempts as u64,
-                v1: secs.to_bits(),
-                v2: 0,
-            },
-            TelemetryEvent::JobRetried {
-                index,
-                attempt,
-                backoff_ms,
-            } => CompactRecord {
-                kind,
-                time: index as Time,
-                v0: attempt as u64,
-                v1: backoff_ms,
-                v2: 0,
-            },
-            TelemetryEvent::JobQuarantined { index, attempts } => CompactRecord {
-                kind,
-                time: index as Time,
-                v0: attempts as u64,
-                v1: 0,
-                v2: 0,
-            },
-            TelemetryEvent::SweepProgress {
-                done,
-                total,
-                elapsed_secs,
-                eta_secs,
-            } => CompactRecord {
-                kind,
-                time: done as Time,
-                v0: total as u64,
-                v1: elapsed_secs.to_bits(),
-                v2: eta_secs.to_bits(),
-            },
-            TelemetryEvent::WorkloadWindow {
-                end,
-                goodput,
-                wasted,
-                offered,
-                ..
-            } => CompactRecord {
-                kind,
-                time: end,
-                v0: goodput,
-                v1: wasted,
-                v2: offered,
-            },
-            TelemetryEvent::Backlog {
-                time,
-                total,
-                max_queue,
-                margin,
-                ..
-            } => CompactRecord {
-                kind,
-                time,
-                v0: total,
-                v1: max_queue,
-                // i64 margin as two's-complement bits; u64::MAX/2+…
-                // never collides with a real depth reading.
-                v2: margin.unwrap_or(i64::MAX) as u64,
-            },
-            TelemetryEvent::Span {
-                time,
-                packet,
-                edge,
-                wait,
-                ..
-            } => CompactRecord {
-                kind,
-                time,
-                v0: packet,
-                v1: edge as u64,
-                v2: wait,
-            },
-        };
         if self.buf.len() < self.cap {
-            self.buf.push(rec);
+            self.buf.push(kind);
         } else {
-            self.buf[self.next] = rec;
+            self.buf[self.next] = kind;
         }
         self.next = (self.next + 1) % self.cap;
         self.total += 1;
@@ -1154,85 +1023,8 @@ impl TelemetrySink for RingSink {
 }
 
 // ---------------------------------------------------------------------
-// Progress printer / tee / shared handle
+// Tee / shared handle
 // ---------------------------------------------------------------------
-
-/// Prints sweep progress (and run boundaries) to stderr in a
-/// human-readable form; window records are silently ignored (they are
-/// too chatty for a terminal — route those to a [`JsonlSink`]).
-#[derive(Debug, Default)]
-pub struct StderrSink;
-
-impl TelemetrySink for StderrSink {
-    fn record(&mut self, event: &TelemetryEvent<'_>) {
-        match event {
-            TelemetryEvent::RunStart { time, provenance } => {
-                eprintln!(
-                    "[telemetry] run started at step {time} (protocol {})",
-                    if provenance.protocol.is_empty() {
-                        "?"
-                    } else {
-                        &provenance.protocol
-                    }
-                );
-            }
-            TelemetryEvent::RunEnd { time, counters, .. } => {
-                eprintln!(
-                    "[telemetry] run finished at step {time}: {} injected, {} absorbed",
-                    counters.packets_injected, counters.packets_absorbed
-                );
-            }
-            TelemetryEvent::Window { .. } => {}
-            TelemetryEvent::JobStarted { index, total } => {
-                eprintln!("[sweep] job {}/{total} started", index + 1);
-            }
-            TelemetryEvent::JobFinished {
-                index,
-                attempts,
-                secs,
-            } => {
-                if *attempts > 1 {
-                    eprintln!(
-                        "[sweep] job {} done in {secs:.1}s ({attempts} attempts)",
-                        index + 1
-                    );
-                } else {
-                    eprintln!("[sweep] job {} done in {secs:.1}s", index + 1);
-                }
-            }
-            TelemetryEvent::JobRetried {
-                index,
-                attempt,
-                backoff_ms,
-            } => {
-                eprintln!(
-                    "[sweep] job {} attempt {attempt} failed, retrying after {backoff_ms}ms",
-                    index + 1
-                );
-            }
-            TelemetryEvent::JobQuarantined { index, attempts } => {
-                eprintln!(
-                    "[sweep] job {} QUARANTINED after {attempts} attempts",
-                    index + 1
-                );
-            }
-            TelemetryEvent::SweepProgress {
-                done,
-                total,
-                elapsed_secs,
-                eta_secs,
-            } => {
-                eprintln!(
-                    "[sweep] {done}/{total} done, elapsed {elapsed_secs:.1}s, ETA {eta_secs:.1}s"
-                );
-            }
-            // Too chatty for a terminal, like engine windows.
-            TelemetryEvent::WorkloadWindow { .. } => {}
-            TelemetryEvent::Backlog { .. } => {}
-            TelemetryEvent::Span { .. } => {}
-        }
-    }
-}
 
 /// Fans every record out to each inner sink, in order.
 pub struct TeeSink(Vec<Box<dyn TelemetrySink>>);
@@ -1541,13 +1333,31 @@ mod tests {
     #[test]
     fn ring_sink_overwrites_oldest() {
         let mut ring = RingSink::with_capacity(3);
-        for i in 0..5usize {
-            ring.record(&TelemetryEvent::JobStarted { index: i, total: 5 });
-        }
+        ring.record(&TelemetryEvent::JobStarted { index: 0, total: 1 });
+        ring.record(&TelemetryEvent::JobRetried {
+            index: 0,
+            attempt: 1,
+            backoff_ms: 0,
+        });
+        ring.record(&TelemetryEvent::JobFinished {
+            index: 0,
+            attempts: 2,
+            secs: 0.5,
+        });
+        ring.record(&TelemetryEvent::JobQuarantined {
+            index: 1,
+            attempts: 1,
+        });
+        ring.record(&TelemetryEvent::SweepProgress {
+            done: 2,
+            total: 2,
+            elapsed_secs: 1.0,
+            eta_secs: 0.0,
+        });
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.total_records(), 5);
-        let kept: Vec<Time> = ring.iter().map(|r| r.time).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
+        let kept: Vec<&str> = ring.iter().collect();
+        assert_eq!(kept, ["job_finished", "job_quarantined", "sweep_progress"]);
     }
 
     #[test]
@@ -1602,7 +1412,6 @@ mod tests {
         assert!(lines[0].contains("\"model_fingerprint\":11"));
         assert!(lines[1].contains("\"crossings\":[1,2,3]"));
         assert!(lines[2].contains("\"eta_secs\":6.000"));
-        assert_eq!(sink.records(), 3);
     }
 
     #[test]

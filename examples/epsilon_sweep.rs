@@ -5,16 +5,17 @@
 //! cargo run --release --example epsilon_sweep [iterations]
 //! ```
 //!
-//! The sweep streams telemetry while it runs: per-job progress (with
-//! an ETA) goes to stderr, and every engine's windowed crossing rates,
-//! hot-path counters, and run provenance are appended as
-//! schema-versioned JSONL to `telemetry_epsilon_sweep.jsonl` — one
-//! line per record, joinable on the provenance fields.
+//! The sweep streams telemetry while it runs, all of it as
+//! schema-versioned JSONL (one line per record): per-job progress
+//! (with an ETA) goes to stderr and to `telemetry_epsilon_sweep.jsonl`,
+//! and every engine's windowed crossing rates, hot-path counters, and
+//! run provenance are appended to the same file, joinable on the
+//! provenance fields.
 
 use adversarial_queuing::core::instability::{InstabilityConfig, InstabilityConstruction};
 use adversarial_queuing::sim::{
-    run_sim_sweep_with_progress, JobOutcome, JsonlSink, Provenance, SharedSink, StderrSink,
-    SweepConfig, TeeSink, TelemetryConfig,
+    run_sim_sweep_with_progress, JobOutcome, JsonlSink, Provenance, SharedSink, SweepConfig,
+    TeeSink, TelemetryConfig,
 };
 
 fn main() {
@@ -27,13 +28,13 @@ fn main() {
     );
 
     // One JSONL sink shared by every job's engine (SharedSink is an
-    // Arc, so clones all append to the same file), teed with a stderr
-    // reporter for the human watching the sweep.
+    // Arc, so clones all append to the same file), teed with the same
+    // records on stderr for the human watching the sweep.
     let jsonl = SharedSink::new(
         JsonlSink::create("telemetry_epsilon_sweep.jsonl").expect("create telemetry JSONL"),
     );
     let progress = SharedSink::new(TeeSink::new(vec![
-        Box::new(StderrSink),
+        Box::new(JsonlSink::from_writer(std::io::stderr())),
         Box::new(jsonl.clone()),
     ]));
 

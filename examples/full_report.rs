@@ -7,12 +7,14 @@
 //! ```
 //!
 //! Each section is printed as soon as it is built; progress (with an
-//! ETA) streams to stderr through the telemetry sink.
+//! ETA) streams to stderr as the same schema-versioned JSONL records the
+//! telemetry files hold (`job_*` and `sweep_progress`; job indices are
+//! 0-based).
 
 use std::io::Write;
 
 use adversarial_queuing::core::report::{self, Scale};
-use adversarial_queuing::sim::{SharedSink, StderrSink};
+use adversarial_queuing::sim::{JsonlSink, SharedSink};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +36,7 @@ fn main() {
     };
 
     let t0 = std::time::Instant::now();
-    let progress = SharedSink::new(StderrSink);
+    let progress = SharedSink::new(JsonlSink::from_writer(std::io::stderr()));
     let mut count = 0;
     report::run(scale, only, Some(&progress), |_, section| {
         print!("{}", section.render());

@@ -154,12 +154,18 @@ fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&line[start..i])
 }
 
-fn u64_field(line: &str, key: &str) -> Option<u64> {
+/// The number at `key`; `None` when absent or not a number.
+fn num_field<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     raw_field(line, key)?.parse().ok()
 }
 
-fn i64_field(line: &str, key: &str) -> Option<i64> {
-    raw_field(line, key)?.parse().ok()
+/// A nullable number: `Some(None)` for an explicit `null`, `None` when
+/// the key is absent or the value is neither `null` nor a number.
+fn nullable_field<T: std::str::FromStr>(line: &str, key: &str) -> Option<Option<T>> {
+    match raw_field(line, key)? {
+        "null" => Some(None),
+        raw => raw.parse().ok().map(Some),
+    }
 }
 
 fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -168,18 +174,24 @@ fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         .and_then(|s| s.strip_suffix('"'))
 }
 
-/// Parse `[[e,d],...]` pairs (the `depths` field).
-fn pairs_field(line: &str, key: &str) -> Vec<(u32, u32)> {
-    let Some(raw) = raw_field(line, key) else {
-        return Vec::new();
-    };
-    let inner = raw.trim_start_matches('[').trim_end_matches(']');
+/// `Some(())` when `line` is a whole `{…}` object; `None` when it was
+/// cut short.
+fn closed(line: &str) -> Option<()> {
+    (line.starts_with('{') && line.ends_with('}')).then_some(())
+}
+
+/// Parse `[[e,d],...]` pairs (the `depths` field); `None` when the
+/// field is absent or any pair fails to parse.
+fn pairs_field(line: &str, key: &str) -> Option<Vec<(u32, u32)>> {
+    let inner = raw_field(line, key)?.strip_prefix('[')?.strip_suffix(']')?;
     if inner.is_empty() {
-        return Vec::new();
+        return Some(Vec::new());
     }
     inner
+        .strip_prefix('[')?
+        .strip_suffix(']')?
         .split("],[")
-        .filter_map(|p| {
+        .map(|p| {
             let (a, b) = p.split_once(',')?;
             Some((a.parse().ok()?, b.parse().ok()?))
         })
@@ -214,6 +226,46 @@ struct GoodputWindow {
     offered: u64,
 }
 
+impl BacklogTick {
+    fn parse(line: &str) -> Option<Self> {
+        closed(line)?;
+        Some(BacklogTick {
+            time: num_field(line, "time")?,
+            total: num_field(line, "total")?,
+            max_wait: num_field(line, "max_wait")?,
+            bound: nullable_field(line, "bound")?,
+            margin: nullable_field(line, "margin")?,
+            depths: pairs_field(line, "depths")?,
+        })
+    }
+}
+
+impl Span {
+    fn parse(line: &str) -> Option<Self> {
+        closed(line)?;
+        Some(Span {
+            time: num_field(line, "time")?,
+            packet: num_field(line, "packet")?,
+            op: str_field(line, "op")?.to_string(),
+            edge: num_field(line, "edge")?,
+            hop: num_field(line, "hop")?,
+            wait: num_field(line, "wait")?,
+        })
+    }
+}
+
+impl GoodputWindow {
+    fn parse(line: &str) -> Option<Self> {
+        closed(line)?;
+        Some(GoodputWindow {
+            start: num_field(line, "start")?,
+            end: num_field(line, "end")?,
+            goodput: num_field(line, "goodput")?,
+            offered: num_field(line, "offered")?,
+        })
+    }
+}
+
 #[derive(Default)]
 struct TraceData {
     ticks: Vec<BacklogTick>,
@@ -221,9 +273,14 @@ struct TraceData {
     windows: Vec<GoodputWindow>,
     records: usize,
     skipped: usize,
+    /// Records of a kept kind that are cut short or miss (or fail to
+    /// parse) a field the analysis reads; excluded from every table.
+    malformed: usize,
 }
 
-/// Read every record of `path`, keeping the observatory kinds.
+/// Read every record of `path`, keeping the observatory kinds. Fails
+/// closed: a kept record that is not a whole `{…}` object or lacks a
+/// field the analysis reads is counted as malformed, never defaulted.
 fn parse(path: &Path) -> std::io::Result<TraceData> {
     let mut data = TraceData::default();
     for line in BufReader::new(File::open(path)?).lines() {
@@ -232,34 +289,18 @@ fn parse(path: &Path) -> std::io::Result<TraceData> {
             continue;
         }
         data.records += 1;
-        if u64_field(&line, "schema") != Some(u64::from(TELEMETRY_SCHEMA_VERSION)) {
+        if num_field(&line, "schema") != Some(TELEMETRY_SCHEMA_VERSION) {
             data.skipped += 1;
             continue;
         }
-        match str_field(&line, "kind") {
-            Some("backlog") => data.ticks.push(BacklogTick {
-                time: u64_field(&line, "time").unwrap_or(0),
-                total: u64_field(&line, "total").unwrap_or(0),
-                max_wait: u64_field(&line, "max_wait").unwrap_or(0),
-                bound: u64_field(&line, "bound"),
-                margin: i64_field(&line, "margin"),
-                depths: pairs_field(&line, "depths"),
-            }),
-            Some("span") => data.spans.push(Span {
-                time: u64_field(&line, "time").unwrap_or(0),
-                packet: u64_field(&line, "packet").unwrap_or(0),
-                op: str_field(&line, "op").unwrap_or("?").to_string(),
-                edge: u64_field(&line, "edge").unwrap_or(0) as u32,
-                hop: u64_field(&line, "hop").unwrap_or(0) as u32,
-                wait: u64_field(&line, "wait").unwrap_or(0),
-            }),
-            Some("workload_window") => data.windows.push(GoodputWindow {
-                start: u64_field(&line, "start").unwrap_or(0),
-                end: u64_field(&line, "end").unwrap_or(0),
-                goodput: u64_field(&line, "goodput").unwrap_or(0),
-                offered: u64_field(&line, "offered").unwrap_or(0),
-            }),
-            _ => {}
+        let kept = match str_field(&line, "kind") {
+            Some("backlog") => BacklogTick::parse(&line).map(|t| data.ticks.push(t)),
+            Some("span") => Span::parse(&line).map(|s| data.spans.push(s)),
+            Some("workload_window") => GoodputWindow::parse(&line).map(|w| data.windows.push(w)),
+            _ => continue,
+        };
+        if kept.is_none() {
+            data.malformed += 1;
         }
     }
     Ok(data)
@@ -504,11 +545,14 @@ fn main() {
         data.ticks.len(),
         data.spans.len(),
         data.windows.len(),
-        if data.skipped > 0 {
-            format!(", {} skipped on schema mismatch", data.skipped)
-        } else {
-            String::new()
-        }
+        [
+            (data.skipped, "skipped on schema mismatch"),
+            (data.malformed, "malformed")
+        ]
+        .iter()
+        .filter(|(n, _)| *n > 0)
+        .map(|(n, what)| format!(", {n} {what}"))
+        .collect::<String>()
     );
     assert!(
         data.records > data.skipped,

@@ -142,10 +142,10 @@ fn telemetry_drain_allocations(
 
 /// The instrumented loop must stay allocation-free too: counters are
 /// plain field increments, the window deltas go into a scratch buffer
-/// sized at attach time, and the ring sink stores `Copy` records in a
-/// buffer allocated up front. ~8 window emissions land inside the
-/// measured 2 000 steps, so the zero-allocation assertion covers the
-/// slow path as well as the per-step fast path.
+/// sized at attach time, and the ring sink stores record kinds (static
+/// strings) in a buffer allocated up front. ~8 window emissions land
+/// inside the measured 2 000 steps, so the zero-allocation assertion
+/// covers the slow path as well as the per-step fast path.
 #[test]
 fn telemetry_enabled_drain_steps_do_not_allocate() {
     let (allocations, eng) = telemetry_drain_allocations(

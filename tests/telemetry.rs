@@ -43,6 +43,21 @@ impl TelemetrySink for Capture {
     }
 }
 
+/// An in-memory JSONL destination the test can read back after the
+/// sink that writes into it has been boxed away.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// A small non-trivial workload: packets walking the full length of
 /// `line(4)`, injected every other step for `steps` steps.
 fn run_line_workload(eng: &mut Engine<Fifo>, graph: &Arc<aqt_graph::Graph>, steps: Time) {
@@ -185,19 +200,7 @@ fn timing_default_stride_samples_sparsely() {
 /// and the window lines carry the crossings array.
 #[test]
 fn jsonl_lines_are_complete_records() {
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let buf = SharedBuf::default();
     let graph = Arc::new(topologies::line(4));
     let mut eng = Engine::new(Arc::clone(&graph), Fifo, EngineConfig::default());
     eng.attach_telemetry(
@@ -236,24 +239,16 @@ fn jsonl_lines_are_complete_records() {
 /// Golden pin of the closed-loop telemetry surface: the JSONL layout
 /// of a `workload_window` record — schema stamp, kind, and every
 /// request-ledger field name — plus the `backoff_ms` field of
-/// `job_retried`. Downstream consumers key on these exact strings;
+/// `job_retried`, then every other non-observatory kind byte for byte:
+/// `run_start`, `window` and `run_end` (with a hand-built `timings`
+/// block, so count, total, mean and the p50/p99 bounds are fixed) and
+/// the sweep's `job_started`, `job_finished`, `job_quarantined` and
+/// `sweep_progress`. Downstream consumers key on these exact strings;
 /// renaming any of them must bump `TELEMETRY_SCHEMA_VERSION` and this
 /// pin deliberately.
 #[test]
 fn workload_window_jsonl_layout_is_pinned() {
-    use aqt_sim::WorkloadCounters;
-
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use aqt_sim::{StageTimings, TelemetryCounters, WorkloadCounters};
 
     assert_eq!(
         TELEMETRY_SCHEMA_VERSION, 6,
@@ -262,7 +257,7 @@ fn workload_window_jsonl_layout_is_pinned() {
          fields); a bump means they must be re-pinned"
     );
 
-    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let buf = SharedBuf::default();
     let mut sink = aqt_sim::JsonlSink::from_writer(buf.clone());
     let provenance = Provenance {
         seed: Some(7),
@@ -293,11 +288,72 @@ fn workload_window_jsonl_layout_is_pinned() {
         attempt: 1,
         backoff_ms: 250,
     });
+    let engine_run = Provenance {
+        seed: Some(7),
+        schedule_hash: Some(99),
+        protocol: "NTG".to_string(),
+        fault_plan_id: Some(13),
+        model_fingerprint: Some(11),
+    };
+    let counters = TelemetryCounters {
+        steps: 1,
+        packets_sent: 2,
+        packets_forwarded: 3,
+        packets_absorbed: 4,
+        packets_injected: 5,
+        cohorts_admitted: 6,
+        buffers_compacted: 7,
+        memo_hits: 8,
+        memo_misses: 9,
+        sentinel_rounds: 10,
+        oracle_diffs: 11,
+        windows_emitted: 12,
+    };
+    let mut timings = StageTimings::default();
+    timings.send.record(100); // bucket 6: [64, 128)
+    timings.send.record(300); // bucket 8: [256, 512)
+    for ns in [1, 2, 4] {
+        timings.compact.record(ns); // buckets 0, 1, 2; mean 7/3
+    }
+    timings.step.record(1000); // bucket 9: [512, 1024)
+    sink.record(&TelemetryEvent::RunStart {
+        time: 0,
+        provenance: &engine_run,
+    });
+    sink.record(&TelemetryEvent::Window {
+        start: 0,
+        end: 16,
+        counters,
+        crossings: &[3, 0, 5],
+        provenance: &engine_run,
+    });
+    sink.record(&TelemetryEvent::RunEnd {
+        time: 16,
+        counters,
+        timings: &timings,
+        provenance: &engine_run,
+    });
+    sink.record(&TelemetryEvent::JobStarted { index: 0, total: 3 });
+    sink.record(&TelemetryEvent::JobFinished {
+        index: 0,
+        attempts: 2,
+        secs: 1.25,
+    });
+    sink.record(&TelemetryEvent::JobQuarantined {
+        index: 1,
+        attempts: 3,
+    });
+    sink.record(&TelemetryEvent::SweepProgress {
+        done: 2,
+        total: 3,
+        elapsed_secs: 2.5,
+        eta_secs: 1.25,
+    });
 
     let bytes = buf.0.lock().unwrap().clone();
     let text = String::from_utf8(bytes).expect("utf8");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2);
+    assert_eq!(lines.len(), 9);
 
     // The full workload_window line, byte for byte (absent provenance
     // fields serialize as explicit nulls).
@@ -318,6 +374,66 @@ fn workload_window_jsonl_layout_is_pinned() {
         "{\"schema\":6,\"kind\":\"job_retried\",\"index\":2,\"attempt\":1,\
          \"backoff_ms\":250}"
     );
+    assert_eq!(
+        lines[2],
+        "{\"schema\":6,\"kind\":\"run_start\",\"time\":0,\
+         \"seed\":7,\"schedule_hash\":99,\"protocol\":\"NTG\",\
+         \"fault_plan_id\":13,\"model_fingerprint\":11}"
+    );
+    assert_eq!(
+        lines[3],
+        "{\"schema\":6,\"kind\":\"window\",\"start\":0,\"end\":16,\
+         \"steps\":1,\"packets_sent\":2,\"packets_forwarded\":3,\
+         \"packets_absorbed\":4,\"packets_injected\":5,\"cohorts_admitted\":6,\
+         \"buffers_compacted\":7,\"memo_hits\":8,\"memo_misses\":9,\
+         \"sentinel_rounds\":10,\"oracle_diffs\":11,\"windows_emitted\":12,\
+         \"crossings\":[3,0,5],\
+         \"seed\":7,\"schedule_hash\":99,\"protocol\":\"NTG\",\
+         \"fault_plan_id\":13,\"model_fingerprint\":11}"
+    );
+    assert_eq!(
+        lines[4],
+        "{\"schema\":6,\"kind\":\"run_end\",\"time\":16,\
+         \"steps\":1,\"packets_sent\":2,\"packets_forwarded\":3,\
+         \"packets_absorbed\":4,\"packets_injected\":5,\"cohorts_admitted\":6,\
+         \"buffers_compacted\":7,\"memo_hits\":8,\"memo_misses\":9,\
+         \"sentinel_rounds\":10,\"oracle_diffs\":11,\"windows_emitted\":12,\
+         \"timings\":{\
+         \"send\":{\"count\":2,\"total_ns\":400,\"mean_ns\":200.0,\
+         \"p50_ns_le\":128,\"p99_ns_le\":512},\
+         \"compact\":{\"count\":3,\"total_ns\":7,\"mean_ns\":2.3,\
+         \"p50_ns_le\":4,\"p99_ns_le\":8},\
+         \"receive\":{\"count\":0,\"total_ns\":0,\"mean_ns\":0.0,\
+         \"p50_ns_le\":0,\"p99_ns_le\":0},\
+         \"inject\":{\"count\":0,\"total_ns\":0,\"mean_ns\":0.0,\
+         \"p50_ns_le\":0,\"p99_ns_le\":0},\
+         \"oracle\":{\"count\":0,\"total_ns\":0,\"mean_ns\":0.0,\
+         \"p50_ns_le\":0,\"p99_ns_le\":0},\
+         \"sentinel\":{\"count\":0,\"total_ns\":0,\"mean_ns\":0.0,\
+         \"p50_ns_le\":0,\"p99_ns_le\":0},\
+         \"step\":{\"count\":1,\"total_ns\":1000,\"mean_ns\":1000.0,\
+         \"p50_ns_le\":1024,\"p99_ns_le\":1024}},\
+         \"seed\":7,\"schedule_hash\":99,\"protocol\":\"NTG\",\
+         \"fault_plan_id\":13,\"model_fingerprint\":11}"
+    );
+    assert_eq!(
+        lines[5],
+        "{\"schema\":6,\"kind\":\"job_started\",\"index\":0,\"total\":3}"
+    );
+    assert_eq!(
+        lines[6],
+        "{\"schema\":6,\"kind\":\"job_finished\",\"index\":0,\"attempts\":2,\
+         \"secs\":1.250}"
+    );
+    assert_eq!(
+        lines[7],
+        "{\"schema\":6,\"kind\":\"job_quarantined\",\"index\":1,\"attempts\":3}"
+    );
+    assert_eq!(
+        lines[8],
+        "{\"schema\":6,\"kind\":\"sweep_progress\",\"done\":2,\"total\":3,\
+         \"elapsed_secs\":2.500,\"eta_secs\":1.250}"
+    );
 }
 
 /// Golden pin of the observatory's JSONL surface (schema 6): the full
@@ -330,19 +446,7 @@ fn workload_window_jsonl_layout_is_pinned() {
 fn observatory_jsonl_layout_is_pinned() {
     use aqt_sim::SpanKind;
 
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let buf = SharedBuf::default();
     let mut sink = aqt_sim::JsonlSink::from_writer(buf.clone());
     let provenance = Provenance {
         seed: Some(7),
@@ -487,18 +591,6 @@ fn engine_stream_is_pinned() {
     use aqt_graph::EdgeId;
     use aqt_sim::{FaultPlan, InvariantKind, JsonlSink, ObserveConfig, SentinelConfig, Severity};
 
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     let g = Arc::new(topologies::ring(6));
     let route = |start: u32, len: u32| {
         let ids: Vec<EdgeId> = (0..len).map(|k| EdgeId((start + k) % 6)).collect();
@@ -531,7 +623,7 @@ fn engine_stream_is_pinned() {
             .with_cadence(8)
             .with_span_sample_every(1),
     );
-    let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+    let buf = SharedBuf::default();
     eng.set_telemetry_sink(Box::new(JsonlSink::from_writer(buf.clone())));
     eng.seed_cohort(route(0, 4), 1, 5).unwrap();
     for t in 1..=64u32 {
