@@ -19,7 +19,7 @@
 //! packets remain queued at `a` at time `τ + 2S + n` (see the proof).
 
 use aqt_graph::{GadgetHandles, Graph, Route, RouteError};
-use aqt_sim::{Schedule, Time};
+use aqt_sim::{Injection, Schedule, Time};
 
 use crate::params::GadgetParams;
 
@@ -95,7 +95,6 @@ pub fn build(
     // Part (3): S' + n packets at rate r; first n pad `a`, the rest go
     // the long way a, f-path, a'.
     let s_prime = params.s_prime(s);
-    let total = s_prime + n as u64;
     let pad_route = Route::single(graph, g.ingress)?;
     let mut long_edges = Vec::with_capacity(n + 2);
     long_edges.push(g.ingress);
@@ -103,26 +102,20 @@ pub fn build(
     long_edges.push(g.egress);
     let long_route = Route::new(graph, long_edges)?;
 
-    // Manual floor-pattern stream stopping at `total` packets; the
-    // parameter constraints guarantee (S'+n)/r <= 2S so it fits.
-    let mut injected = 0u64;
-    let mut k = 0u64;
-    while injected < total {
-        k += 1;
-        let want = rate.floor_mul(k);
-        if want > injected {
-            let (route, tag) = if injected < n as u64 {
-                (pad_route.clone(), tags.pad)
-            } else {
-                (long_route.clone(), tags.long)
-            };
-            schedule.inject_at(tau + k, route, tag);
-            injected += 1;
-        }
-    }
+    // One floor-pattern stream of S' + n packets: the n pads, then the
+    // S' longs. The parameter constraints guarantee (S'+n)/r <= 2S, so it
+    // fits in [τ+1, τ+2S].
+    let last = schedule.inject_segments(
+        tau + 1,
+        rate,
+        vec![
+            (n as u64, Injection::new(pad_route, tags.pad)),
+            (s_prime, Injection::new(long_route, tags.long)),
+        ],
+    );
     debug_assert!(
-        k <= 2 * s,
-        "part (3) must fit in [τ+1, τ+2S]: needed {k} steps for {total} packets"
+        last <= tau + 2 * s,
+        "part (3) must fit in [τ+1, τ+2S]: its last packet is at {last}"
     );
 
     Ok(Bootstrap {

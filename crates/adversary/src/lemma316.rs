@@ -20,11 +20,11 @@
 //!    behind the stage 1+2 remnant — these are the fresh survivors.
 //!
 //! Stages 2 and 3 are realized as one continuous rate-r floor stream on
-//! `a_2` whose cohort tag flips at the index boundary, so the composed
+//! `a_2` with two segments (mixers, then fresh), so the composed
 //! injection pattern on `a_2` is trivially rate-legal.
 
 use aqt_graph::{EdgeId, Graph, Route, RouteError};
-use aqt_sim::{Ratio, Schedule, Time};
+use aqt_sim::{Injection, Ratio, Schedule, Time};
 
 /// Cohort tags assigned by [`build`].
 #[derive(Debug, Clone, Copy)]
@@ -89,24 +89,14 @@ pub fn build(
     let k2 = rate.floor_mul(k1);
     let k3 = rate.floor_mul(k2);
     let single = Route::single(graph, a2)?;
-    let total = k2 + k3;
-    let mut injected = 0u64;
-    let mut k = 0u64;
-    let mut last = tau + s;
-    while injected < total {
-        k += 1;
-        let want = rate.floor_mul(k);
-        if want > injected {
-            let tag = if injected < k2 {
-                tags.mixer
-            } else {
-                tags.fresh
-            };
-            last = tau + s + k;
-            schedule.inject_at(last, single.clone(), tag);
-            injected += 1;
-        }
-    }
+    let last = schedule.inject_segments(
+        tau + s + 1,
+        rate,
+        vec![
+            (k2, Injection::new(single.clone(), tags.mixer)),
+            (k3, Injection::new(single, tags.fresh)),
+        ],
+    );
 
     Ok(Stitch {
         schedule,

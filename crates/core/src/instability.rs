@@ -646,13 +646,15 @@ impl InstabilityConstruction {
     }
 }
 
-/// Append every op of `s` to the master record (when recording).
+/// Append every op of `s` to the master record (when recording), in
+/// its per-packet form: readers of the record slice its ops by time,
+/// and a stream op spans many steps.
 fn record(master: &mut Schedule, s: &Schedule, enabled: bool) {
     if !enabled {
         return;
     }
-    for op in s.ops() {
-        master.push(op.clone());
+    for op in s.per_packet_ops() {
+        master.push(op);
     }
 }
 

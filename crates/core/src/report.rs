@@ -21,8 +21,8 @@ pub enum Scale {
     /// The quick tour CI runs: seconds per section, at about the
     /// scale of each experiment's integration test.
     Reduced,
-    /// The parameters of the `EXPERIMENTS.md` tables. E1 and E9 need
-    /// more memory than a 16 GB host has (see `EXPERIMENTS.md`).
+    /// The parameters of the `EXPERIMENTS.md` tables. E1 and E9 take
+    /// minutes and a few GiB each (see `EXPERIMENTS.md`).
     Full,
 }
 

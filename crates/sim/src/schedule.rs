@@ -3,10 +3,10 @@
 //! The paper specifies its adversaries as explicit timed injection
 //! plans ("in the time interval `[1, S]`, `rS` packets are injected, at
 //! rate `r`, with route …") plus route extensions (Lemma 3.3). A
-//! [`Schedule`] is exactly that: a time-sorted list of operations that
-//! an [`Engine`] replays. Adversary *builders* (in
-//! `aqt-adversary`) compose schedules; the engine's validators then
-//! check the result against the model's constraints.
+//! [`Schedule`] is exactly that: a list of timed operations that an
+//! [`Engine`] replays. Adversary *builders* (in `aqt-adversary`)
+//! compose schedules; the engine's validators then check the result
+//! against the model's constraints.
 //!
 //! ## Time conventions
 //!
@@ -15,15 +15,45 @@
 //!   (before substep 1). The paper's "at time τ, extend the routes…"
 //!   with injections starting at `τ + 1` is expressed as
 //!   `Extend { time: τ + 1 }` followed by injections at `τ + 1, …`.
+//! * `Stream { start, rate, .. }` — packet `j` (0-based) is injected in
+//!   substep 2 of step `start + ⌈(j+1)/r⌉ − 1`.
 //!
 //! ## Rate-r streams
 //!
 //! [`Schedule::inject_stream`] injects "at rate `r`" using the floor
 //! pattern: the `k`-th step of the stream injects iff
-//! `⌊k·r⌋ > ⌊(k−1)·r⌋`. Over any sub-interval of the stream the
-//! injected count is `⌊k₂r⌋ − ⌊k₁r⌋ ≤ ⌈(k₂−k₁)·r⌉`, so a single stream
-//! always satisfies the rate-r constraint (the engine still validates
-//! the *composition* of streams).
+//! `⌊k·r⌋ > ⌊(k−1)·r⌋`, which puts packet `j` at the stream's step
+//! `⌈(j+1)/r⌉`. Over any sub-interval of the stream the injected count
+//! is `⌊k₂r⌋ − ⌊k₁r⌋ ≤ ⌈(k₂−k₁)·r⌉`, so a single stream always
+//! satisfies the rate-r constraint (the engine still validates the
+//! *composition* of streams). Streams need `0 < r ≤ 1`, so each step
+//! injects at most one packet of a stream.
+//!
+//! A whole stream is one [`ScheduleOp::Stream`]: Theorem 3.17's largest
+//! Lemma 3.6 stage injects over a million packets, and one op per
+//! packet would hold a 64-byte op and a route handle for each of them
+//! until the stage is replayed. The op's `segments` list consecutive
+//! cohorts with their packet counts, so Lemma 3.15's pad-then-long and
+//! Lemma 3.16's mixer-then-fresh streams are one floor pattern too.
+//!
+//! ## Order within a step
+//!
+//! A schedule means its *per-packet form*: each stream expanded, in its
+//! place, into one `Inject` per packet at that packet's step. Replay
+//! performs the per-packet form in stable (time, insertion index)
+//! order — every `Extend` due at a step first, then that step's
+//! injections by index — and FIFO arrival order depends on it.
+//! [`Schedule::replay`] keeps this order without expanding: the live
+//! streams sit in index order, each holding its next emission step (a
+//! step compares, it does not divide), and their packets are merged by
+//! index with the singles and cohorts due at that step. A step with no
+//! live stream takes the plain path.
+//!
+//! Readers of the op list outside replay see the per-packet form:
+//! [`Schedule::content_hash`] hashes it (a stream hashes like its
+//! expansion), [`crate::source::ScheduleSource`] expands streams, and
+//! [`Schedule::per_packet_ops`] yields it for records that slice ops by
+//! time, since a stream op spans many steps.
 
 use aqt_graph::{EdgeId, Route};
 
@@ -62,15 +92,155 @@ pub enum ScheduleOp {
         /// [`Engine::extend_routes_in`]).
         last_edge: Option<EdgeId>,
     },
+    /// A rate-`r` floor-pattern stream: packet `j` (0-based, counted
+    /// across all segments) is injected in substep 2 of step
+    /// `start + ⌈(j+1)/r⌉ − 1`. Same trajectory as one single-packet
+    /// `Inject` per packet at this op's place in the schedule.
+    Stream {
+        /// Step 1 of the floor pattern.
+        start: Time,
+        /// The stream's rate, `0 < r ≤ 1`.
+        rate: Ratio,
+        /// Consecutive cohorts in emission order: `(packets, inj)` sends
+        /// `packets` single-packet copies of `inj`.
+        segments: Vec<(u64, Injection)>,
+    },
 }
 
 impl ScheduleOp {
-    /// The operation's scheduled time.
+    /// The operation's scheduled time; for a stream, the step of its
+    /// first packet.
     pub fn time(&self) -> Time {
         match self {
             ScheduleOp::Inject { time, .. } | ScheduleOp::Extend { time, .. } => *time,
+            ScheduleOp::Stream { start, rate, .. } => emission_step(*start, *rate, 0),
         }
     }
+
+    /// The step of the operation's last injection; [`ScheduleOp::time`]
+    /// for anything but a stream.
+    fn last_time(&self) -> Time {
+        match self {
+            ScheduleOp::Stream {
+                start,
+                rate,
+                segments,
+            } => {
+                let packets: u64 = segments.iter().map(|(n, _)| n).sum();
+                emission_step(*start, *rate, packets.max(1) - 1)
+            }
+            op => op.time(),
+        }
+    }
+}
+
+/// Step of packet `j` of a stream: `start + ⌈(j+1)/r⌉ − 1`.
+fn emission_step(start: Time, rate: Ratio, j: u64) -> Time {
+    start + rate.ceil_div_int(j + 1) - 1
+}
+
+/// Panics unless `0 < rate ≤ 1`: a zero rate never emits, and above 1
+/// the floor pattern would owe more than one packet per step.
+fn assert_stream_rate(rate: Ratio) {
+    assert!(
+        rate > Ratio::ZERO && rate <= Ratio::ONE,
+        "a rate-r stream needs 0 < r <= 1, got r = {rate}"
+    );
+}
+
+/// A stream's packets in order, as `(step, injection)`. Consecutive
+/// steps differ by `⌊1/r⌋` or `⌈1/r⌉`; a remainder picks which, so
+/// advancing never divides.
+#[derive(Debug)]
+struct Emissions<'a> {
+    segments: std::slice::Iter<'a, (u64, Injection)>,
+    /// The cohort of the next packet; `None` once the stream is done.
+    cohort: Option<&'a Injection>,
+    /// Packets of `cohort` still to go.
+    left: u64,
+    /// Step of the next packet, `start + k − 1` for its stream step `k`.
+    next: Time,
+    /// `k·num − (j+1)·den ∈ [0, num)` for the next packet `j`.
+    rem: u64,
+    /// `⌊den/num⌋`.
+    gap: u64,
+    /// `den mod num`.
+    extra: u64,
+    num: u64,
+}
+
+impl<'a> Emissions<'a> {
+    /// `rate` is in `(0, 1]`, as [`Schedule::push`] checks.
+    fn new(start: Time, rate: Ratio, segments: &'a [(u64, Injection)]) -> Self {
+        let mut e = Emissions {
+            segments: segments.iter(),
+            cohort: None,
+            left: 0,
+            // Packet −1 at stream step 0 with remainder 0, stored one
+            // step late so that `start = 0` stays unsigned; `advance`
+            // then finds packet 0, and the extra step is taken back.
+            next: start,
+            rem: 0,
+            gap: rate.den() / rate.num(),
+            extra: rate.den() % rate.num(),
+            num: rate.num(),
+        };
+        e.next_cohort();
+        e.advance();
+        e.next -= 1;
+        e
+    }
+
+    /// Step of the next packet, if any is left.
+    fn peek_step(&self) -> Option<Time> {
+        self.cohort.map(|_| self.next)
+    }
+
+    fn next_cohort(&mut self) {
+        self.cohort = None;
+        for (n, inj) in self.segments.by_ref() {
+            if *n > 0 {
+                self.cohort = Some(inj);
+                self.left = *n;
+                break;
+            }
+        }
+    }
+
+    fn advance(&mut self) {
+        if self.extra > self.rem {
+            self.next += self.gap + 1;
+            self.rem = self.num - (self.extra - self.rem);
+        } else {
+            self.next += self.gap;
+            self.rem -= self.extra;
+        }
+    }
+}
+
+impl<'a> Iterator for Emissions<'a> {
+    type Item = (Time, &'a Injection);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let inj = self.cohort?;
+        let step = self.next;
+        self.left -= 1;
+        if self.left == 0 {
+            self.next_cohort();
+        }
+        if self.cohort.is_some() {
+            self.advance();
+        }
+        Some((step, inj))
+    }
+}
+
+/// One operation of a schedule's per-packet form, borrowed.
+pub(crate) enum PacketOp<'a> {
+    /// A single or cohort injection at a step.
+    Inject(Time, &'a Injection),
+    /// An `Extend` op.
+    Extend(&'a ScheduleOp),
 }
 
 /// A time-sorted adversary plan.
@@ -89,7 +259,7 @@ impl Schedule {
         }
     }
 
-    /// Number of operations.
+    /// Number of operations (a stream is one).
     pub fn len(&self) -> usize {
         self.ops.len()
     }
@@ -99,24 +269,47 @@ impl Schedule {
         self.ops.is_empty()
     }
 
-    /// Number of packets the schedule injects (cohorts count in full).
+    /// Number of packets the schedule injects (cohorts and streams count
+    /// in full).
     pub fn injection_count(&self) -> usize {
         self.ops
             .iter()
             .map(|op| match op {
                 ScheduleOp::Inject { inj, .. } => inj.count as usize,
                 ScheduleOp::Extend { .. } => 0,
+                ScheduleOp::Stream { segments, .. } => {
+                    segments.iter().map(|(n, _)| *n as usize).sum()
+                }
             })
             .sum()
     }
 
-    /// The latest operation time (0 if empty).
+    /// The latest injection or extension time (0 if empty).
     pub fn horizon(&self) -> Time {
-        self.ops.iter().map(ScheduleOp::time).max().unwrap_or(0)
+        self.ops
+            .iter()
+            .map(ScheduleOp::last_time)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Push a raw operation.
+    ///
+    /// # Panics
+    /// On a malformed stream: a rate outside `0 < r ≤ 1`, a segment
+    /// injection of more than one packet, or no packets at all.
     pub fn push(&mut self, op: ScheduleOp) {
+        if let ScheduleOp::Stream { rate, segments, .. } = &op {
+            assert_stream_rate(*rate);
+            assert!(
+                segments.iter().all(|(_, inj)| inj.count == 1),
+                "a stream segment injects single packets; its count says how many"
+            );
+            assert!(
+                segments.iter().any(|(n, _)| *n > 0),
+                "a stream must inject at least one packet"
+            );
+        }
         if let Some(last) = self.ops.last() {
             if op.time() < last.time() {
                 self.sorted = false;
@@ -169,8 +362,12 @@ impl Schedule {
     }
 
     /// Inject packets with `route` "at rate `r`" during the steps
-    /// `[start, start + duration - 1]` using the floor pattern; returns
-    /// the number of packets scheduled (= `⌊duration · r⌋`).
+    /// `[start, start + duration - 1]` using the floor pattern, as one
+    /// stream op; returns the number of packets scheduled
+    /// (= `⌊duration · r⌋`).
+    ///
+    /// # Panics
+    /// Unless `0 < r ≤ 1`.
     pub fn inject_stream(
         &mut self,
         start: Time,
@@ -179,40 +376,10 @@ impl Schedule {
         route: &Route,
         tag: u32,
     ) -> u64 {
-        let mut injected = 0u64;
-        for k in 1..=duration {
-            let want = rate.floor_mul(k);
-            if want > injected {
-                self.inject_at(start + k - 1, route.clone(), tag);
-                injected = want;
-            }
-        }
-        injected
-    }
-
-    /// Like [`Schedule::inject_stream`], but the route and tag of each
-    /// packet are chosen per index by `f` (0-based). The paper's
-    /// Lemma 3.15 uses this shape: "the first `n` packets have path of
-    /// length 1, and the rest have the path `a, f_1, …, f_n, a'`";
-    /// Lemma 3.16's two back-to-back streams on `a_2` are likewise one
-    /// rate-r stream whose cohort changes at an index boundary.
-    pub fn inject_stream_with(
-        &mut self,
-        start: Time,
-        duration: u64,
-        rate: Ratio,
-        mut f: impl FnMut(u64) -> (Route, u32),
-    ) -> u64 {
-        let mut injected = 0u64;
-        for k in 1..=duration {
-            let want = rate.floor_mul(k);
-            if want > injected {
-                let (route, tag) = f(injected);
-                self.inject_at(start + k - 1, route, tag);
-                injected = want;
-            }
-        }
-        injected
+        assert_stream_rate(rate);
+        let count = rate.floor_mul(duration);
+        self.inject_count(start, count, rate, route, tag);
+        count
     }
 
     /// Inject exactly `count` packets at rate `r` starting at `start`
@@ -220,6 +387,9 @@ impl Schedule {
     /// paper's "X packets are injected in the first X·(1/r) time steps
     /// of the interval…"). Returns the time of the last injection, or
     /// `start - 1` if `count == 0`.
+    ///
+    /// # Panics
+    /// Unless `0 < r ≤ 1`.
     pub fn inject_count(
         &mut self,
         start: Time,
@@ -228,18 +398,41 @@ impl Schedule {
         route: &Route,
         tag: u32,
     ) -> Time {
-        let mut injected = 0u64;
-        let mut k = 0u64;
-        let mut last = start.saturating_sub(1);
-        while injected < count {
-            k += 1;
-            let want = rate.floor_mul(k);
-            if want > injected {
-                last = start + k - 1;
-                self.inject_at(last, route.clone(), tag);
-                injected += 1;
-            }
+        self.inject_segments(
+            start,
+            rate,
+            vec![(count, Injection::new(route.clone(), tag))],
+        )
+    }
+
+    /// One rate-`r` stream from `start` whose cohort changes at packet
+    /// index boundaries: `(n, inj)` sends the next `n` packets as copies
+    /// of the single-packet `inj`. Lemma 3.15 uses this shape ("the
+    /// first `n` packets have path of length 1, and the rest have the
+    /// path `a, f_1, …, f_n, a'`"); Lemma 3.16's two back-to-back
+    /// streams on `a_2` are likewise one stream. Returns the time of the
+    /// last injection, or `start - 1` if there is none.
+    ///
+    /// # Panics
+    /// Unless `0 < r ≤ 1`, or if an `inj` is not a single packet.
+    pub fn inject_segments(
+        &mut self,
+        start: Time,
+        rate: Ratio,
+        mut segments: Vec<(u64, Injection)>,
+    ) -> Time {
+        assert_stream_rate(rate);
+        segments.retain(|(n, _)| *n > 0);
+        if segments.is_empty() {
+            return start.saturating_sub(1);
         }
+        let op = ScheduleOp::Stream {
+            start,
+            rate,
+            segments,
+        };
+        let last = op.last_time();
+        self.push(op);
         last
     }
 
@@ -255,35 +448,77 @@ impl Schedule {
         &self.ops
     }
 
+    /// The per-packet form, borrowed, in insertion order: each stream
+    /// yields one injection per packet at its step.
+    pub(crate) fn packet_ops(&self) -> impl Iterator<Item = PacketOp<'_>> {
+        self.ops.iter().flat_map(|op| {
+            let (one, stream) = match op {
+                ScheduleOp::Inject { time, inj } => (Some(PacketOp::Inject(*time, inj)), None),
+                ScheduleOp::Extend { .. } => (Some(PacketOp::Extend(op)), None),
+                ScheduleOp::Stream {
+                    start,
+                    rate,
+                    segments,
+                } => (None, Some(Emissions::new(*start, *rate, segments))),
+            };
+            one.into_iter().chain(
+                stream
+                    .into_iter()
+                    .flatten()
+                    .map(|(time, inj)| PacketOp::Inject(time, inj)),
+            )
+        })
+    }
+
+    /// The per-packet form (see the module docs) in insertion order:
+    /// each stream becomes one single-packet `Inject` per packet, the
+    /// other ops are cloned. For records that slice ops by time.
+    pub fn per_packet_ops(&self) -> impl Iterator<Item = ScheduleOp> + '_ {
+        self.packet_ops().map(|op| match op {
+            PacketOp::Inject(time, inj) => ScheduleOp::Inject {
+                time,
+                inj: inj.clone(),
+            },
+            PacketOp::Extend(op) => op.clone(),
+        })
+    }
+
     /// Content hash of the schedule (FNV-1a over every operation's
     /// time, kind, route/suffix edges, tag, and count, in insertion
-    /// order). Two schedules built the same way hash the same on every
-    /// platform; the hash is the `schedule_hash` a telemetry
-    /// [`crate::telemetry::Provenance`] carries, joining JSONL records
-    /// to the schedule that drove the run.
+    /// order, streams expanded to their packets). Two schedules built
+    /// the same way hash the same on every platform; the hash is the
+    /// `schedule_hash` a telemetry [`crate::telemetry::Provenance`]
+    /// carries, joining JSONL records to the schedule that drove the
+    /// run.
     pub fn content_hash(&self) -> u64 {
-        crate::routes::fnv1a_u64s(self.ops.iter().flat_map(|op| {
-            let words: Vec<u64> = match op {
-                ScheduleOp::Inject { time, inj } => std::iter::once(1u64)
-                    .chain([*time, u64::from(inj.tag), u64::from(inj.count)])
-                    .chain(inj.route.edges().iter().map(|e| u64::from(e.0)))
-                    .collect(),
-                ScheduleOp::Extend {
+        crate::routes::fnv1a_u64s(self.packet_ops().flat_map(|op| {
+            // A 4-word header, then the route's edges (an injection) or
+            // the buffers and then the suffix (an extension).
+            let (head, edges, more): ([u64; 4], &[EdgeId], &[EdgeId]) = match op {
+                PacketOp::Inject(time, inj) => (
+                    [1, time, u64::from(inj.tag), u64::from(inj.count)],
+                    inj.route.edges(),
+                    &[],
+                ),
+                PacketOp::Extend(ScheduleOp::Extend {
                     time,
                     buffers,
                     suffix,
                     last_edge,
-                } => std::iter::once(2u64)
-                    .chain([
+                }) => (
+                    [
+                        2,
                         *time,
                         last_edge.map_or(u64::MAX, |e| u64::from(e.0)),
                         buffers.len() as u64,
-                    ])
-                    .chain(buffers.iter().map(|e| u64::from(e.0)))
-                    .chain(suffix.iter().map(|e| u64::from(e.0)))
-                    .collect(),
+                    ],
+                    buffers,
+                    suffix,
+                ),
+                PacketOp::Extend(_) => unreachable!("packet_ops wraps only Extend ops"),
             };
-            words
+            head.into_iter()
+                .chain(edges.iter().chain(more).map(|e| u64::from(e.0)))
         }))
     }
 
@@ -299,22 +534,42 @@ impl Schedule {
     /// shrinker re-runs a candidate dozens of times, and cloning a
     /// million-op schedule per attempt would dominate the re-run).
     /// A stable time-sorted *index* order is computed per call; the
-    /// operations themselves are never moved.
+    /// operations themselves are never moved. Injections within a step
+    /// follow the per-packet form's (time, insertion index) order (see
+    /// the module docs).
     pub fn replay<P: Protocol>(
         &self,
         engine: &mut Engine<P>,
         until: Time,
     ) -> Result<(), EngineError> {
-        // Stable by time: simultaneous operations keep insertion order
-        // (`Extend` at time `t` is applied before injections at `t`
-        // regardless, by the loop below).
-        let mut order: Vec<u32> = (0..self.ops.len() as u32).collect();
+        // Singles, cohorts and extensions stable by time: simultaneous
+        // operations keep insertion order (`Extend` at time `t` is
+        // applied before injections at `t` regardless, by the loop
+        // below). Streams stable by their first packet's step.
+        let mut order: Vec<u32> = Vec::with_capacity(self.ops.len());
+        let mut streams: Vec<(u32, Emissions<'_>)> = Vec::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            match op {
+                ScheduleOp::Stream {
+                    start,
+                    rate,
+                    segments,
+                } => streams.push((i as u32, Emissions::new(*start, *rate, segments))),
+                _ => order.push(i as u32),
+            }
+        }
         if !self.sorted {
             order.sort_by_key(|&i| self.ops[i as usize].time());
+            streams.sort_by_key(|(_, stream)| stream.peek_step());
         }
         let start = engine.time();
-        if let Some(&first) = order.first() {
-            let t0 = self.ops[first as usize].time();
+        let first = order
+            .first()
+            .map(|&i| self.ops[i as usize].time())
+            .into_iter()
+            .chain(streams.first().and_then(|(_, stream)| stream.peek_step()))
+            .min();
+        if let Some(t0) = first {
             if t0 <= start {
                 return Err(EngineError::Usage(format!(
                     "schedule op at time {t0} but engine already at {start}"
@@ -324,12 +579,24 @@ impl Schedule {
         let mut idx = 0usize;
         // Borrows of the ops' stored `Injection`s — the hot replay loop
         // hands the engine references, so no route `Arc` is cloned (or
-        // dropped) per operation.
-        let mut injections: Vec<&Injection> = Vec::new();
+        // dropped) per operation. `due` holds the singles and cohorts of
+        // the step with their op indices, `merged` the step's injections
+        // in index order when streams are live.
+        let mut due: Vec<(u32, &Injection)> = Vec::new();
+        let mut merged: Vec<&Injection> = Vec::new();
+        let mut pending = streams.into_iter().peekable();
+        let mut live: Vec<(u32, Emissions<'_>)> = Vec::with_capacity(pending.len());
         for t in (start + 1)..=until {
+            // Streams whose first packet is due join the live set in
+            // index order.
+            while let Some(joining) = pending.next_if(|(_, stream)| stream.peek_step() == Some(t)) {
+                let at = live.partition_point(|(j, _)| *j < joining.0);
+                live.insert(at, joining);
+            }
             // Extensions scheduled at the start of step t.
             while idx < order.len() && self.ops[order[idx] as usize].time() == t {
-                match &self.ops[order[idx] as usize] {
+                let i = order[idx];
+                match &self.ops[i as usize] {
                     ScheduleOp::Extend {
                         buffers,
                         suffix,
@@ -337,21 +604,45 @@ impl Schedule {
                         ..
                     } => {
                         engine.extend_routes_in(buffers, suffix, *last_edge)?;
-                        idx += 1;
                     }
-                    ScheduleOp::Inject { inj, .. } => {
-                        injections.push(inj);
-                        idx += 1;
-                    }
+                    ScheduleOp::Inject { inj, .. } => due.push((i, inj)),
+                    ScheduleOp::Stream { .. } => unreachable!("order holds no streams"),
                 }
+                idx += 1;
             }
-            engine.step(injections.drain(..))?;
+            if live.is_empty() {
+                engine.step(due.drain(..).map(|(_, inj)| inj))?;
+                continue;
+            }
+            let mut finished = false;
+            let mut singles = due.drain(..).peekable();
+            for (i, stream) in &mut live {
+                if stream.peek_step() != Some(t) {
+                    continue;
+                }
+                while let Some((_, inj)) = singles.next_if(|(j, _)| j < i) {
+                    merged.push(inj);
+                }
+                let (_, inj) = stream.next().expect("a live stream has a next packet");
+                merged.push(inj);
+                finished |= stream.peek_step().is_none();
+            }
+            merged.extend(singles.map(|(_, inj)| inj));
+            engine.step(merged.drain(..))?;
+            if finished {
+                live.retain(|(_, stream)| stream.peek_step().is_some());
+            }
         }
-        if idx < order.len() {
+        let left = order
+            .get(idx)
+            .map(|&i| self.ops[i as usize].time())
+            .into_iter()
+            .chain(pending.peek().and_then(|(_, stream)| stream.peek_step()))
+            .chain(live.iter().filter_map(|(_, stream)| stream.peek_step()))
+            .min();
+        if let Some(next) = left {
             return Err(EngineError::Usage(format!(
-                "schedule extends past the requested horizon: next op at {}, ran until {}",
-                self.ops[order[idx] as usize].time(),
-                until
+                "schedule extends past the requested horizon: next op at {next}, ran until {until}"
             )));
         }
         Ok(())
@@ -411,6 +702,61 @@ mod tests {
         s.run(&mut eng, 250).expect("stream must be rate-legal");
     }
 
+    /// The floor pattern as a per-step credit loop: the times of `count`
+    /// packets of a rate-`r` stream from `start`.
+    fn credit_loop_times(start: Time, count: u64, r: Ratio) -> Vec<Time> {
+        let mut times = Vec::new();
+        let mut k = 0;
+        while (times.len() as u64) < count {
+            k += 1;
+            if r.floor_mul(k) > times.len() as u64 {
+                times.push(start + k - 1);
+            }
+        }
+        times
+    }
+
+    #[test]
+    fn stream_is_one_op_on_the_credit_loop_steps() {
+        let g = topologies::line(1);
+        let e = g.edge_ids().next().unwrap();
+        let route = Route::new(&g, vec![e]).unwrap();
+        for (num, den) in [(1, 1), (1, 2), (3, 5), (2, 3), (7, 10), (1, 7)] {
+            let r = Ratio::new(num, den);
+            let mut s = Schedule::new();
+            let n = s.inject_stream(4, 50, r, &route, 0);
+            assert_eq!(s.len(), 1, "a stream is one op");
+            let times: Vec<Time> = s.per_packet_ops().map(|op| op.time()).collect();
+            assert_eq!(times, credit_loop_times(4, n, r), "r = {r}");
+            assert_eq!(s.ops()[0].time(), times[0]);
+            assert_eq!(s.horizon(), *times.last().unwrap());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < r <= 1")]
+    fn inject_count_rejects_a_zero_rate() {
+        let g = topologies::line(1);
+        let e = g.edge_ids().next().unwrap();
+        let route = Route::new(&g, vec![e]).unwrap();
+        Schedule::new().inject_count(1, 5, Ratio::ZERO, &route, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < r <= 1")]
+    fn inject_stream_rejects_a_rate_above_one() {
+        let g = topologies::line(1);
+        let e = g.edge_ids().next().unwrap();
+        let route = Route::new(&g, vec![e]).unwrap();
+        Schedule::new().inject_stream(1, 10, Ratio::new(3, 2), &route, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < r <= 1")]
+    fn inject_segments_rejects_a_zero_rate_even_when_empty() {
+        Schedule::new().inject_segments(1, Ratio::ZERO, Vec::new());
+    }
+
     #[test]
     fn inject_count_stops_at_count() {
         let g = topologies::line(1);
@@ -447,8 +793,15 @@ mod tests {
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
         eng.run_quiet(5).unwrap();
         let mut s = Schedule::new();
-        s.inject_at(3, route, 0);
+        s.inject_at(3, route.clone(), 0);
         assert!(matches!(s.run(&mut eng, 10), Err(EngineError::Usage(_))));
+        // A stream whose first packet is at step 5 (start 4, r = 1/2)
+        // is as late as the engine's time, so it can never fire either.
+        let mut s = Schedule::new();
+        s.inject_count(4, 3, Ratio::new(1, 2), &route, 0);
+        assert_eq!(s.ops()[0].time(), 5);
+        assert!(matches!(s.run(&mut eng, 10), Err(EngineError::Usage(_))));
+        assert_eq!(eng.time(), 5, "a rejected schedule runs no step");
     }
 
     #[test]
@@ -458,8 +811,23 @@ mod tests {
         let route = Route::new(&g, vec![e]).unwrap();
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
         let mut s = Schedule::new();
-        s.inject_at(9, route, 0);
+        s.inject_at(9, route.clone(), 0);
         assert!(matches!(s.run(&mut eng, 5), Err(EngineError::Usage(_))));
+        // A stream live at the horizon with packets still to go: the
+        // packets at steps 2, 4, 6, 8 do not all fit in [1, 5].
+        let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
+        let mut s = Schedule::new();
+        s.inject_count(1, 4, Ratio::new(1, 2), &route, 0);
+        assert_eq!(s.horizon(), 8);
+        let err = s.replay(&mut eng, 5).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Usage(m) if m.contains("next op at 6")),
+            "{err}"
+        );
+        // Up to its last packet, the same stream replays cleanly.
+        let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
+        s.replay(&mut eng, 8).unwrap();
+        assert_eq!(eng.metrics().injected(), 4);
     }
 
     #[test]

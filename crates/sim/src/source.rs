@@ -8,7 +8,7 @@
 use crate::engine::{Engine, EngineError, Injection};
 use crate::packet::Time;
 use crate::protocol::Protocol;
-use crate::schedule::Schedule;
+use crate::schedule::{PacketOp, Schedule};
 
 /// A step-by-step traffic generator.
 pub trait TrafficSource {
@@ -58,15 +58,14 @@ pub struct ScheduleSource {
 }
 
 impl ScheduleSource {
-    /// Build from a schedule containing only `Inject` operations.
+    /// Build from a schedule containing only `Inject` and `Stream`
+    /// operations; streams are expanded to their packets.
     pub fn new(schedule: Schedule) -> Result<Self, EngineError> {
-        let mut items = Vec::with_capacity(schedule.len());
-        for op in schedule.ops() {
+        let mut items = Vec::new();
+        for op in schedule.packet_ops() {
             match op {
-                crate::schedule::ScheduleOp::Inject { time, inj } => {
-                    items.push((*time, inj.clone()));
-                }
-                crate::schedule::ScheduleOp::Extend { .. } => {
+                PacketOp::Inject(time, inj) => items.push((time, inj.clone())),
+                PacketOp::Extend(_) => {
                     return Err(EngineError::Usage(
                         "ScheduleSource cannot carry Extend ops; use Schedule::run".into(),
                     ));
@@ -125,6 +124,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::packet::Packet;
+    use crate::ratio::Ratio;
     use aqt_graph::{topologies, EdgeId, Graph, Route};
     use std::collections::VecDeque;
     use std::sync::Arc;
@@ -173,14 +173,15 @@ mod tests {
         let mut sched = Schedule::new();
         sched.inject_at(5, route.clone(), 1);
         sched.inject_at(2, route.clone(), 2); // out of order on purpose
+        sched.inject_count(3, 2, Ratio::new(1, 2), &route, 4); // at 4 and 6
         sched.inject_at(5, route, 3);
         let mut src = ScheduleSource::new(sched).unwrap();
-        assert!(src.injections_for(1).is_empty());
-        let at2 = src.injections_for(2);
-        assert_eq!(at2.len(), 1);
-        assert_eq!(at2[0].tag, 2);
-        let at5 = src.injections_for(5);
-        assert_eq!(at5.len(), 2);
+        let mut tags_at = |t| -> Vec<u32> { src.injections_for(t).iter().map(|i| i.tag).collect() };
+        assert!(tags_at(1).is_empty());
+        assert_eq!(tags_at(2), [2]);
+        assert_eq!(tags_at(4), [4]);
+        assert_eq!(tags_at(5), [1, 3]);
+        assert_eq!(tags_at(6), [4]);
         assert!(src.exhausted());
     }
 

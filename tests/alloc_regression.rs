@@ -16,11 +16,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use aqt_graph::{topologies, Route};
+use aqt_graph::{topologies, EdgeId, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::{
-    Engine, EngineConfig, JsonlSink, ObserveConfig, Provenance, RingSink, SentinelConfig,
-    TelemetryConfig, TelemetrySink, Time,
+    Engine, EngineConfig, JsonlSink, ObserveConfig, Provenance, Ratio, RingSink, Schedule,
+    SentinelConfig, TelemetryConfig, TelemetrySink, Time,
 };
 
 /// System allocator with a per-thread counter on every acquiring call
@@ -229,4 +229,62 @@ fn observatory_and_sentinel_drain_steps_do_not_allocate() {
     assert_eq!(eng.sentinel().expect("attached").checks_run(), 2);
     assert_eq!(eng.observatory().ticks(), 2_100 / 64);
     assert!(eng.observatory().spans_emitted() > 0, "spans were flushed");
+}
+
+/// Allocations made by building, hashing and replaying the Lemma 3.6
+/// shape on `line(8)` with streams `duration` steps long: one long stream over every edge at
+/// rate 1/2 from step 1, a rate-1/3 thinning stream on each of
+/// `e1..e4` starting a step apart, and a rate-1/7 top-up count stream
+/// on `e5..e7` from step 10, after an `Extend` at step 1. Every edge
+/// carries less than rate 1, so the queues stay short and their buffers
+/// stop growing early. Returns the allocations and the packets injected.
+fn stream_replay_allocations(duration: u64) -> (u64, u64) {
+    let graph = Arc::new(topologies::line(8));
+    let edges: Vec<EdgeId> = graph.edge_ids().collect();
+
+    let before = allocations();
+    let mut s = Schedule::new();
+    s.extend_ending_at(1, vec![edges[0]], vec![edges[1]], edges[0]);
+    let long = Route::new(&graph, edges.clone()).expect("line path");
+    s.inject_stream(1, duration, Ratio::new(1, 2), &long, 0);
+    for (start, &e) in (1..).zip(&edges[1..=4]) {
+        let single = Route::single(&graph, e).expect("unit route");
+        s.inject_stream(start, duration, Ratio::new(1, 3), &single, 1);
+    }
+    let topup = Route::new(&graph, edges[5..].to_vec()).expect("line path");
+    s.inject_count(10, duration / 7, Ratio::new(1, 7), &topup, 2);
+    let mut eng = Engine::new(
+        Arc::clone(&graph),
+        Fifo,
+        EngineConfig {
+            sample_every: 0,
+            ..Default::default()
+        },
+    );
+    let until = s.horizon() + 16;
+    std::hint::black_box(s.content_hash());
+    s.replay(&mut eng, until).expect("replay");
+    let after = allocations();
+    (after - before, eng.metrics().injected())
+}
+
+/// A stream is one op whatever its length, its content hash walks its
+/// packets without buffering them, and replaying streams keeps one
+/// cursor per live stream and reuses two per-step buffers. So neither
+/// building, hashing nor replaying a multi-stream schedule allocates per
+/// packet or per step: doubling the streams' length (2 000 more steps,
+/// about 3 950 more packets) adds no allocation. One op per packet
+/// would grow the op list by one more doubling here.
+#[test]
+fn steady_state_stream_replay_does_not_allocate() {
+    let (short, short_packets) = stream_replay_allocations(2_000);
+    let (long, long_packets) = stream_replay_allocations(4_000);
+    assert!(
+        long_packets > short_packets + 3_900,
+        "the longer run injects more"
+    );
+    assert_eq!(
+        long, short,
+        "stream build, hash and replay must not allocate per step: {short} allocations for 2000 steps, {long} for 4000"
+    );
 }

@@ -16,7 +16,9 @@ use aqt_core::instability::{InstabilityConfig, InstabilityConstruction};
 use aqt_graph::{topologies, EdgeId, Graph, Route};
 use aqt_protocols::registry::{by_name, protocol_names};
 use aqt_protocols::Fifo;
-use aqt_sim::{snapshot, Engine, EngineConfig, FaultPlan, Injection, Metrics, Protocol, Schedule};
+use aqt_sim::{
+    snapshot, Engine, EngineConfig, FaultPlan, Injection, Metrics, Protocol, Ratio, Schedule,
+};
 use proptest::prelude::*;
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
@@ -200,6 +202,146 @@ proptest! {
 
         prop_assert_eq!(snapshot::capture(&batched), snapshot::capture(&singles));
         assert_counters_equal(batched.metrics(), singles.metrics());
+    }
+}
+
+/// The floor pattern as the per-step credit loop: the steps of `count`
+/// packets of a rate-`r` stream from `start` (`r ≤ 1`, so one packet per
+/// firing step).
+fn credit_loop_steps(start: u64, count: u64, r: Ratio) -> Vec<u64> {
+    let mut steps = Vec::new();
+    let mut k = 0;
+    while (steps.len() as u64) < count {
+        k += 1;
+        if r.floor_mul(k) > steps.len() as u64 {
+            steps.push(start + k - 1);
+        }
+    }
+    steps
+}
+
+/// A route on `line(5)`: edges `a..a+len`, `a + len ≤ 4`, so every
+/// route ends at or before `e3` and an extension by the next edge stays
+/// simple.
+fn line_route(g: &Arc<Graph>, v: u64) -> Route {
+    let a = v % 4;
+    let len = 1 + (v / 4) % (4 - a);
+    Route::new(
+        g,
+        (a..a + len).map(|i| EdgeId(i as u32)).collect::<Vec<_>>(),
+    )
+    .expect("line path")
+}
+
+/// One op of a mixed schedule, in the two forms under test.
+enum Planned {
+    /// `inject_segments(start, rate, (count, route, tag) …)`.
+    Stream(u64, Ratio, Vec<(u64, Route, u32)>),
+    /// `inject_cohort_at(time, route, tag, count)`; count 1 is a single.
+    Cohort(u64, Route, u32, u32),
+    /// `extend_ending_at(time, e0..=ek, [e(k+1)], ek)`.
+    Extend(u64, u32),
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A stream op replays exactly like its per-packet expansion: one
+    /// single-packet `Inject` per packet at the credit loop's step, in
+    /// the stream's place. Streams get random rates `≤ 1`, starts and
+    /// segment splits (empty segments too), and singles, cohorts and
+    /// `Extend`s land on the steps the streams emit at, all pushed in a
+    /// random order. Both schedules must agree on content hash,
+    /// injection count and horizon, and their replays must be
+    /// state-identical and match the oracle.
+    #[test]
+    fn stream_ops_replay_like_their_expansion(
+        proto in 0usize..9,
+        streams_raw in prop::collection::vec(0u64..u64::MAX, 1..5),
+        extras_raw in prop::collection::vec(0u64..u64::MAX, 0..16),
+    ) {
+        let g = Arc::new(topologies::line(5));
+        let name = protocol_names()[proto];
+        // (push-order key, op)
+        let mut planned: Vec<(u64, Planned)> = Vec::new();
+        let mut emitted: Vec<Vec<u64>> = Vec::new();
+        for &v in &streams_raw {
+            let den = 1 + v % 6;
+            let rate = Ratio::new(1 + (v / 6) % den, den);
+            let start = 1 + (v / 36) % 12;
+            let segments: Vec<(u64, Route, u32)> = (0..1 + (v / 432) % 3)
+                .map(|i| {
+                    let w = v >> (16 + 12 * i);
+                    (w % 6, line_route(&g, w / 6), (w / 60 % 4) as u32)
+                })
+                .collect();
+            let count = segments.iter().map(|(n, _, _)| n).sum();
+            emitted.push(credit_loop_steps(start, count, rate));
+            planned.push((v >> 52, Planned::Stream(start, rate, segments)));
+        }
+        for &w in &extras_raw {
+            // Half of the extras sit on a stream packet's step.
+            let steps = &emitted[(w / 4) as usize % emitted.len()];
+            let time = match (w / 64) as usize % (2 * steps.len() + 1) {
+                j if j < steps.len() => steps[j],
+                j => 1 + (j as u64 + w / 8192) % 40,
+            };
+            let op = match w % 4 {
+                0 => Planned::Extend(time, (w / 16 % 4) as u32),
+                k => Planned::Cohort(time, line_route(&g, w / 16), k as u32, 1 + (w / 256 % 3) as u32),
+            };
+            planned.push((w >> 52, op));
+        }
+        planned.sort_by_key(|(key, _)| *key);
+
+        let mut streamed = Schedule::new();
+        let mut expanded = Schedule::new();
+        for (_, op) in &planned {
+            match op {
+                Planned::Stream(start, rate, segments) => {
+                    let segs = segments
+                        .iter()
+                        .map(|(n, route, tag)| (*n, Injection::new(route.clone(), *tag)))
+                        .collect();
+                    streamed.inject_segments(*start, *rate, segs);
+                    let count = segments.iter().map(|(n, _, _)| n).sum();
+                    let mut steps = credit_loop_steps(*start, count, *rate).into_iter();
+                    for (n, route, tag) in segments {
+                        for time in steps.by_ref().take(*n as usize) {
+                            expanded.inject_at(time, route.clone(), *tag);
+                        }
+                    }
+                }
+                Planned::Cohort(time, route, tag, n) => {
+                    for s in [&mut streamed, &mut expanded] {
+                        s.inject_cohort_at(*time, route.clone(), *tag, *n);
+                    }
+                }
+                Planned::Extend(time, k) => {
+                    let buffers: Vec<EdgeId> = (0..=*k).map(EdgeId).collect();
+                    for s in [&mut streamed, &mut expanded] {
+                        s.extend_ending_at(*time, buffers.clone(), vec![EdgeId(k + 1)], EdgeId(*k));
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(streamed.content_hash(), expanded.content_hash());
+        prop_assert_eq!(streamed.injection_count(), expanded.injection_count());
+        prop_assert_eq!(streamed.horizon(), expanded.horizon());
+
+        let until = expanded.horizon() + 12;
+        let replay = |s: &Schedule| {
+            let mut eng = checked_engine(&g, name, 5);
+            if let Err(e) = s.replay(&mut eng, until) {
+                panic!("replay: {e}");
+            }
+            assert_oracle_agrees(&eng);
+            eng
+        };
+        let a = replay(&streamed);
+        let b = replay(&expanded);
+        prop_assert_eq!(snapshot::capture(&a), snapshot::capture(&b));
+        assert_counters_equal(a.metrics(), b.metrics());
     }
 }
 
