@@ -8,9 +8,12 @@
 //! `fault_recovery`, `model_landscape`, `retry_storm`, which print
 //! their tables through the same builders).
 
+use std::panic::{catch_unwind, resume_unwind};
+use std::sync::{Mutex, PoisonError};
+
 use aqt_analysis::report::f3;
 use aqt_analysis::Table;
-use aqt_sim::{SharedSink, SimError, TelemetryEvent};
+use aqt_sim::{run_sim_sweep, SharedSink, SimError};
 
 use crate::experiments::*;
 use crate::instability::InstabilityConfig;
@@ -97,45 +100,114 @@ pub fn sections(scale: Scale) -> &'static [(&'static str, Render)] {
 }
 
 /// Render the sections `scale` covers — only the one named `only`
-/// (case-insensitive) when given — handing each to `emit` as soon as
-/// it is built. With a `progress` sink, each section is reported as a
-/// sweep job (`job_started`/`job_finished`) followed by a
-/// `sweep_progress` record with an ETA.
+/// (case-insensitive) when given — on the sweep harness, one job per
+/// section on every available core. Each section goes to `emit` once
+/// it and every section before it have settled, so the output is in
+/// tour order whatever the thread count. A section that panics or
+/// fails is quarantined: the others still render, and the error names
+/// it. With a `progress` sink, each section is reported as a sweep job
+/// (`job_started`, then `job_finished` or `job_quarantined`, then a
+/// `sweep_progress` record with an ETA).
 pub fn run(
     scale: Scale,
     only: Option<&str>,
     progress: Option<&SharedSink>,
-    mut emit: impl FnMut(&'static str, Section),
-) -> Result<(), SimError> {
+    emit: impl FnMut(&'static str, Section) + Send,
+) -> Result<(), Quarantined> {
     let jobs: Vec<_> = sections(scale)
         .iter()
         .filter(|(id, _)| only.is_none_or(|o| id.eq_ignore_ascii_case(o)))
+        .copied()
         .collect();
-    let total = jobs.len();
-    let tour_t0 = std::time::Instant::now();
-    for (index, &(id, render)) in jobs.into_iter().enumerate() {
-        if let Some(sink) = progress {
-            sink.record(&TelemetryEvent::JobStarted { index, total });
+    run_sections(jobs, 0, scale, progress, emit)
+}
+
+/// Sections that did not render: each id with its panic message or
+/// error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Quarantined(pub Vec<(&'static str, String)>);
+
+impl std::fmt::Display for Quarantined {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "quarantined sections:")?;
+        for (id, message) in &self.0 {
+            write!(f, " {id} ({message})")?;
         }
-        let job_t0 = std::time::Instant::now();
-        emit(id, render(scale)?);
-        if let Some(sink) = progress {
-            sink.record(&TelemetryEvent::JobFinished {
-                index,
-                attempts: 1,
-                secs: job_t0.elapsed().as_secs_f64(),
-            });
-            let done = index + 1;
-            let elapsed_secs = tour_t0.elapsed().as_secs_f64();
-            sink.record(&TelemetryEvent::SweepProgress {
-                done,
-                total,
-                elapsed_secs,
-                eta_secs: elapsed_secs / done as f64 * (total - done) as f64,
-            });
+        Ok(())
+    }
+}
+
+impl std::error::Error for Quarantined {}
+
+/// [`run`] over an explicit section list on `threads` workers.
+fn run_sections(
+    jobs: Vec<(&'static str, Render)>,
+    threads: usize,
+    scale: Scale,
+    progress: Option<&SharedSink>,
+    emit: impl FnMut(&'static str, Section) + Send,
+) -> Result<(), Quarantined> {
+    let release = Mutex::new(InOrder {
+        next: 0,
+        settled: (0..jobs.len()).map(|_| None).collect(),
+        emit,
+    });
+    let report = run_sim_sweep(jobs.clone(), threads, progress, |index, &(id, render)| {
+        // `settle` leaves the release valid at every step, so a panic in
+        // `emit` loses only the section it was printing.
+        let settle = |section| {
+            release
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .settle(index, section)
+        };
+        // Settle a failed section as a gap before the harness
+        // quarantines it, so the sections after it are not held back.
+        match catch_unwind(|| render(scale)) {
+            Ok(Ok(section)) => {
+                settle(Some((id, section)));
+                Ok(())
+            }
+            Ok(Err(e)) => {
+                settle(None);
+                Err(e)
+            }
+            Err(panic) => {
+                settle(None);
+                resume_unwind(panic)
+            }
+        }
+    });
+    let failed: Vec<_> = report
+        .quarantined()
+        .into_iter()
+        .map(|q| (jobs[q.index].0, q.message.clone()))
+        .collect();
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(Quarantined(failed))
+    }
+}
+
+/// The in-order release: slot `i` goes to `emit` once every slot up to
+/// it has settled. A quarantined section settles as a gap.
+struct InOrder<F> {
+    next: usize,
+    settled: Vec<Option<Option<(&'static str, Section)>>>,
+    emit: F,
+}
+
+impl<F: FnMut(&'static str, Section)> InOrder<F> {
+    fn settle(&mut self, index: usize, section: Option<(&'static str, Section)>) {
+        self.settled[index] = Some(section);
+        while let Some(slot) = self.settled.get_mut(self.next).and_then(Option::take) {
+            self.next += 1;
+            if let Some((id, section)) = slot {
+                (self.emit)(id, section);
+            }
         }
     }
-    Ok(())
 }
 
 /// A bound, or `silent` where it does not apply.
@@ -661,4 +733,66 @@ pub fn e17_table(title: &str, rows: &[E17Row]) -> Table {
         ]);
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A section whose one note is `id`, after `ms` of work.
+    fn fake(id: &str, ms: u64) -> Result<Section, SimError> {
+        std::thread::sleep(Duration::from_millis(ms));
+        Ok(Section {
+            tables: Vec::new(),
+            notes: vec![id.to_string()],
+        })
+    }
+
+    /// Run `jobs` on 4 threads; the ids emitted, in emit order, and the
+    /// result.
+    fn tour(jobs: Vec<(&'static str, Render)>) -> (Vec<String>, Result<(), Quarantined>) {
+        let mut emitted = Vec::new();
+        let result = run_sections(jobs, 4, Scale::Reduced, None, |id, section| {
+            assert_eq!(section.notes, [id], "a section is emitted under its id");
+            emitted.push(id.to_string());
+        });
+        (emitted, result)
+    }
+
+    #[test]
+    fn sections_finishing_in_reverse_are_emitted_in_tour_order() {
+        let (emitted, result) = tour(vec![
+            ("A", |_| fake("A", 300)),
+            ("B", |_| fake("B", 200)),
+            ("C", |_| fake("C", 100)),
+            ("D", |_| fake("D", 0)),
+        ]);
+        assert_eq!(result, Ok(()));
+        assert_eq!(emitted, ["A", "B", "C", "D"]);
+    }
+
+    #[test]
+    fn a_failing_section_is_quarantined_under_its_id() {
+        let (emitted, result) = tour(vec![
+            ("A", |_| fake("A", 100)),
+            ("B", |_| panic!("deliberate panic in B")),
+            ("C", |_| Err(SimError::Checkpoint("C failed".into()))),
+            ("D", |_| fake("D", 0)),
+        ]);
+        assert_eq!(emitted, ["A", "D"], "every other section still prints");
+        let err = result.unwrap_err();
+        assert_eq!(
+            err,
+            Quarantined(vec![
+                ("B", "deliberate panic in B".into()),
+                ("C", "checkpoint restore failed: C failed".into()),
+            ])
+        );
+        assert_eq!(
+            err.to_string(),
+            "quarantined sections: B (deliberate panic in B) \
+             C (checkpoint restore failed: C failed)"
+        );
+    }
 }

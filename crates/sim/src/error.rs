@@ -8,10 +8,10 @@
 //!   result, not a crash; experiment drivers convert a `SimError` into
 //!   a structured report entry.
 //! * [`crate::parallel::HarnessError`] — anything that goes wrong in
-//!   the machinery *around* simulations: a sweep job that panicked on
-//!   every attempt, a missing result slot. Harness errors carry enough
-//!   context (job index, attempt count, panic payload) to re-run the
-//!   one poisoned job.
+//!   the machinery *around* simulations: a sweep job that panicked or
+//!   failed and was quarantined. Harness errors carry enough context
+//!   (job index, panic payload or error) to re-run the one poisoned
+//!   job.
 
 use crate::engine::EngineError;
 use crate::parallel::HarnessError;
@@ -41,7 +41,7 @@ pub enum SimError {
         /// The operation that overflowed (static label).
         op: &'static str,
     },
-    /// The surrounding harness failed (sweep-job panic, lost result).
+    /// The surrounding harness failed (a quarantined sweep job).
     Harness(HarnessError),
 }
 
@@ -106,7 +106,11 @@ mod tests {
     fn display_and_conversion() {
         let e: SimError = EngineError::Usage("nope".into()).into();
         assert!(e.to_string().contains("nope"));
-        let h: SimError = HarnessError::MissingResult { index: 3 }.into();
+        let h: SimError = HarnessError::JobQuarantined {
+            index: 3,
+            message: "boom".into(),
+        }
+        .into();
         assert!(h.to_string().contains("3"));
         let c = SimError::Checkpoint("graph mismatch".into());
         assert!(c.to_string().contains("graph mismatch"));

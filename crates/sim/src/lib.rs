@@ -37,8 +37,8 @@
 //! * [`checkpoint`] — full-state checkpoints (validators included) so
 //!   long runs survive interruption and resume bit-for-bit.
 //! * [`parallel`] — a crash-safe scoped thread-pool for embarrassingly
-//!   parallel parameter sweeps (per-job panic isolation, bounded
-//!   retry, quarantine).
+//!   parallel parameter sweeps (per-job panic and error isolation,
+//!   quarantine after one attempt).
 //! * [`observe`] — the queue observatory: fixed-cadence per-edge
 //!   backlog series with a certificate-margin tracker, seeded 1-in-N
 //!   packet-lifecycle span sampling, exported through the telemetry
@@ -81,10 +81,7 @@ pub use metrics::Metrics;
 pub use observe::{Observe, ObserveConfig, SpanRec};
 pub use oracle::{Oracle, ReferenceModel};
 pub use packet::{Packet, PacketId, Time};
-pub use parallel::{
-    run_sim_sweep, run_sim_sweep_with_progress, run_sweep, run_sweep_with_progress, HarnessError,
-    JobFailure, JobOutcome, SweepConfig, SweepReport,
-};
+pub use parallel::{run_sim_sweep, HarnessError, JobFailure, JobOutcome, SweepReport};
 pub use protocol::{Discipline, Protocol, SelectKey};
 pub use rate::{
     AdversaryModel, AdversaryModelSpec, BufferBoundValidator, BurstLocalValidator, Constraint,

@@ -2,28 +2,24 @@
 //!
 //! A single AQT run is inherently sequential (the model is a global
 //! synchronous clock), but the experiments sweep over protocols, rates,
-//! topologies and seeds — embarrassingly parallel work. Two entry
-//! points:
+//! topologies, seeds and report sections — embarrassingly parallel
+//! work. [`run_sim_sweep`] is the one entry point: every job runs once
+//! under [`std::panic::catch_unwind`], and a job that panics or returns
+//! a [`SimError`] is **quarantined** while every other job still
+//! completes and returns its result. A 200-point sweep with one
+//! poisoned parameter combination yields 199 results plus a structured
+//! [`JobFailure`] — not an abort after hours of compute. Jobs are
+//! deterministic simulations, so a failed job is not retried: it would
+//! fail the same way again.
 //!
-//! * [`par_map`] — the classic ordered map. A panicking job panics the
-//!   sweep (standard `std::thread::scope` semantics). Use it when every
-//!   job is trusted.
-//! * [`run_sweep`] — the crash-safe harness. Every job runs under
-//!   [`std::panic::catch_unwind`]; a panicking job is retried with
-//!   exponential backoff up to [`SweepConfig::max_retries`] times and
-//!   then **quarantined**, while every other job still completes and
-//!   returns its result. A 200-point sweep with one poisoned parameter
-//!   combination yields 199 results plus a structured
-//!   [`JobFailure`] — not an abort after hours of compute.
-//!
-//! Built on `std` only: jobs are claimed from a shared atomic cursor
-//! (no work-stealing, no channels), results land in per-slot cells, so
-//! input order is preserved without any sorting.
+//! Built on `std` only: workers claim jobs from a shared atomic cursor
+//! (no work-stealing, no channels) and the outcomes are put back in
+//! input order at the end. A sweep of one job, or on one thread, runs
+//! on the calling thread and spawns none.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::error::SimError;
 use crate::sentinel::ReproBundle;
@@ -32,36 +28,20 @@ use crate::telemetry::{SharedSink, TelemetryEvent};
 /// Errors surfaced by the sweep harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HarnessError {
-    /// A job panicked on every attempt and was quarantined.
-    JobPanicked {
+    /// A job panicked or returned a [`SimError`], and was quarantined.
+    JobQuarantined {
         /// Input index of the job.
         index: usize,
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// Panic payload of the last attempt.
+        /// The panic payload, or the `SimError` display.
         message: String,
-    },
-    /// A result slot was never filled (worker died outside a job —
-    /// should be unreachable; reported instead of unwrapped).
-    MissingResult {
-        /// Input index of the missing result.
-        index: usize,
     },
 }
 
 impl std::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HarnessError::JobPanicked {
-                index,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "sweep job {index} panicked on all {attempts} attempts: {message}"
-            ),
-            HarnessError::MissingResult { index } => {
-                write!(f, "sweep job {index} produced no result")
+            HarnessError::JobQuarantined { index, message } => {
+                write!(f, "sweep job {index} was quarantined: {message}")
             }
         }
     }
@@ -69,101 +49,24 @@ impl std::fmt::Display for HarnessError {
 
 impl std::error::Error for HarnessError {}
 
-/// Sweep harness configuration.
-#[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Worker threads (`0` = available parallelism).
-    pub threads: usize,
-    /// Retries after the first failed attempt of a job.
-    pub max_retries: u32,
-    /// Backoff before retry `k` (0-based): `backoff_base << k`, plus a
-    /// deterministic jitter of up to half that (see
-    /// [`SweepConfig::retry_seed`]). `Duration::ZERO` disables the
-    /// sleep entirely, jitter included.
-    pub backoff_base: Duration,
-    /// Seed for the retry jitter. The jitter is a pure function of
-    /// `(retry_seed, job index, attempt)` — two sweeps with the same
-    /// config produce bit-identical backoff sequences, and distinct
-    /// jobs retrying simultaneously are decorrelated instead of
-    /// thundering back in lockstep.
-    pub retry_seed: u64,
-}
-
-impl Default for SweepConfig {
-    fn default() -> Self {
-        SweepConfig {
-            threads: 0,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(10),
-            retry_seed: 0x5EED_0F57,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// A config with `threads` workers and no retries (fail fast into
-    /// quarantine).
-    pub fn no_retry(threads: usize) -> Self {
-        SweepConfig {
-            threads,
-            max_retries: 0,
-            backoff_base: Duration::ZERO,
-            retry_seed: 0,
-        }
-    }
-
-    /// The backoff slept before retry `attempt` (1-based) of job
-    /// `index`: `backoff_base << (attempt - 1)`, plus a deterministic
-    /// jitter in `[0, base/2]` mixed from [`SweepConfig::retry_seed`].
-    /// Public so tests and telemetry consumers can pin the exact
-    /// schedule.
-    pub fn retry_backoff(&self, index: usize, attempt: u32) -> Duration {
-        let base = self
-            .backoff_base
-            .saturating_mul(1u32 << (attempt - 1).min(16));
-        if base.is_zero() {
-            return base;
-        }
-        let h = splitmix64(
-            self.retry_seed
-                ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-        );
-        let span = base.as_nanos() as u64 / 2;
-        base + Duration::from_nanos(h % (span + 1))
-    }
-}
-
-/// SplitMix64 finalizer — the standard 64-bit avalanche mix. Used only
-/// to derive retry jitter; not a statistical RNG.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A quarantined job: every attempt panicked, or (under
-/// [`run_sim_sweep`]) the job surfaced a `SimError`.
+/// A quarantined job: it panicked, or it returned a `SimError`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobFailure {
     /// Input index of the job.
     pub index: usize,
-    /// Attempts made (1 + retries).
-    pub attempts: u32,
-    /// Panic payload of the last attempt, or the `SimError` display.
+    /// The panic payload, or the `SimError` display.
     pub message: String,
     /// The sentinel's reproduction bundle, when the job failed with
-    /// [`SimError::InvariantViolated`] under [`run_sim_sweep`].
+    /// [`SimError::InvariantViolated`].
     pub bundle: Option<Box<ReproBundle>>,
 }
 
 /// Outcome of one sweep job.
 #[derive(Debug, Clone)]
 pub enum JobOutcome<R> {
-    /// The job completed (possibly after retries).
+    /// The job completed.
     Done(R),
-    /// The job was quarantined after exhausting its retries.
+    /// The job was quarantined.
     Quarantined(JobFailure),
 }
 
@@ -182,8 +85,6 @@ impl<R> JobOutcome<R> {
 pub struct SweepReport<R> {
     /// One outcome per input, in input order.
     pub outcomes: Vec<JobOutcome<R>>,
-    /// Total attempts across all jobs (== inputs when nothing failed).
-    pub attempts: u64,
 }
 
 impl<R> SweepReport<R> {
@@ -205,37 +106,30 @@ impl<R> SweepReport<R> {
     }
 
     /// Reproduction bundles captured by quarantined jobs, with their
-    /// input indices — the [`run_sim_sweep`] jobs that failed with
+    /// input indices — the jobs that failed with
     /// [`SimError::InvariantViolated`]. This is the campaign corpus
     /// ingestion point: every sweep failure that carries a bundle can
     /// seed mutation (`aqt-campaign`'s `Corpus::seed_from_sweep`).
     pub fn bundles(&self) -> Vec<(usize, &ReproBundle)> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match o {
-                JobOutcome::Quarantined(q) => q.bundle.as_deref().map(|b| (q.index, b)),
-                JobOutcome::Done(_) => None,
-            })
+        self.quarantined()
+            .into_iter()
+            .filter_map(|q| q.bundle.as_deref().map(|b| (q.index, b)))
             .collect()
     }
 
     /// `Ok(results)` if nothing was quarantined, else the first
     /// failure as a typed error.
     pub fn into_complete(self) -> Result<Vec<R>, HarnessError> {
-        let mut out = Vec::with_capacity(self.outcomes.len());
-        for o in self.outcomes {
-            match o {
-                JobOutcome::Done(r) => out.push(r),
-                JobOutcome::Quarantined(q) => {
-                    return Err(HarnessError::JobPanicked {
-                        index: q.index,
-                        attempts: q.attempts,
-                        message: q.message,
-                    })
-                }
-            }
-        }
-        Ok(out)
+        self.outcomes
+            .into_iter()
+            .map(|o| match o {
+                JobOutcome::Done(r) => Ok(r),
+                JobOutcome::Quarantined(q) => Err(HarnessError::JobQuarantined {
+                    index: q.index,
+                    message: q.message,
+                }),
+            })
+            .collect()
     }
 }
 
@@ -251,279 +145,108 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Map `f` over `inputs` with per-job panic isolation, bounded retry
-/// with exponential backoff, and a quarantine list for jobs that fail
-/// every attempt. Input order is preserved in
-/// [`SweepReport::outcomes`].
+/// Map `f` over `inputs` on `threads` workers (`0` = available
+/// parallelism) with per-job panic isolation. `f` receives
+/// `(index, &item)`; a job that panics or returns `Err` is quarantined
+/// after its one attempt, and a [`SimError::InvariantViolated`] keeps
+/// the sentinel's reproduction bundle on its [`JobFailure`], so the
+/// one bad cell can be replayed in isolation. Input order is preserved
+/// in [`SweepReport::outcomes`].
 ///
-/// `f` receives `(index, &item)` — by reference, so a retried job
-/// re-reads the same input.
-pub fn run_sweep<T, R, F>(inputs: Vec<T>, cfg: &SweepConfig, f: F) -> SweepReport<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_sweep_with_progress(inputs, cfg, None, f)
-}
-
-/// [`run_sweep`] with live progress reporting: per-job
-/// started/finished/retried/quarantined events plus a running
-/// [`TelemetryEvent::SweepProgress`] ETA line (emitted after each job
-/// settles) go through `progress`. The sink is shared across worker
-/// threads — that is what [`SharedSink`] exists for — and the sweep's
-/// behaviour is identical to [`run_sweep`] whether or not a sink is
-/// given.
-pub fn run_sweep_with_progress<T, R, F>(
+/// With a `progress` sink, each job reports `job_started`, then
+/// exactly one of `job_finished` or `job_quarantined` when it settles,
+/// then a [`TelemetryEvent::SweepProgress`] ETA line. The sink is
+/// shared across worker threads — that is what [`SharedSink`] exists
+/// for — and the sweep's outcomes do not depend on it.
+pub fn run_sim_sweep<T, R, F>(
     inputs: Vec<T>,
-    cfg: &SweepConfig,
+    threads: usize,
     progress: Option<&SharedSink>,
     f: F,
 ) -> SweepReport<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, &T) -> Result<R, SimError> + Sync,
 {
     let n = inputs.len();
-    let threads = effective_threads(cfg.threads, n);
-    let slots: Vec<Mutex<Option<JobOutcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let record = |event: TelemetryEvent<'_>| {
+        if let Some(sink) = progress {
+            sink.record(&event);
+        }
+    };
     let cursor = AtomicUsize::new(0);
-    let attempts_total = AtomicUsize::new(0);
     let settled = AtomicUsize::new(0);
     let sweep_t0 = Instant::now();
 
-    let run_one = |i: usize, item: &T| -> JobOutcome<R> {
-        if let Some(sink) = progress {
-            sink.record(&TelemetryEvent::JobStarted { index: i, total: n });
-        }
-        let mut last_message = String::new();
-        let max_attempts = 1 + cfg.max_retries;
-        for attempt in 0..max_attempts {
-            attempts_total.fetch_add(1, Ordering::Relaxed);
-            let attempt_t0 = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                Ok(r) => {
-                    if let Some(sink) = progress {
-                        sink.record(&TelemetryEvent::JobFinished {
-                            index: i,
-                            attempts: attempt + 1,
-                            secs: attempt_t0.elapsed().as_secs_f64(),
-                        });
-                    }
-                    return JobOutcome::Done(r);
-                }
-                Err(payload) => {
-                    last_message = panic_message(payload.as_ref());
-                    if attempt + 1 < max_attempts {
-                        let backoff = cfg.retry_backoff(i, attempt + 1);
-                        if let Some(sink) = progress {
-                            sink.record(&TelemetryEvent::JobRetried {
-                                index: i,
-                                attempt: attempt + 1,
-                                backoff_ms: backoff.as_millis() as u64,
-                            });
-                        }
-                        if backoff > Duration::ZERO {
-                            std::thread::sleep(backoff);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(sink) = progress {
-            sink.record(&TelemetryEvent::JobQuarantined {
+    let run_one = |i: usize| -> JobOutcome<R> {
+        record(TelemetryEvent::JobStarted { index: i, total: n });
+        let job_t0 = Instant::now();
+        let failure = |message: String, bundle| {
+            record(TelemetryEvent::JobQuarantined { index: i });
+            JobOutcome::Quarantined(JobFailure {
                 index: i,
-                attempts: max_attempts,
-            });
-        }
-        JobOutcome::Quarantined(JobFailure {
-            index: i,
-            attempts: max_attempts,
-            message: last_message,
-            bundle: None,
-        })
-    };
-    // Settlement bookkeeping for the ETA line: jobs take comparable
-    // time within one sweep, so `elapsed / done × remaining` is the
-    // honest first-order estimate.
-    let report_progress = || {
-        if let Some(sink) = progress {
-            let done = settled.fetch_add(1, Ordering::Relaxed) + 1;
-            let elapsed = sweep_t0.elapsed().as_secs_f64();
-            let eta = elapsed / done as f64 * (n - done) as f64;
-            sink.record(&TelemetryEvent::SweepProgress {
-                done,
-                total: n,
-                elapsed_secs: elapsed,
-                eta_secs: eta,
-            });
-        }
-    };
-
-    if threads <= 1 || n <= 1 {
-        for (i, item) in inputs.iter().enumerate() {
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(run_one(i, item));
-            report_progress();
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = run_one(i, &inputs[i]);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-                    report_progress();
-                });
-            }
-        });
-    }
-
-    let outcomes = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .unwrap_or(JobOutcome::Quarantined(JobFailure {
+                message,
+                bundle,
+            })
+        };
+        let outcome = match catch_unwind(AssertUnwindSafe(|| f(i, &inputs[i]))) {
+            Ok(Ok(r)) => {
+                record(TelemetryEvent::JobFinished {
                     index: i,
-                    attempts: 0,
-                    message: HarnessError::MissingResult { index: i }.to_string(),
-                    bundle: None,
-                }))
-        })
-        .collect();
-    SweepReport {
-        outcomes,
-        attempts: attempts_total.load(Ordering::Relaxed) as u64,
-    }
-}
-
-/// [`run_sweep`] for fallible simulation jobs: `f` returns
-/// `Result<R, SimError>`, and an `Err` quarantines the job instead of
-/// poisoning the sweep — an invariant breach in one parameter cell is
-/// a *result* (that cell's engine state is corrupt), not a crash.
-/// When the error is [`SimError::InvariantViolated`], the sentinel's
-/// reproduction bundle is preserved on the [`JobFailure`], so the one
-/// bad cell can be replayed in isolation after a 200-point sweep.
-///
-/// Panics are still isolated and retried per [`SweepConfig`]; a
-/// `SimError` is deterministic and is not retried.
-pub fn run_sim_sweep<T, R, F>(inputs: Vec<T>, cfg: &SweepConfig, f: F) -> SweepReport<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Result<R, SimError> + Sync,
-{
-    run_sim_sweep_with_progress(inputs, cfg, None, f)
-}
-
-/// [`run_sim_sweep`] with live progress through `progress` (see
-/// [`run_sweep_with_progress`]). A job quarantined for a `SimError`
-/// emits its [`TelemetryEvent::JobQuarantined`] when the sweep
-/// post-processes outcomes, after that job's finish event — the error
-/// is a deterministic *result*, observed once the job completes.
-pub fn run_sim_sweep_with_progress<T, R, F>(
-    inputs: Vec<T>,
-    cfg: &SweepConfig,
-    progress: Option<&SharedSink>,
-    f: F,
-) -> SweepReport<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Result<R, SimError> + Sync,
-{
-    let report = run_sweep_with_progress(inputs, cfg, progress, f);
-    let outcomes = report
-        .outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(i, o)| match o {
-            JobOutcome::Done(Ok(r)) => JobOutcome::Done(r),
-            JobOutcome::Done(Err(e)) => {
+                    secs: job_t0.elapsed().as_secs_f64(),
+                });
+                JobOutcome::Done(r)
+            }
+            Ok(Err(e)) => {
                 let bundle = match &e {
                     SimError::InvariantViolated(report) => Some(Box::new(report.bundle.clone())),
                     _ => None,
                 };
-                if let Some(sink) = progress {
-                    sink.record(&TelemetryEvent::JobQuarantined {
-                        index: i,
-                        attempts: 1,
-                    });
-                }
-                JobOutcome::Quarantined(JobFailure {
-                    index: i,
-                    attempts: 1,
-                    message: e.to_string(),
-                    bundle,
-                })
+                failure(e.to_string(), bundle)
             }
-            JobOutcome::Quarantined(q) => JobOutcome::Quarantined(q),
-        })
-        .collect();
-    SweepReport {
-        outcomes,
-        attempts: report.attempts,
-    }
-}
-
-/// Map `f` over `inputs` using `threads` worker threads, preserving
-/// input order in the output. `threads == 0` selects the available
-/// parallelism (or 1 if unknown).
-///
-/// `f` receives `(index, item)`.
-///
-/// # Panics
-/// Propagates the first panic from a worker (standard scope
-/// semantics). For panic isolation use [`run_sweep`].
-pub fn par_map<T, R, F>(inputs: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let threads = effective_threads(threads, inputs.len());
-    if threads <= 1 || inputs.len() <= 1 {
-        return inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| f(i, x))
-            .collect();
-    }
-
-    let n = inputs.len();
-    let jobs: Vec<Mutex<Option<T>>> = inputs.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = jobs[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("job claimed exactly once");
-                let r = f(i, item);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            });
+            Err(payload) => failure(panic_message(payload.as_ref()), None),
+        };
+        // Jobs take comparable time within one sweep, so
+        // `elapsed / done × remaining` is the honest first-order ETA.
+        let done = settled.fetch_add(1, Ordering::Relaxed) + 1;
+        let elapsed_secs = sweep_t0.elapsed().as_secs_f64();
+        record(TelemetryEvent::SweepProgress {
+            done,
+            total: n,
+            elapsed_secs,
+            eta_secs: elapsed_secs / done as f64 * (n - done) as f64,
+        });
+        outcome
+    };
+    // One worker: claim the next job until none are left.
+    let work = || {
+        let mut claimed = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return claimed;
+            }
+            claimed.push((i, run_one(i)));
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("all workers completed without panicking")
+    };
+
+    let threads = effective_threads(threads, n);
+    let mut outcomes = if threads <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         })
-        .collect()
+    };
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    SweepReport {
+        outcomes: outcomes.into_iter().map(|(_, o)| o).collect(),
+    }
 }
 
 fn effective_threads(requested: usize, work_items: usize) -> usize {
@@ -537,15 +260,15 @@ fn effective_threads(requested: usize, work_items: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_order() {
         let inputs: Vec<u64> = (0..100).collect();
-        let out = par_map(inputs, 4, |i, x| {
+        let report = run_sim_sweep(inputs, 4, None, |i, &x| {
             assert_eq!(i as u64, x);
-            x * x
+            Ok(x * x)
         });
+        let out = report.into_complete().expect("no job fails");
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
@@ -557,132 +280,96 @@ mod tests {
         // Not a strict guarantee, but with 8 sleepy tasks on 4 threads
         // at least 2 distinct threads should participate.
         let ids = std::sync::Mutex::new(std::collections::HashSet::new());
-        par_map(vec![(); 8], 4, |_, ()| {
+        run_sim_sweep(vec![(); 8], 4, None, |_, ()| {
             std::thread::sleep(std::time::Duration::from_millis(10));
             ids.lock().unwrap().insert(std::thread::current().id());
+            Ok(())
         });
         assert!(ids.lock().unwrap().len() >= 2);
     }
 
     #[test]
     fn empty_and_single() {
-        let out: Vec<u32> = par_map(Vec::<u32>::new(), 4, |_, x| x);
-        assert!(out.is_empty());
-        let out = par_map(vec![7u32], 4, |_, x| x + 1);
-        assert_eq!(out, vec![8]);
+        let report = run_sim_sweep(Vec::<u32>::new(), 4, None, |_, &x| Ok(x));
+        assert!(report.outcomes.is_empty());
+        // One job runs on the calling thread, whatever `threads` says.
+        let caller = std::thread::current().id();
+        let report = run_sim_sweep(vec![7u32], 4, None, |_, &x| {
+            assert_eq!(std::thread::current().id(), caller);
+            Ok(x + 1)
+        });
+        assert_eq!(report.into_complete().expect("one clean job"), vec![8]);
     }
 
     #[test]
     fn zero_threads_means_auto() {
         let count = AtomicUsize::new(0);
-        let out = par_map((0..32).collect::<Vec<_>>(), 0, |_, x: i32| {
+        let report = run_sim_sweep((0..32).collect::<Vec<i32>>(), 0, None, |_, &x| {
             count.fetch_add(1, Ordering::Relaxed);
-            x
+            Ok(x)
         });
-        assert_eq!(out.len(), 32);
+        assert_eq!(report.results().count(), 32);
         assert_eq!(count.load(Ordering::Relaxed), 32);
     }
 
     #[test]
     fn sweep_isolates_a_panicking_job() {
-        let cfg = SweepConfig {
-            threads: 4,
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            retry_seed: 42,
-        };
-        let report = run_sweep((0..20u64).collect(), &cfg, |_, &x| {
+        let report = run_sim_sweep((0..20u64).collect(), 4, None, |_, &x| {
             if x == 13 {
                 panic!("poisoned parameter combination: {x}");
             }
-            x * 2
+            Ok(x * 2)
         });
         assert_eq!(report.outcomes.len(), 20);
         let results: Vec<u64> = report.results().copied().collect();
-        assert_eq!(results.len(), 19);
         let expected: Vec<u64> = (0..20).filter(|&x| x != 13).map(|x| x * 2).collect();
         assert_eq!(results, expected);
         let q = report.quarantined();
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].index, 13);
-        assert_eq!(q[0].attempts, 3); // 1 + 2 retries
         assert!(q[0].message.contains("poisoned"));
-        // 19 clean jobs, 3 attempts on the poisoned one
-        assert_eq!(report.attempts, 19 + 3);
-    }
-
-    #[test]
-    fn sweep_retry_recovers_flaky_jobs() {
-        let flake = AtomicUsize::new(0);
-        let cfg = SweepConfig {
-            threads: 2,
-            max_retries: 3,
-            backoff_base: Duration::ZERO,
-            retry_seed: 42,
-        };
-        let report = run_sweep(vec![1u32, 2, 3], &cfg, |_, &x| {
-            if x == 2 && flake.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient fault");
-            }
-            x
-        });
-        let complete = report.into_complete().expect("retries recover the flake");
-        assert_eq!(complete, vec![1, 2, 3]);
     }
 
     #[test]
     fn sweep_into_complete_surfaces_typed_error() {
-        let report = run_sweep(vec![0u8, 1], &SweepConfig::no_retry(1), |_, &x| {
+        let report = run_sim_sweep(vec![0u8, 1], 1, None, |_, &x| {
             if x == 1 {
                 panic!("always");
             }
-            x
+            Ok(x)
         });
-        match report.into_complete() {
-            Err(HarnessError::JobPanicked {
-                index, attempts, ..
-            }) => {
-                assert_eq!(index, 1);
-                assert_eq!(attempts, 1);
+        assert_eq!(
+            report.into_complete(),
+            Err(HarnessError::JobQuarantined {
+                index: 1,
+                message: "always".into(),
+            })
+        );
+        // A `SimError` is quarantined too, and its error says what
+        // happened instead of claiming a panic.
+        let report = run_sim_sweep(vec![0u8, 1], 1, None, |_, &x| {
+            if x == 0 {
+                return Err(SimError::Checkpoint("graph mismatch".into()));
             }
-            other => panic!("expected JobPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_bounded_and_decorrelated() {
-        let cfg = SweepConfig {
-            threads: 1,
-            max_retries: 4,
-            backoff_base: Duration::from_millis(10),
-            retry_seed: 7,
-        };
-        for index in 0..8 {
-            for attempt in 1..=4u32 {
-                let base = Duration::from_millis(10) * (1 << (attempt - 1));
-                let b = cfg.retry_backoff(index, attempt);
-                // Same inputs, same backoff; bounded in [base, 1.5*base].
-                assert_eq!(b, cfg.retry_backoff(index, attempt));
-                assert!(
-                    b >= base && b <= base + base / 2,
-                    "backoff {b:?} out of range"
-                );
+            Ok(x)
+        });
+        let err = report.into_complete().unwrap_err();
+        assert_eq!(
+            err,
+            HarnessError::JobQuarantined {
+                index: 0,
+                message: "checkpoint restore failed: graph mismatch".into(),
             }
-        }
-        // Different jobs (and a different seed) jitter differently.
-        assert_ne!(cfg.retry_backoff(0, 1), cfg.retry_backoff(1, 1));
-        let other = SweepConfig {
-            retry_seed: 8,
-            ..cfg.clone()
-        };
-        assert_ne!(cfg.retry_backoff(0, 1), other.retry_backoff(0, 1));
-        // Zero base means no sleep at all, jitter included.
-        assert_eq!(SweepConfig::no_retry(1).retry_backoff(0, 1), Duration::ZERO);
+        );
+        assert_eq!(
+            err.to_string(),
+            "sweep job 0 was quarantined: checkpoint restore failed: graph mismatch"
+        );
     }
 
     #[test]
     fn sweep_single_threaded_path() {
-        let report = run_sweep(vec![5u64], &SweepConfig::default(), |i, &x| x + i as u64);
+        let report = run_sim_sweep(vec![5u64], 0, None, |i, &x| Ok(x + i as u64));
         assert_eq!(report.results().copied().collect::<Vec<_>>(), vec![5]);
         assert!(report.quarantined().is_empty());
     }

@@ -30,10 +30,10 @@
 //!   fault-plan id), so a JSONL line is joinable to the
 //!   [`crate::ReproBundle`] of a sentinel report from the same run.
 //!
-//! The sweep harness ([`crate::parallel::run_sweep_with_progress`])
-//! reports per-job start/finish/retry/quarantine events plus an ETA
-//! line through the same sink family; a [`JsonlSink`] over stderr is
-//! the progress printer.
+//! The sweep harness ([`crate::parallel::run_sim_sweep`]) reports
+//! per-job start and finish-or-quarantine events plus an ETA line
+//! through the same sink family; a [`JsonlSink`] over stderr is the
+//! progress printer.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -48,7 +48,7 @@ use crate::packet::Time;
 ///
 /// History:
 /// * **1** — initial schema: `run_start` / `window` / `run_end` /
-///   `job_started` / `job_finished` / `job_retried` /
+///   `job_started` / `job_finished` / job-retry /
 ///   `job_quarantined` / `sweep_progress` records.
 /// * **2** — counter blocks gained `windows_emitted` (the campaign
 ///   coverage map's window-emission dimension).
@@ -61,9 +61,8 @@ use crate::packet::Time;
 ///   `requests_abandoned` / `requests_shed` / `requests_in_flight` /
 ///   `attempts_issued` / `attempts_retried` / `attempts_shed` /
 ///   `completions_wasted` running totals plus the per-window
-///   `goodput` / `wasted` / `offered` split), and `job_retried`
-///   records gained `backoff_ms` (the seeded exponential backoff the
-///   sweep harness sleeps before the retry).
+///   `goodput` / `wasted` / `offered` split), and job-retry records
+///   gained `backoff_ms`.
 /// * **5** — the queue observatory (`crate::observe`): added the
 ///   `backlog` record (fixed-cadence queue-depth series with the
 ///   certificate-margin tracker and per-partition cumulative sent
@@ -75,7 +74,10 @@ use crate::packet::Time;
 ///   per-partition fields: the four counters, the two histograms, the
 ///   `backlog` record's sent-count array and the `span` record's
 ///   partition tag.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 6;
+/// * **7** — the sweep harness no longer retries: the job-retry
+///   record is gone, and `job_finished` and `job_quarantined` lost
+///   their `attempts` field (it was always 1).
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 7;
 
 /// How much the engine instruments per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -456,27 +458,13 @@ pub enum TelemetryEvent<'a> {
     JobFinished {
         /// Input index of the job.
         index: usize,
-        /// Attempts it took (1 = first try).
-        attempts: u32,
-        /// Wall time of the successful attempt.
+        /// Wall time of the job.
         secs: f64,
     },
-    /// A sweep job panicked and will be retried.
-    JobRetried {
-        /// Input index of the job.
-        index: usize,
-        /// The attempt that just failed (1-based).
-        attempt: u32,
-        /// Milliseconds of seeded exponential backoff slept before the
-        /// retry (0 under a zero base).
-        backoff_ms: u64,
-    },
-    /// A sweep job was quarantined.
+    /// A sweep job panicked or returned an error, and was quarantined.
     JobQuarantined {
         /// Input index of the job.
         index: usize,
-        /// Attempts made.
-        attempts: u32,
     },
     /// Sweep progress plus an ETA estimate (emitted after each job
     /// settles).
@@ -603,7 +591,6 @@ impl TelemetryEvent<'_> {
             TelemetryEvent::RunEnd { .. } => "run_end",
             TelemetryEvent::JobStarted { .. } => "job_started",
             TelemetryEvent::JobFinished { .. } => "job_finished",
-            TelemetryEvent::JobRetried { .. } => "job_retried",
             TelemetryEvent::JobQuarantined { .. } => "job_quarantined",
             TelemetryEvent::SweepProgress { .. } => "sweep_progress",
             TelemetryEvent::WorkloadWindow { .. } => "workload_window",
@@ -664,30 +651,11 @@ impl TelemetryEvent<'_> {
             TelemetryEvent::JobStarted { index, total } => {
                 write!(line, ",\"index\":{index},\"total\":{total}").unwrap();
             }
-            TelemetryEvent::JobFinished {
-                index,
-                attempts,
-                secs,
-            } => {
-                write!(
-                    line,
-                    ",\"index\":{index},\"attempts\":{attempts},\"secs\":{secs:.3}"
-                )
-                .unwrap();
+            TelemetryEvent::JobFinished { index, secs } => {
+                write!(line, ",\"index\":{index},\"secs\":{secs:.3}").unwrap();
             }
-            TelemetryEvent::JobRetried {
-                index,
-                attempt,
-                backoff_ms,
-            } => {
-                write!(
-                    line,
-                    ",\"index\":{index},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"
-                )
-                .unwrap();
-            }
-            TelemetryEvent::JobQuarantined { index, attempts } => {
-                write!(line, ",\"index\":{index},\"attempts\":{attempts}").unwrap();
+            TelemetryEvent::JobQuarantined { index } => {
+                write!(line, ",\"index\":{index}").unwrap();
             }
             TelemetryEvent::SweepProgress {
                 done,
@@ -1333,21 +1301,13 @@ mod tests {
     #[test]
     fn ring_sink_overwrites_oldest() {
         let mut ring = RingSink::with_capacity(3);
-        ring.record(&TelemetryEvent::JobStarted { index: 0, total: 1 });
-        ring.record(&TelemetryEvent::JobRetried {
-            index: 0,
-            attempt: 1,
-            backoff_ms: 0,
-        });
+        ring.record(&TelemetryEvent::JobStarted { index: 0, total: 2 });
+        ring.record(&TelemetryEvent::JobStarted { index: 1, total: 2 });
         ring.record(&TelemetryEvent::JobFinished {
             index: 0,
-            attempts: 2,
             secs: 0.5,
         });
-        ring.record(&TelemetryEvent::JobQuarantined {
-            index: 1,
-            attempts: 1,
-        });
+        ring.record(&TelemetryEvent::JobQuarantined { index: 1 });
         ring.record(&TelemetryEvent::SweepProgress {
             done: 2,
             total: 2,
@@ -1403,7 +1363,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for l in &lines {
-            assert!(l.starts_with("{\"schema\":6,\"kind\":\""), "line: {l}");
+            assert!(l.starts_with("{\"schema\":7,\"kind\":\""), "line: {l}");
             assert!(l.ends_with('}'), "line: {l}");
         }
         assert!(lines[0].contains("\"kind\":\"run_start\""));
@@ -1435,7 +1395,6 @@ mod tests {
         clone.record(&TelemetryEvent::JobStarted { index: 0, total: 1 });
         shared.record(&TelemetryEvent::JobFinished {
             index: 0,
-            attempts: 1,
             secs: 0.5,
         });
         assert_eq!(*seen.lock().unwrap(), ["job_started", "job_finished"]);

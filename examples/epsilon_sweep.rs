@@ -14,8 +14,7 @@
 
 use adversarial_queuing::core::instability::{InstabilityConfig, InstabilityConstruction};
 use adversarial_queuing::sim::{
-    run_sim_sweep_with_progress, JobOutcome, JsonlSink, Provenance, SharedSink, SweepConfig,
-    TeeSink, TelemetryConfig,
+    run_sim_sweep, JobOutcome, JsonlSink, Provenance, SharedSink, TeeSink, TelemetryConfig,
 };
 
 fn main() {
@@ -39,37 +38,32 @@ fn main() {
     ]));
 
     let epsilons: Vec<(u64, u64)> = vec![(1, 10), (1, 5), (1, 4), (3, 10)];
-    let report = run_sim_sweep_with_progress(
-        epsilons.clone(),
-        &SweepConfig::no_retry(1),
-        Some(&progress),
-        |_, &(num, den)| {
-            let mut cfg = InstabilityConfig::new(num, den);
-            cfg.iterations = iterations;
-            let c = InstabilityConstruction::new(cfg);
-            let tcfg = TelemetryConfig::default().with_provenance(Provenance {
-                protocol: "FIFO".to_string(),
-                ..Provenance::default()
-            });
-            let t0 = std::time::Instant::now();
-            let run = c.run_with_telemetry(tcfg, jsonl.clone())?;
-            let series: Vec<u64> = std::iter::once(run.s_star)
-                .chain(run.iterations.iter().map(|i| i.s_end))
-                .collect();
-            Ok(format!(
-                "ε={num}/{den} (r={:.2})  n={} M={} S*={}  queue: {:?}  diverged={}  \
+    let report = run_sim_sweep(epsilons.clone(), 1, Some(&progress), |_, &(num, den)| {
+        let mut cfg = InstabilityConfig::new(num, den);
+        cfg.iterations = iterations;
+        let c = InstabilityConstruction::new(cfg);
+        let tcfg = TelemetryConfig::default().with_provenance(Provenance {
+            protocol: "FIFO".to_string(),
+            ..Provenance::default()
+        });
+        let t0 = std::time::Instant::now();
+        let run = c.run_with_telemetry(tcfg, jsonl.clone())?;
+        let series: Vec<u64> = std::iter::once(run.s_star)
+            .chain(run.iterations.iter().map(|i| i.s_end))
+            .collect();
+        Ok(format!(
+            "ε={num}/{den} (r={:.2})  n={} M={} S*={}  queue: {:?}  diverged={}  \
                  [{} steps, {:.1}s]",
-                run.params.rate.as_f64(),
-                run.params.n,
-                run.m,
-                run.s_star,
-                series,
-                run.diverged,
-                run.total_steps,
-                t0.elapsed().as_secs_f64()
-            ))
-        },
-    );
+            run.params.rate.as_f64(),
+            run.params.n,
+            run.m,
+            run.s_star,
+            series,
+            run.diverged,
+            run.total_steps,
+            t0.elapsed().as_secs_f64()
+        ))
+    });
 
     for (i, outcome) in report.outcomes.iter().enumerate() {
         let (num, den) = epsilons[i];

@@ -6,10 +6,14 @@
 //! cargo run --release --example full_report -- --full E5 # one experiment
 //! ```
 //!
-//! Each section is printed as soon as it is built; progress (with an
-//! ETA) streams to stderr as the same schema-versioned JSONL records the
-//! telemetry files hold (`job_*` and `sweep_progress`; job indices are
-//! 0-based).
+//! The sections run in parallel on the sweep harness, one job per
+//! section on every available core, and each is printed once it and
+//! every section before it are built, so stdout is the same on any
+//! number of cores. Progress (with an ETA) streams to stderr as the
+//! same schema-versioned JSONL records the telemetry files hold
+//! (`job_*` and `sweep_progress`; job indices are 0-based). A section
+//! that panics or fails is reported on stderr after the others have
+//! printed, and the exit status is 1.
 
 use std::io::Write;
 
@@ -38,11 +42,14 @@ fn main() {
     let t0 = std::time::Instant::now();
     let progress = SharedSink::new(JsonlSink::from_writer(std::io::stderr()));
     let mut count = 0;
-    report::run(scale, only, Some(&progress), |_, section| {
+    let result = report::run(scale, only, Some(&progress), |_, section| {
         print!("{}", section.render());
         std::io::stdout().flush().expect("stdout");
         count += 1;
-    })
-    .expect("legal adversaries");
+    });
     eprintln!("[{count} sections in {:.1}s]", t0.elapsed().as_secs_f64());
+    if let Err(quarantined) = result {
+        eprintln!("{quarantined}");
+        std::process::exit(1);
+    }
 }

@@ -14,7 +14,7 @@ use aqt_protocols::Fifo;
 use aqt_sim::sentinel::{CertificateSpec, SentinelConfig};
 use aqt_sim::{
     run_sim_sweep, snapshot, Engine, EngineConfig, EngineError, FaultPlan, Injection,
-    InvariantKind, Ratio, Severity, SimError, SweepConfig, ViolationReport,
+    InvariantKind, Ratio, Severity, SimError, ViolationReport,
 };
 
 // ---------------------------------------------------------------------
@@ -401,33 +401,26 @@ fn sweep_quarantine_bundles_seed_the_corpus() {
     };
     // Jobs 1 and 3 get the unsatisfiable bound; 0 and 2 run clean.
     let inputs: Vec<(u64, bool)> = vec![(10, false), (11, true), (12, false), (13, true)];
-    let sweep = run_sim_sweep(
-        inputs,
-        &SweepConfig {
-            max_retries: 0,
-            ..SweepConfig::default()
-        },
-        |_, &(seed, tight)| {
-            let mut s = template.clone();
-            s.seed = seed;
-            if tight {
-                s.certificate = Some(CertificateSpec {
-                    window: 1,
-                    rate: Ratio::new(1, 3),
-                    d: 2,
-                    initial: 0,
-                    time_priority: false,
-                });
-                // Give the bundle a fault plan to carry across.
-                s.faults = vec![aqt_campaign::FaultSpec::Drop { edge: 1, time: 20 }];
-            }
-            match run_scenario(&s) {
-                Outcome::Clean(stats) => Ok(stats.steps),
-                Outcome::Breach(report, _) => Err(SimError::InvariantViolated(report)),
-                Outcome::Overrate(e, _) | Outcome::Invalid(e) => Err(SimError::Checkpoint(e)),
-            }
-        },
-    );
+    let sweep = run_sim_sweep(inputs, 0, None, |_, &(seed, tight)| {
+        let mut s = template.clone();
+        s.seed = seed;
+        if tight {
+            s.certificate = Some(CertificateSpec {
+                window: 1,
+                rate: Ratio::new(1, 3),
+                d: 2,
+                initial: 0,
+                time_priority: false,
+            });
+            // Give the bundle a fault plan to carry across.
+            s.faults = vec![aqt_campaign::FaultSpec::Drop { edge: 1, time: 20 }];
+        }
+        match run_scenario(&s) {
+            Outcome::Clean(stats) => Ok(stats.steps),
+            Outcome::Breach(report, _) => Err(SimError::InvariantViolated(report)),
+            Outcome::Overrate(e, _) | Outcome::Invalid(e) => Err(SimError::Checkpoint(e)),
+        }
+    });
     assert_eq!(sweep.results().count(), 2);
     let bundles = sweep.bundles();
     assert_eq!(bundles.len(), 2, "both tight jobs quarantined with bundles");

@@ -321,7 +321,7 @@ fn constraint_spec_serialized_forms_are_pinned() {
 
     // The schema stamps that gate persisted payloads carrying models.
     assert_eq!(SNAPSHOT_SCHEMA_VERSION, 6);
-    assert_eq!(TELEMETRY_SCHEMA_VERSION, 6);
+    assert_eq!(TELEMETRY_SCHEMA_VERSION, 7);
 }
 
 /// A checkpoint taken under one adversary model must not restore into

@@ -9,7 +9,6 @@ use aqt_graph::{topologies, EdgeId, Graph, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::{
     checkpoint, snapshot, Engine, EngineConfig, FaultEvent, FaultPlan, FaultPlanError, Injection,
-    SweepConfig,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -191,12 +190,16 @@ fn e14_fault_recovery_within_observation_4_4_bounds() {
 }
 
 /// The crash-safe sweep: one deliberately panicking simulation job is
-/// retried, quarantined, and every other job still returns its result.
+/// quarantined after its one attempt, and every other job still
+/// returns its result.
 #[test]
 fn sweep_survives_a_panicking_simulation_job() {
     let gaps: Vec<u64> = (2..10).collect(); // 8 jobs: inject every `gap` steps
-    let cfg = SweepConfig::default(); // 2 retries, exponential backoff
-    let report = aqt_sim::parallel::run_sweep(gaps, &cfg, |i, &gap| {
+    let attempts = std::sync::atomic::AtomicU32::new(0);
+    let report = aqt_sim::run_sim_sweep(gaps, 0, None, |i, &gap| {
+        if i == 3 {
+            attempts.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         assert!(i != 3, "deliberate failure injected into job 3");
         let g = Arc::new(topologies::ring(6));
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
@@ -208,14 +211,14 @@ fn sweep_survives_a_panicking_simulation_job() {
                 eng.step(std::iter::empty::<Injection>()).unwrap();
             }
         }
-        eng.metrics().absorbed()
+        Ok(eng.metrics().absorbed())
     });
 
     assert_eq!(report.results().count(), 7, "all healthy jobs must finish");
     let quarantined = report.quarantined();
     assert_eq!(quarantined.len(), 1);
     assert_eq!(quarantined[0].index, 3);
-    assert_eq!(quarantined[0].attempts, 1 + cfg.max_retries);
+    assert_eq!(attempts.into_inner(), 1, "a panic is not retried");
     assert!(quarantined[0].message.contains("deliberate failure"));
     // Sparser injections -> fewer absorbed; the healthy results are
     // real simulation outputs, not placeholders.

@@ -15,7 +15,7 @@ use aqt_graph::{topologies, EdgeId, Graph, Route};
 use aqt_protocols::{classify, Fifo};
 use aqt_sim::{
     checkpoint, snapshot, Discipline, Engine, EngineConfig, EngineError, Injection, InvariantKind,
-    Packet, Protocol, Schedule, SentinelConfig, SimError, SweepConfig, Time,
+    Packet, Protocol, Schedule, SentinelConfig, SimError, Time,
 };
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
@@ -244,7 +244,7 @@ fn sentinel_state_survives_checkpoint_resume() {
 #[test]
 fn sim_sweep_quarantines_invariant_breaches_with_bundles() {
     let tampers: Vec<bool> = vec![false, true, false, false];
-    let report = aqt_sim::run_sim_sweep(tampers, &SweepConfig::default(), |_, &tamper| {
+    let report = aqt_sim::run_sim_sweep(tampers, 0, None, |_, &tamper| {
         let g = Arc::new(topologies::ring(6));
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
         eng.attach_sentinel(SentinelConfig::all_halt().with_cadence(8).with_seed(7));

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use aqt_graph::{topologies, EdgeId, Route};
 use aqt_protocols::{by_name, protocol_names, Fifo, Lifo, Lis};
 use aqt_sim::engine::Injection;
-use aqt_sim::parallel::par_map;
 use aqt_sim::{Engine, EngineConfig};
 
 /// Three packets seeded at one edge leave in seed order under FIFO,
@@ -124,7 +123,8 @@ fn runs_are_deterministic() {
     }
 }
 
-/// par_map runs real simulations concurrently and preserves order.
+/// The sweep harness runs real simulations concurrently and preserves
+/// order.
 #[test]
 fn parallel_sweep_matches_sequential() {
     let rates: Vec<u64> = (2..10).collect();
@@ -148,6 +148,6 @@ fn parallel_sweep_matches_sequential() {
         eng.metrics().absorbed()
     };
     let sequential: Vec<u64> = rates.iter().map(|&d| work(d)).collect();
-    let parallel = par_map(rates, 4, |_, d| work(d));
-    assert_eq!(sequential, parallel);
+    let parallel = aqt_sim::run_sim_sweep(rates, 4, None, |_, &d| Ok(work(d)));
+    assert_eq!(sequential, parallel.into_complete().expect("no job fails"));
 }

@@ -2,15 +2,13 @@
 //! against the batch metrics, JSONL export shape, level gating, and
 //! sweep progress event sequences.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use aqt_graph::{topologies, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::{
-    run_sim_sweep_with_progress, run_sweep_with_progress, Engine, EngineConfig, Injection,
-    JobOutcome, Provenance, SharedSink, SimError, SweepConfig, TelemetryConfig, TelemetryEvent,
-    TelemetrySink, Time, TELEMETRY_SCHEMA_VERSION,
+    run_sim_sweep, Engine, EngineConfig, Injection, JobOutcome, Provenance, SharedSink, SimError,
+    TelemetryConfig, TelemetryEvent, TelemetrySink, Time, TELEMETRY_SCHEMA_VERSION,
 };
 
 /// `(start, end, per-edge crossing deltas)` of one emitted window.
@@ -238,8 +236,8 @@ fn jsonl_lines_are_complete_records() {
 
 /// Golden pin of the closed-loop telemetry surface: the JSONL layout
 /// of a `workload_window` record — schema stamp, kind, and every
-/// request-ledger field name — plus the `backoff_ms` field of
-/// `job_retried`, then every other non-observatory kind byte for byte:
+/// request-ledger field name — then every other non-observatory kind
+/// byte for byte:
 /// `run_start`, `window` and `run_end` (with a hand-built `timings`
 /// block, so count, total, mean and the p50/p99 bounds are fixed) and
 /// the sweep's `job_started`, `job_finished`, `job_quarantined` and
@@ -251,10 +249,10 @@ fn workload_window_jsonl_layout_is_pinned() {
     use aqt_sim::{StageTimings, TelemetryCounters, WorkloadCounters};
 
     assert_eq!(
-        TELEMETRY_SCHEMA_VERSION, 6,
-        "the golden lines below were pinned at version 6 (observatory \
-         backlog/span records without the removed per-partition \
-         fields); a bump means they must be re-pinned"
+        TELEMETRY_SCHEMA_VERSION, 7,
+        "the golden lines below were pinned at version 7 (sweep job \
+         records without retries or attempt counts); a bump means they \
+         must be re-pinned"
     );
 
     let buf = SharedBuf::default();
@@ -282,11 +280,6 @@ fn workload_window_jsonl_layout_is_pinned() {
         wasted: 3,
         offered: 13,
         provenance: &provenance,
-    });
-    sink.record(&TelemetryEvent::JobRetried {
-        index: 2,
-        attempt: 1,
-        backoff_ms: 250,
     });
     let engine_run = Provenance {
         seed: Some(7),
@@ -336,13 +329,9 @@ fn workload_window_jsonl_layout_is_pinned() {
     sink.record(&TelemetryEvent::JobStarted { index: 0, total: 3 });
     sink.record(&TelemetryEvent::JobFinished {
         index: 0,
-        attempts: 2,
         secs: 1.25,
     });
-    sink.record(&TelemetryEvent::JobQuarantined {
-        index: 1,
-        attempts: 3,
-    });
+    sink.record(&TelemetryEvent::JobQuarantined { index: 1 });
     sink.record(&TelemetryEvent::SweepProgress {
         done: 2,
         total: 3,
@@ -353,13 +342,13 @@ fn workload_window_jsonl_layout_is_pinned() {
     let bytes = buf.0.lock().unwrap().clone();
     let text = String::from_utf8(bytes).expect("utf8");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 9);
+    assert_eq!(lines.len(), 8);
 
     // The full workload_window line, byte for byte (absent provenance
     // fields serialize as explicit nulls).
     assert_eq!(
         lines[0],
-        "{\"schema\":6,\"kind\":\"workload_window\",\"start\":0,\"end\":64,\
+        "{\"schema\":7,\"kind\":\"workload_window\",\"start\":0,\"end\":64,\
          \"requests_issued\":10,\"requests_completed\":5,\
          \"requests_abandoned\":2,\"requests_shed\":1,\
          \"requests_in_flight\":2,\"attempts_issued\":17,\
@@ -371,18 +360,13 @@ fn workload_window_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[1],
-        "{\"schema\":6,\"kind\":\"job_retried\",\"index\":2,\"attempt\":1,\
-         \"backoff_ms\":250}"
-    );
-    assert_eq!(
-        lines[2],
-        "{\"schema\":6,\"kind\":\"run_start\",\"time\":0,\
+        "{\"schema\":7,\"kind\":\"run_start\",\"time\":0,\
          \"seed\":7,\"schedule_hash\":99,\"protocol\":\"NTG\",\
          \"fault_plan_id\":13,\"model_fingerprint\":11}"
     );
     assert_eq!(
-        lines[3],
-        "{\"schema\":6,\"kind\":\"window\",\"start\":0,\"end\":16,\
+        lines[2],
+        "{\"schema\":7,\"kind\":\"window\",\"start\":0,\"end\":16,\
          \"steps\":1,\"packets_sent\":2,\"packets_forwarded\":3,\
          \"packets_absorbed\":4,\"packets_injected\":5,\"cohorts_admitted\":6,\
          \"buffers_compacted\":7,\"memo_hits\":8,\"memo_misses\":9,\
@@ -392,8 +376,8 @@ fn workload_window_jsonl_layout_is_pinned() {
          \"fault_plan_id\":13,\"model_fingerprint\":11}"
     );
     assert_eq!(
-        lines[4],
-        "{\"schema\":6,\"kind\":\"run_end\",\"time\":16,\
+        lines[3],
+        "{\"schema\":7,\"kind\":\"run_end\",\"time\":16,\
          \"steps\":1,\"packets_sent\":2,\"packets_forwarded\":3,\
          \"packets_absorbed\":4,\"packets_injected\":5,\"cohorts_admitted\":6,\
          \"buffers_compacted\":7,\"memo_hits\":8,\"memo_misses\":9,\
@@ -417,26 +401,26 @@ fn workload_window_jsonl_layout_is_pinned() {
          \"fault_plan_id\":13,\"model_fingerprint\":11}"
     );
     assert_eq!(
-        lines[5],
-        "{\"schema\":6,\"kind\":\"job_started\",\"index\":0,\"total\":3}"
+        lines[4],
+        "{\"schema\":7,\"kind\":\"job_started\",\"index\":0,\"total\":3}"
     );
     assert_eq!(
-        lines[6],
-        "{\"schema\":6,\"kind\":\"job_finished\",\"index\":0,\"attempts\":2,\
+        lines[5],
+        "{\"schema\":7,\"kind\":\"job_finished\",\"index\":0,\
          \"secs\":1.250}"
     );
     assert_eq!(
-        lines[7],
-        "{\"schema\":6,\"kind\":\"job_quarantined\",\"index\":1,\"attempts\":3}"
+        lines[6],
+        "{\"schema\":7,\"kind\":\"job_quarantined\",\"index\":1}"
     );
     assert_eq!(
-        lines[8],
-        "{\"schema\":6,\"kind\":\"sweep_progress\",\"done\":2,\"total\":3,\
+        lines[7],
+        "{\"schema\":7,\"kind\":\"sweep_progress\",\"done\":2,\"total\":3,\
          \"elapsed_secs\":2.500,\"eta_secs\":1.250}"
     );
 }
 
-/// Golden pin of the observatory's JSONL surface (schema 6): the full
+/// Golden pin of the observatory's JSONL surface (schema 7): the full
 /// `backlog` record — tick scalars, nullable bound/margin, the sparse
 /// per-edge depth array — and a `span` record.
 /// The offline analyzer (`examples/observatory.rs`) keys on these
@@ -489,7 +473,7 @@ fn observatory_jsonl_layout_is_pinned() {
     assert_eq!(lines.len(), 3);
     assert_eq!(
         lines[0],
-        "{\"schema\":6,\"kind\":\"backlog\",\"time\":256,\"total\":40,\
+        "{\"schema\":7,\"kind\":\"backlog\",\"time\":256,\"total\":40,\
          \"max_queue\":9,\"max_wait\":3,\"bound\":12,\"margin\":9,\
          \"depths\":[[0,5],[3,2]],\
          \"seed\":7,\"schedule_hash\":null,\"protocol\":\"FIFO\",\
@@ -497,7 +481,7 @@ fn observatory_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[1],
-        "{\"schema\":6,\"kind\":\"backlog\",\"time\":512,\"total\":0,\
+        "{\"schema\":7,\"kind\":\"backlog\",\"time\":512,\"total\":0,\
          \"max_queue\":9,\"max_wait\":3,\"bound\":null,\"margin\":null,\
          \"depths\":[],\"seed\":7,\
          \"schedule_hash\":null,\"protocol\":\"FIFO\",\
@@ -505,44 +489,26 @@ fn observatory_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[2],
-        "{\"schema\":6,\"kind\":\"span\",\"time\":300,\"packet\":64,\
+        "{\"schema\":7,\"kind\":\"span\",\"time\":300,\"packet\":64,\
          \"op\":\"send\",\"edge\":3,\"hop\":1,\"wait\":2,\
          \"seed\":7,\"schedule_hash\":null,\"protocol\":\"FIFO\",\
          \"fault_plan_id\":null,\"model_fingerprint\":null}"
     );
 }
 
-/// Sweep progress: start/finish/retry events arrive in order, the
-/// `sweep_progress` ETA decreases to zero, and a flaky job's retry is
-/// visible.
+/// Sweep progress: every job starts and finishes, and the
+/// `sweep_progress` line follows each one.
 #[test]
-fn sweep_progress_reports_jobs_and_retries() {
+fn sweep_progress_reports_every_job() {
     let capture = Capture::default();
     let progress = SharedSink::new(capture.clone());
-    let flaked = AtomicU32::new(0);
-    let report = run_sweep_with_progress(
-        vec![10u64, 20, 30],
-        &SweepConfig {
-            threads: 1,
-            max_retries: 1,
-            backoff_base: std::time::Duration::ZERO,
-            retry_seed: 42,
-        },
-        Some(&progress),
-        |i, &x| {
-            if i == 1 && flaked.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("flaky once");
-            }
-            x * 2
-        },
-    );
+    let report = run_sim_sweep(vec![10u64, 20, 30], 1, Some(&progress), |_, &x| Ok(x * 2));
     assert_eq!(report.results().count(), 3);
 
     let kinds = capture.kinds.lock().unwrap();
     let count = |k: &str| kinds.iter().filter(|s| **s == k).count();
     assert_eq!(count("job_started"), 3);
     assert_eq!(count("job_finished"), 3);
-    assert_eq!(count("job_retried"), 1);
     assert_eq!(count("job_quarantined"), 0);
     assert_eq!(count("sweep_progress"), 3, "one progress line per job");
 }
@@ -553,18 +519,13 @@ fn sweep_progress_reports_jobs_and_retries() {
 fn sim_sweep_quarantine_is_reported() {
     let capture = Capture::default();
     let progress = SharedSink::new(capture.clone());
-    let report = run_sim_sweep_with_progress(
-        vec![1u64, 2],
-        &SweepConfig::no_retry(1),
-        Some(&progress),
-        |_, &x| {
-            if x == 2 {
-                Err(SimError::Checkpoint("synthetic failure".into()))
-            } else {
-                Ok(x)
-            }
-        },
-    );
+    let report = run_sim_sweep(vec![1u64, 2], 1, Some(&progress), |_, &x| {
+        if x == 2 {
+            Err(SimError::Checkpoint("synthetic failure".into()))
+        } else {
+            Ok(x)
+        }
+    });
     assert_eq!(report.results().count(), 1);
     let quarantined = report
         .outcomes
@@ -575,6 +536,69 @@ fn sim_sweep_quarantine_is_reported() {
 
     let kinds = capture.kinds.lock().unwrap();
     assert_eq!(kinds.iter().filter(|s| **s == "job_quarantined").count(), 1);
+}
+
+/// A job settles once: each emits `job_started`, then exactly one of
+/// `job_finished` or `job_quarantined`, then its `sweep_progress`
+/// line, whether it returns, panics or returns `Err`. The whole
+/// sequence of a 3-job sweep on one thread, byte for byte, with the
+/// wall-clock fields zeroed.
+#[test]
+fn sweep_settles_each_job_once() {
+    struct Lines(Arc<Mutex<Vec<String>>>);
+    impl TelemetrySink for Lines {
+        fn record(&mut self, event: &TelemetryEvent<'_>) {
+            let event = match *event {
+                TelemetryEvent::JobFinished { index, .. } => {
+                    TelemetryEvent::JobFinished { index, secs: 0.0 }
+                }
+                TelemetryEvent::SweepProgress { done, total, .. } => {
+                    TelemetryEvent::SweepProgress {
+                        done,
+                        total,
+                        elapsed_secs: 0.0,
+                        eta_secs: 0.0,
+                    }
+                }
+                ref other => other.clone(),
+            };
+            let mut line = String::new();
+            event.write_jsonl(&mut line);
+            self.0.lock().unwrap().push(line.trim_end().to_string());
+        }
+    }
+    let lines = Arc::new(Mutex::new(Vec::new()));
+    let progress = SharedSink::new(Lines(Arc::clone(&lines)));
+    let report = run_sim_sweep(vec![0u8, 1, 2], 1, Some(&progress), |_, &x| match x {
+        1 => panic!("deliberate panic"),
+        2 => Err(SimError::Checkpoint("synthetic failure".into())),
+        _ => Ok(x),
+    });
+    assert_eq!(report.results().count(), 1);
+    assert_eq!(report.quarantined().len(), 2);
+
+    let progress_line = |done: usize| {
+        format!(
+            "{{\"schema\":7,\"kind\":\"sweep_progress\",\"done\":{done},\"total\":3,\
+             \"elapsed_secs\":0.000,\"eta_secs\":0.000}}"
+        )
+    };
+    let started =
+        |i: usize| format!("{{\"schema\":7,\"kind\":\"job_started\",\"index\":{i},\"total\":3}}");
+    assert_eq!(
+        *lines.lock().unwrap(),
+        [
+            started(0),
+            "{\"schema\":7,\"kind\":\"job_finished\",\"index\":0,\"secs\":0.000}".into(),
+            progress_line(1),
+            started(1),
+            "{\"schema\":7,\"kind\":\"job_quarantined\",\"index\":1}".into(),
+            progress_line(2),
+            started(2),
+            "{\"schema\":7,\"kind\":\"job_quarantined\",\"index\":2}".into(),
+            progress_line(3),
+        ]
+    );
 }
 
 /// Whole-stream pin of one small engine run with every probe attached:
@@ -663,5 +687,5 @@ fn engine_stream_is_pinned() {
     );
     assert!(text.contains("\"op\":\"drop\""), "the drop fault fired");
     assert!(text.contains("\"op\":\"dup\""), "the duplicate fault fired");
-    assert_eq!(hash, 0xb6fb_60ff_9050_ddcc, "stream hash");
+    assert_eq!(hash, 0x485a_40c9_dbf4_eaea, "stream hash");
 }
