@@ -10,7 +10,6 @@
 use aqt_graph::Route;
 use aqt_sim::engine::Injection;
 use aqt_sim::rate::AdversaryModelSpec;
-use aqt_sim::source::TrafficSource;
 use aqt_sim::{Ratio, Time};
 
 /// One periodic stream: a route injected at an exact rational rate.
@@ -105,10 +104,10 @@ impl PeriodicAdversary {
         let budget = spec.long_run_rate().unwrap_or(Ratio::ONE);
         Self::new(graph, streams, budget)
     }
-}
 
-impl TrafficSource for PeriodicAdversary {
-    fn injections_for(&mut self, _t: Time) -> Vec<Injection> {
+    /// Injections for step `t`. Calls must come one per step, in step
+    /// order: the floor pattern advances one step per call.
+    pub fn injections_for(&mut self, _t: Time) -> Vec<Injection> {
         self.k += 1;
         let mut out = Vec::new();
         for (i, s) in self.streams.iter().enumerate() {
@@ -130,7 +129,7 @@ mod tests {
     use super::*;
     use aqt_graph::topologies;
     use aqt_protocols::Fifo;
-    use aqt_sim::{run_with_source, Engine, EngineConfig};
+    use aqt_sim::{Engine, EngineConfig};
     use std::sync::Arc;
 
     #[test]
@@ -200,7 +199,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        run_with_source(&mut eng, &mut adv, 500).expect("periodic adversary stays legal");
+        for t in 1..=500 {
+            eng.step(adv.injections_for(t))
+                .expect("periodic adversary stays legal");
+        }
         assert!(eng.metrics().injected() > 200);
     }
 

@@ -164,7 +164,7 @@ pub fn e2_gadget_amplification(
                 0,
                 8,
             )?;
-            step.schedule.run(&mut eng, step.finish)?;
+            step.schedule.replay(&mut eng, step.finish)?;
             let inv = check_c_invariant(&eng, &chain.gadgets[1]);
             // F must be empty (Lemma 3.6's second conclusion).
             let f_empty = check_c_invariant(&eng, &chain.gadgets[0]);
@@ -216,7 +216,7 @@ pub fn e3_bootstrap(
                 eng.seed(unit.clone(), 0)?;
             }
             let boot = lemma315::build(&graph, &gadget.handles, &params, s, 0, 8)?;
-            boot.schedule.run(&mut eng, boot.finish)?;
+            boot.schedule.replay(&mut eng, boot.finish)?;
             let inv = check_c_invariant(&eng, &gadget.handles);
             let measured = inv.s_effective();
             rows.push(AmplifyRow {
@@ -276,7 +276,7 @@ pub fn e4_stitch(rates: &[(u64, u64)], s: u64) -> Result<Vec<E4Row>, SimError> {
         let stitch = lemma316::build(&graph, e[0], e[1], e[2], rate, s, 0, 8)?;
         let fresh_tag = stitch.tags.fresh;
         let scheduled = stitch.fresh_count;
-        stitch.schedule.run(&mut eng, stitch.finish)?;
+        stitch.schedule.replay(&mut eng, stitch.finish)?;
         // settle until everything but fresh is absorbed
         let mut settle = 0;
         loop {
@@ -682,7 +682,7 @@ pub fn e11_thinning_rates(
         0,
         8,
     )?;
-    step.schedule.run(&mut eng, step.finish)?;
+    step.schedule.replay(&mut eng, step.finish)?;
 
     let from = &chain.gadgets[0];
     let to = &chain.gadgets[1];
@@ -842,7 +842,7 @@ pub fn e10_landscape_with_model(
         for _ in 0..run.s_star {
             eng.seed(unit.clone(), 0)?;
         }
-        run.recorded.clone().run(&mut eng, horizon)?;
+        run.recorded.replay(&mut eng, horizon)?;
         let series: Vec<u64> = eng.metrics().series().iter().map(|s| s.backlog).collect();
         rows.push(E10Row {
             protocol: p.to_string(),

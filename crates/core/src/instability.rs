@@ -404,7 +404,7 @@ impl InstabilityConstruction {
                 alloc_tags!(),
             )?;
             record(&mut recorded, &boot.schedule, self.cfg.record_ops);
-            boot.schedule.run(&mut eng, boot.finish)?;
+            boot.schedule.replay(&mut eng, boot.finish)?;
             if self.cfg.settle {
                 settle_boundary(&mut eng, &self.geps.gadgets[0], 4 * s_half)?;
             }
@@ -449,7 +449,7 @@ impl InstabilityConstruction {
                     alloc_tags!(),
                 )?;
                 record(&mut recorded, &step.schedule, self.cfg.record_ops);
-                step.schedule.run(&mut eng, step.finish)?;
+                step.schedule.replay(&mut eng, step.finish)?;
                 if self.cfg.settle {
                     settle_boundary(&mut eng, &self.geps.gadgets[k + 1], 4 * s)?;
                 }
@@ -536,7 +536,7 @@ impl InstabilityConstruction {
             )?;
             let fresh_tag = stitch.tags.fresh;
             record(&mut recorded, &stitch.schedule, self.cfg.record_ops);
-            stitch.schedule.run(&mut eng, stitch.finish)?;
+            stitch.schedule.replay(&mut eng, stitch.finish)?;
             // Settle until only fresh packets remain. Mixed packets all
             // precede the fresh cohort in the ingress queue (they were
             // injected earlier into the same buffer), so "everything is

@@ -550,12 +550,10 @@ impl<P: Protocol> Engine<P> {
         for &e in route.edges() {
             self.touch_edge_use(e, 0);
         }
-        let edges = route.edges();
-        if let Some(mut oracle) = self.oracle.take() {
-            oracle.model.mirror_seed(edges, tag);
-            self.oracle = Some(oracle);
+        if let Some(oracle) = self.oracle.as_mut() {
+            oracle.model.mirror_seed(&route, tag, 1);
         }
-        let (rid, len, first) = self.intern_for_admit(edges);
+        let (rid, len, first) = self.intern_for_admit(route.edges());
         Ok(self.admit(rid, len, first, 0, tag))
     }
 
@@ -573,14 +571,10 @@ impl<P: Protocol> Engine<P> {
         for &e in route.edges() {
             self.touch_edge_use(e, 0);
         }
-        let edges = route.edges();
-        if let Some(mut oracle) = self.oracle.take() {
-            for _ in 0..n {
-                oracle.model.mirror_seed(edges, tag);
-            }
-            self.oracle = Some(oracle);
+        if let Some(oracle) = self.oracle.as_mut() {
+            oracle.model.mirror_seed(&route, tag, n);
         }
-        let (rid, len, first) = self.intern_for_admit(edges);
+        let (rid, len, first) = self.intern_for_admit(route.edges());
         Ok(self.admit_cohort(rid, len, first, 0, tag, n))
     }
 
@@ -1178,8 +1172,7 @@ impl<P: Protocol> Engine<P> {
             }
         }
 
-        // Intern each extended route once per distinct original route
-        // (first-appearance order, which the oracle's mirror repeats),
+        // Intern each extended route once per distinct original route,
         // then swap ids in place — the per-packet work is two u32
         // stores.
         let swaps: Vec<(RouteId, RouteId, u32)> = distinct

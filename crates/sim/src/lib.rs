@@ -69,7 +69,6 @@ pub mod routes;
 pub mod schedule;
 pub mod sentinel;
 pub mod snapshot;
-pub mod source;
 pub mod telemetry;
 
 pub use buffer::BufferStore;
@@ -95,7 +94,6 @@ pub use sentinel::{
     Violation, ViolationReport,
 };
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
-pub use source::{run_with_source, TrafficSource};
 pub use telemetry::{
     JsonlSink, Log2Histogram, Provenance, RingSink, SharedSink, SpanKind, StageTimings, TeeSink,
     Telemetry, TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetryLevel, TelemetrySink,

@@ -12,25 +12,28 @@
 //! owns one, mirrors every engine step (including faults, bursts, and
 //! Lemma 3.3 route extensions), and at a configurable cadence `k`
 //! compares complete states: clock, id counter, conservation counters,
-//! every queued packet bit for bit, and the two route tables entry by
-//! entry. The model keeps its *own* [`RouteTable`] and mirrors the
-//! engine's intern sequence, so packet route ids are comparable
-//! directly — a diff never chases route contents per packet, and a
-//! divergence in the intern order itself is detected rather than
-//! masked. A mismatch is raised through the sentinel as
+//! and every queued packet field by field, its full route included.
+//! The model shares no route code with the engine: each queued packet
+//! carries its own route edges, so a fault in the engine's route
+//! interning or lookup shows up as a route that differs edge for edge.
+//! A mismatch is raised through the sentinel as
 //! [`InvariantKind::OracleDivergence`](
 //! crate::sentinel::InvariantKind::OracleDivergence).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
-use aqt_graph::{EdgeId, Graph};
+use aqt_graph::{EdgeId, Graph, Route};
 
 use crate::engine::{Engine, Injection};
 use crate::fault::FaultPlan;
 use crate::packet::{Packet, PacketId, Time};
 use crate::protocol::Protocol;
-use crate::routes::{RouteId, RouteTable};
-use crate::snapshot::{canonical_buffers, Snapshot, SNAPSHOT_SCHEMA_VERSION};
+use crate::snapshot::{PacketState, Snapshot, SNAPSHOT_SCHEMA_VERSION};
+
+/// One model route: the full edge sequence, shared by every packet
+/// admitted on the same [`Route`].
+type Edges = Arc<[EdgeId]>;
 
 /// The naive reference simulator: the model semantics with none of the
 /// engine's optimizations. State is exactly what a [`Snapshot`]
@@ -43,10 +46,12 @@ pub struct ReferenceModel {
     absorbed: u64,
     dropped: u64,
     duplicated: u64,
+    /// Queued packets per edge, in queue order, as
+    /// [`Protocol::select`] sees them. Their route ids are the
+    /// detached sentinel: the model never resolves one.
     buffers: Vec<VecDeque<Packet>>,
-    /// The model's own route interner, kept id-aligned with the
-    /// engine's by mirroring every intern in the same order.
-    routes: RouteTable,
+    /// Each queued packet's route, moving in step with `buffers`.
+    routes: Vec<VecDeque<Edges>>,
 }
 
 impl ReferenceModel {
@@ -60,19 +65,13 @@ impl ReferenceModel {
             dropped: 0,
             duplicated: 0,
             buffers: vec![VecDeque::new(); edge_count],
-            routes: RouteTable::new(),
+            routes: vec![VecDeque::new(); edge_count],
         }
     }
 
-    /// Build a model holding exactly the state of `snap`. The model's
-    /// route ids are the snapshot's route indices.
+    /// Build a model holding exactly the state of `snap`.
     pub fn from_snapshot(snap: &Snapshot) -> Self {
-        let mut routes = RouteTable::new();
-        let ids: Vec<(RouteId, u32)> = snap
-            .routes
-            .iter()
-            .map(|r| (routes.intern(r), r.len() as u32))
-            .collect();
+        let route = |p: &PacketState| &snap.routes[p.route as usize];
         ReferenceModel {
             time: snap.time,
             next_id: snap.next_id,
@@ -86,29 +85,55 @@ impl ReferenceModel {
                 .map(|buf| {
                     buf.iter()
                         .map(|p| {
-                            let (route, route_len) = ids[p.route as usize];
-                            Packet {
-                                id: PacketId(p.id),
-                                injected_at: p.injected_at,
-                                arrived_at: p.arrived_at,
-                                tag: p.tag,
-                                route,
-                                hop: p.hop,
-                                route_len,
-                            }
+                            let len = route(p).len() as u32;
+                            Packet::detached(
+                                PacketId(p.id),
+                                p.injected_at,
+                                p.arrived_at,
+                                p.tag,
+                                p.hop,
+                                len,
+                            )
                         })
                         .collect()
                 })
                 .collect(),
-            routes,
+            routes: snap
+                .buffers
+                .iter()
+                .map(|buf| buf.iter().map(|p| Arc::clone(route(p))).collect())
+                .collect(),
         }
     }
 
-    /// Capture the model's state in snapshot form (canonical route
-    /// numbering, independent of the model's private intern order).
+    /// Capture the model's state in snapshot form: routes numbered by
+    /// content, in first-appearance order over the buffers (edges
+    /// ascending, queue order within each edge).
     pub fn to_snapshot(&self) -> Snapshot {
-        let (routes, buffers) =
-            canonical_buffers(self.buffers.iter().map(|b| b.iter()), &self.routes);
+        let mut numbering: HashMap<&[EdgeId], u32> = HashMap::new();
+        let mut routes: Vec<Edges> = Vec::new();
+        let buffers = self
+            .buffers
+            .iter()
+            .zip(&self.routes)
+            .map(|(queue, queue_routes)| {
+                queue
+                    .iter()
+                    .zip(queue_routes)
+                    .map(|(p, edges)| PacketState {
+                        id: p.id.0,
+                        injected_at: p.injected_at,
+                        arrived_at: p.arrived_at,
+                        tag: p.tag,
+                        route: *numbering.entry(edges).or_insert_with(|| {
+                            routes.push(Arc::clone(edges));
+                            (routes.len() - 1) as u32
+                        }),
+                        hop: p.hop,
+                    })
+                    .collect()
+            })
+            .collect();
         Snapshot {
             schema: SNAPSHOT_SCHEMA_VERSION,
             time: self.time,
@@ -132,70 +157,55 @@ impl ReferenceModel {
         self.buffers.iter().map(|b| b.len() as u64).sum()
     }
 
-    fn admit(&mut self, edges: &[EdgeId], t: Time, tag: u32) {
-        let id = PacketId(self.next_id);
+    /// Queue `p` at the back of its current edge's buffer.
+    fn enqueue(&mut self, p: Packet, edges: Edges) {
+        let at = edges[p.hop as usize].index();
+        self.buffers[at].push_back(p);
+        self.routes[at].push_back(edges);
+    }
+
+    fn admit(&mut self, edges: Edges, t: Time, tag: u32) {
+        let p = Packet::detached(PacketId(self.next_id), t, t, tag, 0, edges.len() as u32);
         self.next_id += 1;
-        let route = self.routes.intern(edges);
-        let first = edges[0];
-        self.buffers[first.index()].push_back(Packet {
-            id,
-            injected_at: t,
-            arrived_at: t,
-            tag,
-            route,
-            hop: 0,
-            route_len: edges.len() as u32,
-        });
         self.injected += 1;
+        self.enqueue(p, edges);
     }
 
-    /// Mirror of [`Engine::seed`]: place an initial-configuration
-    /// packet at time 0.
-    pub(crate) fn mirror_seed(&mut self, edges: &[EdgeId], tag: u32) {
-        self.admit(edges, 0, tag);
+    /// Mirror of [`Engine::seed_cohort`]: place `n` initial-configuration
+    /// packets at time 0.
+    pub(crate) fn mirror_seed(&mut self, route: &Route, tag: u32, n: u64) {
+        for _ in 0..n {
+            self.admit(route.shared(), 0, tag);
+        }
     }
 
-    /// Mirror of [`Engine::extend_routes_in`]'s route swap: extend the
-    /// remaining routes of the matching packets in the listed buffers.
-    /// The distinct cohort routes are interned in first-appearance
-    /// order — the same order the engine used — so the two tables stay
-    /// id-aligned.
+    /// Mirror of [`Engine::extend_routes_in`]: append `suffix` to the
+    /// route of every packet in the listed buffers whose route ends at
+    /// `last_edge` (every packet when `None`). Packets that shared a
+    /// route before share its extension, so a cohort allocates once.
     pub(crate) fn mirror_extend(
         &mut self,
         buffers: &[EdgeId],
         suffix: &[EdgeId],
         last_edge: Option<EdgeId>,
     ) {
-        let mut distinct: Vec<(RouteId, Vec<EdgeId>)> = Vec::new();
+        let mut extended: Vec<(Edges, Edges)> = Vec::new();
         for &be in buffers {
-            for p in self.buffers[be.index()].iter() {
-                let route = self.routes.get(p.route);
-                if last_edge.is_some_and(|e| route.last() != Some(&e)) {
+            let queue = self.buffers[be.index()].iter_mut();
+            for (p, edges) in queue.zip(self.routes[be.index()].iter_mut()) {
+                if last_edge.is_some_and(|e| edges.last() != Some(&e)) {
                     continue;
                 }
-                if !distinct.iter().any(|(id, _)| *id == p.route) {
-                    let mut edges = Vec::with_capacity(route.len() + suffix.len());
-                    edges.extend_from_slice(route);
-                    edges.extend_from_slice(suffix);
-                    distinct.push((p.route, edges));
-                }
-            }
-        }
-        let swaps: Vec<(RouteId, RouteId, u32)> = distinct
-            .into_iter()
-            .map(|(old_id, edges)| {
-                let new_id = self.routes.intern(&edges);
-                (old_id, new_id, edges.len() as u32)
-            })
-            .collect();
-        for &be in buffers {
-            for p in self.buffers[be.index()].iter_mut() {
-                if let Some(&(_, new_id, new_len)) =
-                    swaps.iter().find(|(old_id, _, _)| *old_id == p.route)
-                {
-                    p.route = new_id;
-                    p.route_len = new_len;
-                }
+                let new = match extended.iter().find(|(old, _)| Arc::ptr_eq(old, edges)) {
+                    Some((_, new)) => Arc::clone(new),
+                    None => {
+                        let new: Edges = edges.iter().chain(suffix).copied().collect();
+                        extended.push((Arc::clone(edges), Arc::clone(&new)));
+                        new
+                    }
+                };
+                p.route_len = new.len() as u32;
+                *edges = new;
             }
         }
     }
@@ -216,7 +226,7 @@ impl ReferenceModel {
         let faults_active = faults.is_some_and(|f| f.active_at(t));
 
         // Substep 1: full scan, virtual dispatch, no fast paths.
-        let mut in_transit: Vec<Packet> = Vec::new();
+        let mut in_transit: Vec<(Packet, Edges)> = Vec::new();
         for ei in 0..self.buffers.len() {
             if self.buffers[ei].is_empty() {
                 continue;
@@ -229,13 +239,16 @@ impl ReferenceModel {
             let p = self.buffers[ei]
                 .remove(idx)
                 .expect("protocol selected an in-range index");
-            in_transit.push(p);
+            let edges = self.routes[ei]
+                .remove(idx)
+                .expect("routes move with packets");
+            in_transit.push((p, edges));
         }
 
         // Wire-fault stage: drops and duplications, in transit order.
-        let mut delivered: Vec<Packet> = Vec::with_capacity(in_transit.len());
-        for p in in_transit {
-            let crossed = self.routes.get(p.route)[p.hop as usize];
+        let mut delivered: Vec<(Packet, Edges)> = Vec::with_capacity(in_transit.len());
+        for (p, edges) in in_transit {
+            let crossed = edges[p.hop as usize];
             let (lost, copied) = match faults {
                 Some(f) if faults_active => (f.drops_at(crossed, t), f.duplicates_at(crossed, t)),
                 _ => (false, false),
@@ -248,68 +261,45 @@ impl ReferenceModel {
                 let id = PacketId(self.next_id);
                 self.next_id += 1;
                 self.duplicated += 1;
-                Packet { id, ..p }
+                (Packet { id, ..p }, Arc::clone(&edges))
             });
-            delivered.push(p);
+            delivered.push((p, edges));
             delivered.extend(copy);
         }
 
         // Substep 2a: receive.
-        for mut p in delivered {
+        for (mut p, edges) in delivered {
             if p.on_last_edge() {
                 self.absorbed += 1;
             } else {
                 p.hop += 1;
                 p.arrived_at = t;
-                let next = self.routes.get(p.route)[p.hop as usize];
-                self.buffers[next.index()].push_back(p);
+                self.enqueue(p, edges);
             }
         }
 
         // Substep 2b: inject, then burst faults. A cohort is `count`
-        // identical admissions — one intern (dedup makes the repeats
-        // free), `count` packets, exactly the engine's id assignment.
-        for inj in injections {
+        // identical admissions, exactly the engine's id assignment.
+        let bursts = faults
+            .filter(|_| faults_active)
+            .into_iter()
+            .flat_map(|f| f.bursts_at(t))
+            .flat_map(|b| &b.injections);
+        for inj in injections.iter().chain(bursts) {
             for _ in 0..inj.count {
-                self.admit(inj.route.edges(), t, inj.tag);
-            }
-        }
-        if faults_active {
-            if let Some(f) = faults {
-                let burst: Vec<Injection> = f
-                    .bursts_at(t)
-                    .flat_map(|b| b.injections.iter().cloned())
-                    .collect();
-                for inj in burst {
-                    for _ in 0..inj.count {
-                        self.admit(inj.route.edges(), t, inj.tag);
-                    }
-                }
+                self.admit(inj.route.shared(), t, inj.tag);
             }
         }
     }
 
     /// Replace the model's state with the engine's (used after a
     /// snapshot/checkpoint restore, where replaying is impossible).
-    /// Clones the engine's route table, so ids stay directly
-    /// comparable from here on.
     pub(crate) fn resync<P: Protocol>(&mut self, engine: &Engine<P>) {
-        self.time = engine.time();
-        self.next_id = engine.next_packet_id();
-        self.injected = engine.metrics().injected;
-        self.absorbed = engine.metrics().absorbed;
-        self.dropped = engine.metrics().dropped;
-        self.duplicated = engine.metrics().duplicated;
-        self.buffers = engine
-            .graph()
-            .edge_ids()
-            .map(|e| engine.queue_iter(e).copied().collect())
-            .collect();
-        self.routes = engine.routes().clone();
+        *self = ReferenceModel::from_snapshot(&crate::snapshot::capture(engine));
     }
 
     /// First difference against the engine's state, as a description;
-    /// `None` when the states match bit for bit.
+    /// `None` when the states match.
     pub fn diff<P: Protocol>(&self, engine: &Engine<P>) -> Option<String> {
         if self.time != engine.time() {
             return Some(format!(
@@ -338,17 +328,6 @@ impl ReferenceModel {
                 ));
             }
         }
-        // Mirrored interning makes the tables equal whenever the runs
-        // agree; comparing them makes the per-packet route-id equality
-        // below meaningful (and catches an intern-order divergence even
-        // before it moves a packet).
-        if &self.routes != engine.routes() {
-            return Some(format!(
-                "route tables diverged: oracle interned {} routes, engine {}",
-                self.routes.len(),
-                engine.routes().len()
-            ));
-        }
         if self.buffers.len() != engine.graph().edge_count() {
             return Some(format!(
                 "oracle has {} buffers but the graph has {} edges",
@@ -356,7 +335,12 @@ impl ReferenceModel {
                 engine.graph().edge_count()
             ));
         }
-        for (ei, ours) in self.buffers.iter().enumerate() {
+        // A route's content is compared only when its engine route id
+        // was last matched with a different model route: `verified[id]`
+        // points at the edges of the model route last found equal to
+        // engine route `id`, so a cohort's shared route is compared once.
+        let mut verified: Vec<*const EdgeId> = vec![std::ptr::null(); engine.routes().len()];
+        for (ei, (ours, our_routes)) in self.buffers.iter().zip(&self.routes).enumerate() {
             let edge = EdgeId(ei as u32);
             if ours.len() != engine.queue_len(edge) {
                 return Some(format!(
@@ -366,11 +350,33 @@ impl ReferenceModel {
                 ));
             }
             for (pos, (a, b)) in ours.iter().zip(engine.queue_iter(edge)).enumerate() {
-                if a != b {
+                let edges = &our_routes[pos];
+                // Every field but the route id, which only the engine has.
+                let fields = Packet {
+                    route: a.route,
+                    ..*b
+                };
+                if *a != fields {
                     return Some(format!(
                         "edge {ei} position {pos}: oracle has packet {:?} (tag {}, hop {}), \
                          engine has {:?} (tag {}, hop {})",
                         a.id, a.tag, a.hop, b.id, b.tag, b.hop
+                    ));
+                }
+                let seen = &mut verified[b.route_id().0 as usize];
+                if *seen == edges.as_ptr() {
+                    continue;
+                }
+                *seen = edges.as_ptr();
+                let theirs = engine.routes().get(b.route_id());
+                if **edges != *theirs {
+                    let i = edges.iter().zip(theirs).take_while(|(x, y)| x == y).count();
+                    return Some(format!(
+                        "edge {ei} position {pos}: packet {:?}'s route diverged at route \
+                         position {i}: oracle edge {:?}, engine edge {:?}",
+                        a.id,
+                        edges.get(i),
+                        theirs.get(i)
                     ));
                 }
             }
@@ -500,29 +506,44 @@ mod tests {
         }
         let snap = model.to_snapshot();
         let rebuilt = ReferenceModel::from_snapshot(&snap);
-        // The rebuilt table holds only the live routes in canonical
-        // order, so compare states through the canonical form.
         assert_eq!(rebuilt.to_snapshot(), snap);
-        assert_eq!(rebuilt.backlog(), model.backlog());
+        assert_eq!(rebuilt, model);
     }
 
     #[test]
     fn mirror_extend_interns_one_extension_per_distinct_route() {
         let g = Arc::new(topologies::line(3));
         let edges: Vec<EdgeId> = g.edge_ids().collect();
-        let short = [edges[0]];
+        let short = Route::new(&g, vec![edges[0]]).unwrap();
         let mut model = ReferenceModel::new(g.edge_count());
-        model.mirror_seed(&short, 0);
-        model.mirror_seed(&short, 0);
+        model.mirror_seed(&short, 0, 2);
         model.mirror_extend(&[edges[0]], &[edges[1], edges[2]], None);
-        let ids: Vec<RouteId> = model.buffers[0].iter().map(|p| p.route_id()).collect();
-        // one interned extension shared by the cohort
-        assert_eq!(ids[0], ids[1]);
-        assert_eq!(
-            model.routes.get(ids[0]),
-            &[edges[0], edges[1], edges[2]][..]
-        );
-        // the table holds exactly the original and the extension
-        assert_eq!(model.routes.len(), 2);
+        // both packets carry the extended route, one allocation shared
+        // by the cohort
+        let routes = &model.routes[0];
+        assert_eq!(&routes[0][..], &[edges[0], edges[1], edges[2]][..]);
+        assert!(Arc::ptr_eq(&routes[0], &routes[1]));
+        assert!(model.buffers[0].iter().all(|p| p.route_len() == 3));
+    }
+
+    /// A packet whose route is swapped for another of the same length
+    /// (the lookup fault of a route table returning entry `i ^ 1`)
+    /// still has every packet field right; `diff` must see the route.
+    #[test]
+    fn diff_reports_a_same_length_route_swap() {
+        use crate::engine::EngineConfig;
+        let g = Arc::new(topologies::ring(4));
+        let edges: Vec<EdgeId> = g.edge_ids().collect();
+        let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
+        let a = Route::new(&g, vec![edges[0], edges[1]]).unwrap();
+        eng.seed(a, 0).unwrap();
+        // attached to a live state: the model is resynchronized from it
+        eng.attach_oracle(Box::new(Fifo), 1);
+        let mut model = eng.oracle().unwrap().model().clone();
+        assert_eq!(model.diff(&eng), None);
+        model.routes[0][0] = Arc::from(&[edges[0], edges[3]][..]);
+        let report = model.diff(&eng).expect("a swapped route diverges");
+        assert!(report.contains("edge 0 position 0"), "{report}");
+        assert!(report.contains("route position 1"), "{report}");
     }
 }

@@ -62,14 +62,36 @@ impl Packet {
         hop: u32,
     ) -> Packet {
         assert!((hop as usize) < route.len(), "hop must index into route");
+        Packet::detached(
+            PacketId(id),
+            injected_at,
+            arrived_at,
+            tag,
+            hop,
+            route.len() as u32,
+        )
+    }
+
+    /// A packet outside any engine's route table: its route id is the
+    /// [`RouteId::INVALID`] sentinel and only the route's length is
+    /// kept. The reference model queues its packets in this form and
+    /// holds their routes itself.
+    pub(crate) fn detached(
+        id: PacketId,
+        injected_at: Time,
+        arrived_at: Time,
+        tag: u32,
+        hop: u32,
+        route_len: u32,
+    ) -> Packet {
         Packet {
-            id: PacketId(id),
+            id,
             injected_at,
             arrived_at,
             tag,
             route: RouteId::INVALID,
             hop,
-            route_len: route.len() as u32,
+            route_len,
         }
     }
 

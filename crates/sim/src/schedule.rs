@@ -51,8 +51,7 @@
 //!
 //! Readers of the op list outside replay see the per-packet form:
 //! [`Schedule::content_hash`] hashes it (a stream hashes like its
-//! expansion), [`crate::source::ScheduleSource`] expands streams, and
-//! [`Schedule::per_packet_ops`] yields it for records that slice ops by
+//! expansion) and [`Schedule::per_packet_ops`] yields it for records that slice ops by
 //! time, since a stream op spans many steps.
 
 use aqt_graph::{EdgeId, Route};
@@ -525,15 +524,9 @@ impl Schedule {
     /// Replay this schedule on `engine` from the engine's current time
     /// through `until` (inclusive). Operations scheduled at or before
     /// the engine's current time cause an error (they can never fire).
-    pub fn run<P: Protocol>(self, engine: &mut Engine<P>, until: Time) -> Result<(), EngineError> {
-        self.replay(engine, until)
-    }
-
-    /// [`Schedule::run`] by reference: replay without consuming the
-    /// schedule, so one schedule can drive many engines (the campaign
-    /// shrinker re-runs a candidate dozens of times, and cloning a
-    /// million-op schedule per attempt would dominate the re-run).
-    /// A stable time-sorted *index* order is computed per call; the
+    /// The schedule is borrowed, so one schedule can drive many engines
+    /// (the campaign shrinker re-runs a candidate dozens of times). A
+    /// stable time-sorted *index* order is computed per call; the
     /// operations themselves are never moved. Injections within a step
     /// follow the per-packet form's (time, insertion index) order (see
     /// the module docs).
@@ -699,7 +692,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        s.run(&mut eng, 250).expect("stream must be rate-legal");
+        s.replay(&mut eng, 250).expect("stream must be rate-legal");
     }
 
     /// The floor pattern as a per-step credit loop: the times of `count`
@@ -778,7 +771,7 @@ mod tests {
         eng.seed(route0, 0).unwrap();
         let mut s = Schedule::new();
         s.extend_at(1, vec![edges[0]], vec![edges[1]]);
-        s.run(&mut eng, 3).unwrap();
+        s.replay(&mut eng, 3).unwrap();
         // the seeded packet crossed e0 at step 1 *with the extension*
         // already applied, so it was forwarded to e1 and absorbed at 2.
         assert_eq!(eng.metrics().absorbed, 1);
@@ -794,13 +787,13 @@ mod tests {
         eng.run_quiet(5).unwrap();
         let mut s = Schedule::new();
         s.inject_at(3, route.clone(), 0);
-        assert!(matches!(s.run(&mut eng, 10), Err(EngineError::Usage(_))));
+        assert!(matches!(s.replay(&mut eng, 10), Err(EngineError::Usage(_))));
         // A stream whose first packet is at step 5 (start 4, r = 1/2)
         // is as late as the engine's time, so it can never fire either.
         let mut s = Schedule::new();
         s.inject_count(4, 3, Ratio::new(1, 2), &route, 0);
         assert_eq!(s.ops()[0].time(), 5);
-        assert!(matches!(s.run(&mut eng, 10), Err(EngineError::Usage(_))));
+        assert!(matches!(s.replay(&mut eng, 10), Err(EngineError::Usage(_))));
         assert_eq!(eng.time(), 5, "a rejected schedule runs no step");
     }
 
@@ -812,7 +805,7 @@ mod tests {
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
         let mut s = Schedule::new();
         s.inject_at(9, route.clone(), 0);
-        assert!(matches!(s.run(&mut eng, 5), Err(EngineError::Usage(_))));
+        assert!(matches!(s.replay(&mut eng, 5), Err(EngineError::Usage(_))));
         // A stream live at the horizon with packets still to go: the
         // packets at steps 2, 4, 6, 8 do not all fit in [1, 5].
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
@@ -845,9 +838,9 @@ mod tests {
         assert_eq!(singles.injection_count(), cohort.injection_count());
 
         let mut a = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-        singles.run(&mut a, 10).unwrap();
+        singles.replay(&mut a, 10).unwrap();
         let mut b = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-        cohort.run(&mut b, 10).unwrap();
+        cohort.replay(&mut b, 10).unwrap();
         assert_eq!(
             crate::snapshot::capture(&a),
             crate::snapshot::capture(&b),
@@ -896,13 +889,6 @@ mod tests {
         assert_eq!(
             crate::snapshot::capture(&by_ref),
             crate::snapshot::capture(&again)
-        );
-        // And the consuming `run` produces the same trajectory.
-        let mut consumed = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-        s.run(&mut consumed, 8).unwrap();
-        assert_eq!(
-            crate::snapshot::capture(&by_ref),
-            crate::snapshot::capture(&consumed)
         );
     }
 

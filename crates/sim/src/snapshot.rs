@@ -30,7 +30,7 @@ use aqt_graph::EdgeId;
 use crate::engine::{Engine, EngineError};
 use crate::packet::{Packet, Time};
 use crate::protocol::Protocol;
-use crate::routes::{RouteId, RouteTable};
+use crate::routes::RouteId;
 
 /// The snapshot schema version this build writes and accepts.
 ///
@@ -101,38 +101,34 @@ pub struct PacketState {
     pub hop: u32,
 }
 
-/// Canonicalize one engine-or-model state: walk the buffers in edge
-/// order and dense-number each distinct route by first appearance.
-/// Shared by [`capture`] and the reference model's `to_snapshot`, so
-/// both sides of a differential comparison produce the same canonical
-/// form regardless of their private intern orders.
-pub(crate) fn canonical_buffers<'a, B, Q>(
-    buffers: B,
-    table: &RouteTable,
-) -> (Vec<Arc<[EdgeId]>>, Vec<Vec<PacketState>>)
-where
-    B: Iterator<Item = Q>,
-    Q: Iterator<Item = &'a Packet>,
-{
+/// Canonicalize the engine's buffers: walk them in edge order and
+/// dense-number each distinct route by first appearance.
+fn canonical_buffers<P: Protocol>(
+    engine: &Engine<P>,
+) -> (Vec<Arc<[EdgeId]>>, Vec<Vec<PacketState>>) {
     let mut numbering: HashMap<RouteId, u32> = HashMap::new();
     let mut routes: Vec<Arc<[EdgeId]>> = Vec::new();
-    let states = buffers
-        .map(|q| {
-            q.map(|p| {
-                let route = *numbering.entry(p.route_id()).or_insert_with(|| {
-                    routes.push(table.get(p.route_id()).into());
-                    (routes.len() - 1) as u32
-                });
-                PacketState {
-                    id: p.id.0,
-                    injected_at: p.injected_at,
-                    arrived_at: p.arrived_at,
-                    tag: p.tag,
-                    route,
-                    hop: p.traversed() as u32,
-                }
-            })
-            .collect()
+    let states = engine
+        .graph()
+        .edge_ids()
+        .map(|e| {
+            engine
+                .queue_iter(e)
+                .map(|p| {
+                    let route = *numbering.entry(p.route_id()).or_insert_with(|| {
+                        routes.push(engine.routes().get(p.route_id()).into());
+                        (routes.len() - 1) as u32
+                    });
+                    PacketState {
+                        id: p.id.0,
+                        injected_at: p.injected_at,
+                        arrived_at: p.arrived_at,
+                        tag: p.tag,
+                        route,
+                        hop: p.traversed() as u32,
+                    }
+                })
+                .collect()
         })
         .collect();
     (routes, states)
@@ -140,10 +136,7 @@ where
 
 /// Capture the engine's network state.
 pub fn capture<P: Protocol>(engine: &Engine<P>) -> Snapshot {
-    let (routes, buffers) = canonical_buffers(
-        engine.graph().edge_ids().map(|e| engine.queue_iter(e)),
-        engine.routes(),
-    );
+    let (routes, buffers) = canonical_buffers(engine);
     Snapshot {
         schema: SNAPSHOT_SCHEMA_VERSION,
         time: engine.time(),

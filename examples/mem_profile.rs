@@ -40,8 +40,7 @@ fn main() {
     let mut eng = Engine::new(Arc::clone(&graph), Fifo, EngineConfig::default());
     eng.seed_cohort(unit, 0, run.s_star).expect("seeding");
     run.recorded
-        .clone()
-        .run(&mut eng, run.total_steps)
+        .replay(&mut eng, run.total_steps)
         .expect("replay");
     report("instability", &eng);
 

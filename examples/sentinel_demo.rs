@@ -25,7 +25,7 @@ use std::sync::Arc;
 use aqt_core::instability::{InstabilityConfig, InstabilityConstruction};
 use aqt_graph::Route;
 use aqt_protocols::Fifo;
-use aqt_sim::{snapshot, Engine, EngineConfig, EngineError, Schedule, SentinelConfig};
+use aqt_sim::{snapshot, Engine, EngineConfig, EngineError, SentinelConfig};
 
 fn main() {
     // A test-sized G_eps run: eps = 1/4, m = 4, one iteration, with
@@ -61,8 +61,7 @@ fn main() {
         run.total_steps
     );
 
-    let sched: Schedule = run.recorded.clone();
-    match sched.run(&mut eng, run.total_steps) {
+    match run.recorded.replay(&mut eng, run.total_steps) {
         Ok(()) => {
             let s = eng.sentinel().expect("attached");
             println!(

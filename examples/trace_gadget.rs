@@ -80,7 +80,7 @@ fn main() {
     }
 
     let boot = lemma315::build(&graph, &gadget.handles, &params, s, 0, 8).expect("build");
-    boot.schedule.run(&mut eng, boot.finish).expect("legal");
+    boot.schedule.replay(&mut eng, boot.finish).expect("legal");
 
     let spans = spans.0.lock().expect("no span-log holder panics");
     let edge = |e: u32| graph.edge_name(EdgeId(e));

@@ -25,7 +25,8 @@ const CATALOG: &str = include_str!("../INVARIANTS.md");
 
 /// Every sentinel invariant family has a catalog entry, and every
 /// catalog entry names a real family — the file cannot drift from
-/// `InvariantKind`.
+/// `InvariantKind`. Every entry, and every bullet under "Invariants
+/// enforced outside the sentinel", names at least one test.
 #[test]
 fn invariants_catalog_is_exhaustive() {
     for kind in InvariantKind::ALL {
@@ -62,6 +63,40 @@ fn invariants_catalog_is_exhaustive() {
             "facet '{facet}' appears {count} times, expected one per invariant"
         );
     }
+    let (sentinel, outside) = CATALOG
+        .split_once("\n## Invariants enforced outside the sentinel")
+        .expect("INVARIANTS.md has the outside-the-sentinel section");
+    let outside = outside.split("\n## ").next().unwrap_or_default();
+    let entries = sentinel.split("\n### ").skip(1);
+    let bullets = outside.split("\n- ").skip(1);
+    for item in entries.chain(bullets) {
+        assert!(
+            item.split('`').skip(1).step_by(2).any(names_a_test),
+            "INVARIANTS.md: '{}' names no test as `path.rs::fn_name`",
+            item.lines().next().unwrap_or_default()
+        );
+    }
+}
+
+/// Is `token` a `path.rs::fn_name` whose `fn` carries `#[test]`?
+fn names_a_test(token: &str) -> bool {
+    let Some((stem, name)) = token.split_once(".rs::") else {
+        return false;
+    };
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let Ok(src) = std::fs::read_to_string(root.join(format!("{stem}.rs"))) else {
+        return false;
+    };
+    let lines: Vec<&str> = src.lines().map(str::trim).collect();
+    let head = format!("fn {name}(");
+    lines.iter().enumerate().any(|(i, line)| {
+        line.starts_with(&head)
+            && lines[..i]
+                .iter()
+                .rev()
+                .take_while(|l| l.starts_with("#["))
+                .any(|l| *l == "#[test]")
+    })
 }
 
 /// Every repository path the prose docs cite in backticks exists: a

@@ -4,8 +4,8 @@
 //! test drives one engine with the lockstep oracle attached
 //! (`Engine::attach_oracle`): its naive `ReferenceModel` scans every
 //! buffer each step and always dispatches through `Protocol::select`,
-//! and it diffs clock, id counter, conservation counters, route tables
-//! and every queued packet against the engine. With no sentinel
+//! and it diffs clock, id counter, conservation counters and every
+//! queued packet, its full route included, against the engine. With no sentinel
 //! attached a divergence halts the step with an `oracle-divergence`
 //! error. These tests are the license for the engine's fast path — if
 //! one fails, the optimization changed the model.
@@ -20,6 +20,8 @@ use aqt_sim::{
     snapshot, Engine, EngineConfig, FaultPlan, Injection, Metrics, Protocol, Ratio, Schedule,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
 fn ring_route(g: &Arc<Graph>, start: u64) -> Route {
@@ -346,24 +348,44 @@ proptest! {
 }
 
 /// Deterministic cross-check on every bundled protocol: a congested
-/// phase (all sources firing) followed by a full drain, no faults.
+/// phase followed by a full drain, no faults, on two inputs: `ring(6)`
+/// with every source firing, and `torus(3,3)` with random injections
+/// over 24 random routes of length 1–4 (routes of different lengths
+/// on a graph whose buffers are fed from several directions).
 #[test]
 fn pipelines_agree_for_every_protocol_through_a_drain() {
-    let g = Arc::new(topologies::ring(6));
-    for &name in protocol_names() {
-        let mut eng = checked_engine(&g, name, 5);
-        for t in 1..=40u64 {
-            let inj: Vec<Injection> = (0..(t % 4))
-                .map(|k| Injection::new(ring_route(&g, t + k), t as u32))
-                .collect();
-            step(&mut eng, inj);
+    let ring = Arc::new(topologies::ring(6));
+    let ring_plan: Vec<Vec<Injection>> = (1..=40u64)
+        .map(|t| {
+            (0..(t % 4))
+                .map(|k| Injection::new(ring_route(&ring, t + k), t as u32))
+                .collect()
+        })
+        .collect();
+    let torus = Arc::new(topologies::torus(3, 3));
+    let mut torus_plan: Vec<Vec<Injection>> = Vec::new();
+    for seed in 0..2 {
+        let pool = aqt_adversary::stochastic::random_routes(&torus, 4, 24, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        torus_plan.extend((1..=150u32).map(|t| {
+            (0..rng.gen_range(0..3))
+                .map(|_| Injection::new(pool[rng.gen_range(0..pool.len())].clone(), t))
+                .collect()
+        }));
+    }
+    for (g, plan, drain) in [(&ring, &ring_plan, 60), (&torus, &torus_plan, 1200)] {
+        for &name in protocol_names() {
+            let mut eng = checked_engine(g, name, 5);
+            for inj in plan {
+                step(&mut eng, inj.clone());
+            }
+            // quiet drain: the active-edge set shrinks to nothing
+            if let Err(e) = eng.run_quiet(drain) {
+                panic!("{name} drain: {e}");
+            }
+            assert_oracle_agrees(&eng);
+            assert_eq!(eng.backlog(), 0, "{name}: drain must complete");
         }
-        // quiet drain: the active-edge set shrinks to nothing
-        if let Err(e) = eng.run_quiet(60) {
-            panic!("{name} drain: {e}");
-        }
-        assert_oracle_agrees(&eng);
-        assert_eq!(eng.backlog(), 0, "{name}: drain must complete");
     }
 }
 
@@ -396,8 +418,7 @@ fn pipelines_agree_on_a_recorded_instability_run() {
     let mut eng = Engine::new(Arc::clone(&graph), Fifo, config());
     eng.attach_oracle(Box::new(Fifo), DIFF_EVERY);
     eng.seed_cohort(unit, 0, run.s_star).expect("seeding");
-    let sched: Schedule = run.recorded.clone();
-    if let Err(e) = sched.run(&mut eng, run.total_steps) {
+    if let Err(e) = run.recorded.replay(&mut eng, run.total_steps) {
         panic!("replay: {e}");
     }
     assert_oracle_agrees(&eng);

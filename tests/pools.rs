@@ -9,7 +9,7 @@ use aqt_adversary::periodic::{PeriodicAdversary, Stream};
 use aqt_core::theory::StabilityCertificate;
 use aqt_graph::{catalog, paths};
 use aqt_protocols::by_name;
-use aqt_sim::{run_with_source, AdversaryModelSpec, Engine, EngineConfig, Ratio};
+use aqt_sim::{AdversaryModelSpec, Engine, EngineConfig, Ratio};
 
 /// Shortest-path streams, each injecting exactly once per period
 /// `P = n_streams·(d+1)` at a distinct phase. Any sliding window of
@@ -53,7 +53,9 @@ fn shortest_path_periodic_load_respects_bounds() {
             },
         );
         let mut a = adv.clone();
-        run_with_source(&mut eng, &mut a, 20_000).expect("legal periodic load");
+        for t in 1..=20_000 {
+            eng.step(a.injections_for(t)).expect("legal periodic load");
+        }
         assert!(
             eng.metrics().max_buffer_wait() <= bound,
             "{proto}: wait {} > bound {bound}",

@@ -30,8 +30,7 @@ fn recorded_schedule_reproduces_the_fifo_run() {
         eng.seed(unit.clone(), 0).expect("seeding");
     }
     run.recorded
-        .clone()
-        .run(&mut eng, run.total_steps)
+        .replay(&mut eng, run.total_steps)
         .expect("replay");
 
     // The final fresh queue measured by the driver equals the replay's

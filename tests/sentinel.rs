@@ -15,7 +15,7 @@ use aqt_graph::{topologies, EdgeId, Graph, Route};
 use aqt_protocols::{classify, Fifo};
 use aqt_sim::{
     checkpoint, snapshot, Discipline, Engine, EngineConfig, EngineError, Injection, InvariantKind,
-    Packet, Protocol, Schedule, SentinelConfig, SimError, Time,
+    Packet, Protocol, SentinelConfig, SimError, Time,
 };
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
@@ -62,9 +62,8 @@ fn instability_replay_is_clean_under_full_sentinel_and_oracle() {
     for _ in 0..run.s_star {
         eng.seed(unit.clone(), 0).expect("seeding");
     }
-    let sched: Schedule = run.recorded.clone();
-    sched
-        .run(&mut eng, run.total_steps)
+    run.recorded
+        .replay(&mut eng, run.total_steps)
         .expect("no invariant may trip on a known-good run");
 
     let s_end = run.iterations.last().expect("one iteration").s_end;

@@ -309,7 +309,7 @@ fn lemma_builders_are_rate_legal() {
             aqt_adversary::lemma316::build(&graph, e[0], e[1], e[2], rate, 500, 0, 0).unwrap();
         stitch
             .schedule
-            .run(&mut eng, stitch.finish)
+            .replay(&mut eng, stitch.finish)
             .unwrap_or_else(|err| panic!("stitch at r={num}/{den} must be legal: {err}"));
     }
 }
