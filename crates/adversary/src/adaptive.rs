@@ -121,7 +121,7 @@ mod tests {
         for t in 1..=200 {
             for inj in adv.injections_for(t, |_| 0) {
                 check
-                    .record_route(inj.route.edges(), t)
+                    .observe_route(inj.route.edges(), t)
                     .expect("adaptive adversary must stay (w,r)-legal");
             }
         }

@@ -141,11 +141,6 @@ impl SaturatingAdversary {
 
     /// Produce the injections for step `t` (monotone increasing calls).
     pub fn injections_for(&mut self, t: Time) -> Vec<Injection> {
-        if self.style == InjectionStyle::Spread {
-            // In spread mode only act when t is "due": inject at most
-            // one candidate per step per route attempt round.
-            // (Headroom still rules.)
-        }
         let mut out = Vec::new();
         for _ in 0..self.attempts_per_step {
             let idx = self.rng.gen_range(0..self.routes.len());
@@ -161,11 +156,9 @@ impl SaturatingAdversary {
                         .expect("headroom was checked; observe cannot fail");
                 }
                 out.push(Injection::new(route.clone(), idx as u32));
-                if self.style == InjectionStyle::Spread && !out.is_empty() {
+                if self.style == InjectionStyle::Spread {
                     break;
                 }
-            } else if self.style == InjectionStyle::Burst {
-                continue;
             }
         }
         out
@@ -209,7 +202,7 @@ mod tests {
         for t in 1..=100 {
             for inj in adv.injections_for(t) {
                 check
-                    .record_route(inj.route.edges(), t)
+                    .observe_route(inj.route.edges(), t)
                     .expect("saturating adversary must stay legal");
                 total += 1;
             }

@@ -1,11 +1,9 @@
-//! Fixed-width ASCII tables and CSV output.
+//! Fixed-width ASCII tables.
 //!
 //! `aqt_core::report` renders one table per reproduced
 //! claim/experiment; `EXPERIMENTS.md` quotes them.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]
@@ -77,38 +75,6 @@ impl Table {
         }
         out
     }
-
-    /// Write as CSV (RFC-4180-style quoting for cells containing
-    /// commas or quotes).
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        let mut out = String::new();
-        let quote = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-        .unwrap();
-        for row in &self.rows {
-            writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(",")
-            )
-            .unwrap();
-        }
-        std::fs::write(path, out)
-    }
 }
 
 /// Format a float with 3 significant decimals, trimming noise.
@@ -142,19 +108,6 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_quoting() {
-        let dir = std::env::temp_dir().join("aqt_table_test.csv");
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(&["x,y".into(), "plain".into()]);
-        t.row(&["has\"quote".into(), "z".into()]);
-        t.write_csv(&dir).unwrap();
-        let s = std::fs::read_to_string(&dir).unwrap();
-        assert!(s.contains("\"x,y\""));
-        assert!(s.contains("\"has\"\"quote\""));
-        std::fs::remove_file(&dir).ok();
     }
 
     #[test]

@@ -159,7 +159,6 @@ fn run_closed_loop(scenario: &Scenario, spec: &ClosedLoopSpec) -> Outcome {
             fault_plan_id: None,
             model_fingerprint: None, // auto-filled from the engine's model
         },
-        ..TelemetryConfig::default()
     });
     match cl.run(scenario.horizon) {
         Ok(()) => Outcome::Clean(RunStats::capture(cl.engine())),
@@ -211,7 +210,6 @@ fn run_open_loop(scenario: &Scenario) -> Outcome {
             fault_plan_id: None,
             model_fingerprint: None, // auto-filled from the engine's model
         },
-        ..TelemetryConfig::default()
     });
     if !built.faults.is_empty() {
         if let Err(e) = engine.install_faults(built.faults) {

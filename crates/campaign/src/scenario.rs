@@ -46,17 +46,6 @@ impl TopologySpec {
         }
     }
 
-    /// Stable display name of the family.
-    pub fn family_name(self) -> &'static str {
-        match self {
-            TopologySpec::Line(_) => "line",
-            TopologySpec::Ring(_) => "ring",
-            TopologySpec::Grid(_, _) => "grid",
-            TopologySpec::Hypercube(_) => "hypercube",
-            TopologySpec::Complete(_) => "complete",
-        }
-    }
-
     /// Materialize the graph. Sizes are clamped to the topology
     /// constructors' minimums so a shrunk spec can never panic.
     pub fn build(self) -> Graph {

@@ -99,15 +99,21 @@ pub fn sections(scale: Scale) -> &'static [(&'static str, Render)] {
     }
 }
 
+/// The longest sections of the reduced tour, longest first. Workers
+/// claim these before the rest (which follow in tour order), so no
+/// worker starts a long section when the others are nearly done.
+const CLAIM_FIRST: [&str; 4] = ["E1", "E12", "E9", "E10"];
+
 /// Render the sections `scale` covers — only the one named `only`
 /// (case-insensitive) when given — on the sweep harness, one job per
-/// section on every available core. Each section goes to `emit` once
-/// it and every section before it have settled, so the output is in
-/// tour order whatever the thread count. A section that panics or
+/// section on every available core, the longest sections (E1, E12,
+/// E9, E10) claimed first. Each section goes to `emit` once it and
+/// every section before it have settled, so the output is in tour
+/// order whatever the thread count. A section that panics or
 /// fails is quarantined: the others still render, and the error names
-/// it. With a `progress` sink, each section is reported as a sweep job
-/// (`job_started`, then `job_finished` or `job_quarantined`, then a
-/// `sweep_progress` record with an ETA).
+/// it. With a `progress` sink, each section is reported as a sweep job,
+/// indexed in claim order (`job_started`, then `job_finished` or
+/// `job_quarantined`, then a `sweep_progress` record with an ETA).
 pub fn run(
     scale: Scale,
     only: Option<&str>,
@@ -152,41 +158,61 @@ fn run_sections(
         settled: (0..jobs.len()).map(|_| None).collect(),
         emit,
     });
-    let report = run_sim_sweep(jobs.clone(), threads, progress, |index, &(id, render)| {
-        // `settle` leaves the release valid at every step, so a panic in
-        // `emit` loses only the section it was printing.
-        let settle = |section| {
-            release
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .settle(index, section)
-        };
-        // Settle a failed section as a gap before the harness
-        // quarantines it, so the sections after it are not held back.
-        match catch_unwind(|| render(scale)) {
-            Ok(Ok(section)) => {
-                settle(Some((id, section)));
-                Ok(())
-            }
-            Ok(Err(e)) => {
-                settle(None);
-                Err(e)
-            }
-            Err(panic) => {
-                settle(None);
-                resume_unwind(panic)
-            }
-        }
+    // Each job keeps its tour slot; the stable sort leaves the sections
+    // outside `CLAIM_FIRST` in tour order.
+    let mut claims: Vec<_> = jobs.into_iter().enumerate().collect();
+    claims.sort_by_key(|(_, (id, _))| {
+        CLAIM_FIRST
+            .iter()
+            .position(|c| c == id)
+            .unwrap_or(CLAIM_FIRST.len())
     });
-    let failed: Vec<_> = report
+    let report = run_sim_sweep(
+        claims.clone(),
+        threads,
+        progress,
+        |_, &(slot, (id, render))| {
+            // `settle` leaves the release valid at every step, so a panic in
+            // `emit` loses only the section it was printing.
+            let settle = |section| {
+                release
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .settle(slot, section)
+            };
+            // Settle a failed section as a gap before the harness
+            // quarantines it, so the sections after it are not held back.
+            match catch_unwind(|| render(scale)) {
+                Ok(Ok(section)) => {
+                    settle(Some((id, section)));
+                    Ok(())
+                }
+                Ok(Err(e)) => {
+                    settle(None);
+                    Err(e)
+                }
+                Err(panic) => {
+                    settle(None);
+                    resume_unwind(panic)
+                }
+            }
+        },
+    );
+    let mut failed: Vec<_> = report
         .quarantined()
         .into_iter()
-        .map(|q| (jobs[q.index].0, q.message.clone()))
+        .map(|q| (claims[q.index].0, claims[q.index].1 .0, q.message.clone()))
         .collect();
+    failed.sort_unstable_by_key(|&(slot, ..)| slot);
     if failed.is_empty() {
         Ok(())
     } else {
-        Err(Quarantined(failed))
+        Err(Quarantined(
+            failed
+                .into_iter()
+                .map(|(_, id, message)| (id, message))
+                .collect(),
+        ))
     }
 }
 
@@ -770,6 +796,27 @@ mod tests {
         ]);
         assert_eq!(result, Ok(()));
         assert_eq!(emitted, ["A", "B", "C", "D"]);
+    }
+
+    #[test]
+    fn longest_sections_are_claimed_first_and_emitted_in_tour_order() {
+        static CLAIMED: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+        fn claim(id: &'static str) -> Result<Section, SimError> {
+            CLAIMED.lock().unwrap().push(id);
+            fake(id, 0)
+        }
+        let jobs: Vec<(&'static str, Render)> = vec![
+            ("E2", |_| claim("E2")),
+            ("E9", |_| claim("E9")),
+            ("E10", |_| claim("E10")),
+            ("E11", |_| claim("E11")),
+            ("E12", |_| claim("E12")),
+        ];
+        let mut emitted = Vec::new();
+        let result = run_sections(jobs, 1, Scale::Reduced, None, |id, _| emitted.push(id));
+        assert_eq!(result, Ok(()));
+        assert_eq!(*CLAIMED.lock().unwrap(), ["E12", "E9", "E10", "E2", "E11"]);
+        assert_eq!(emitted, ["E2", "E9", "E10", "E11", "E12"]);
     }
 
     #[test]

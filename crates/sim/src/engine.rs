@@ -430,16 +430,6 @@ impl<P: Protocol> Engine<P> {
         &self.routes
     }
 
-    /// The full route of a packet owned by this engine.
-    ///
-    /// # Panics
-    /// If `p` was not admitted by this engine (e.g. a
-    /// [`Packet::synthetic`]).
-    #[inline]
-    pub fn route_of(&self, p: &Packet) -> &[EdgeId] {
-        self.routes.get(p.route)
-    }
-
     /// Heap bytes currently committed to packet storage: buffer
     /// capacity plus the interned route storage. The numerator of the
     /// benchmark's `sim.bytes_per_packet` metric (`crates/benchmark`).
@@ -695,14 +685,11 @@ impl<P: Protocol> Engine<P> {
             self.probes.telemetry.counters.cohorts_admitted += 1;
         }
         if self.probes.observe.spans_on {
-            // The sampled residue class is arithmetic (every
-            // `mask + 1`-th id), so the cohort's sampled members are
-            // stepped directly instead of testing all n ids.
+            // The sampled ids are the multiples of `mask + 1`, so the
+            // cohort's sampled members are stepped directly instead of
+            // testing all n ids.
             let stride = self.probes.observe.span_mask + 1;
-            let mut id = (base & !self.probes.observe.span_mask) | self.probes.observe.span_residue;
-            if id < base {
-                id += stride;
-            }
+            let mut id = base.next_multiple_of(stride);
             while id < base + n {
                 self.probes
                     .observe
@@ -736,8 +723,9 @@ impl<P: Protocol> Engine<P> {
         // The telemetry level, folded to booleans read once per step.
         // Timing is *sampled*: a full set of per-substage clock reads
         // would dominate a fast step, so the probe schedule arms the
-        // `timing_this_step` flag only for every `timing_stride`-th
-        // step, and the substage methods read that flag.
+        // `timing_this_step` flag only for every 512th step
+        // (`TIMING_SAMPLE_EVERY`), and the substage methods read that
+        // flag.
         let tel_counters = self.probes.telemetry.counters_on;
         let tel_timing = self.probes.telemetry.timing_this_step;
         let step_t0 = tel_timing.then(std::time::Instant::now);

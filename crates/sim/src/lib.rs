@@ -40,13 +40,13 @@
 //!   parallel parameter sweeps (per-job panic and error isolation,
 //!   quarantine after one attempt).
 //! * [`observe`] — the queue observatory: fixed-cadence per-edge
-//!   backlog series with a certificate-margin tracker, seeded 1-in-N
-//!   packet-lifecycle span sampling, exported through the telemetry
+//!   backlog records with a certificate-margin tracker, deterministic
+//!   1-in-N packet-lifecycle span sampling, exported through the telemetry
 //!   sinks for the offline analyzer (`examples/observatory.rs`).
 //! * [`sentinel`] / [`oracle`] — runtime self-verification: pluggable
 //!   invariants (packet conservation, unit-speed capacity, route
 //!   progress, snapshot integrity, theorem-derived wait bounds)
-//!   checked at a configurable cadence with per-invariant severities,
+//!   checked at a configurable cadence under one severity policy,
 //!   plus a lockstep differential oracle diffing the optimized
 //!   pipeline against a naive reference engine.
 

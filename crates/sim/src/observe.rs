@@ -11,20 +11,20 @@
 //!
 //! * **Backlog recorder** — at a fixed cadence, the total live backlog
 //!   Q(t), the deepest-queue and worst-wait running peaks, and the
-//!   sparse per-edge queue depths are captured into a preallocated
-//!   columnar store and emitted as `backlog` JSONL records. When the
-//!   store fills, it compacts in place (every other tick is dropped
-//!   and the cadence doubles), so an arbitrarily long run fits a fixed
-//!   memory budget and never allocates mid-step.
-//! * **Bound tracker** — when the run carries a
-//!   [`crate::CertificateSpec`] (or an explicit bound), every tick
+//!   sparse per-edge queue depths are emitted as `backlog` JSONL
+//!   records. The observatory itself keeps only O(1) scalars (the tick
+//!   count and the smallest margin), so it never allocates mid-step
+//!   however long the run; the in-memory backlog series is
+//!   [`crate::Metrics::series`].
+//! * **Bound tracker** — when the sentinel carries a
+//!   [`crate::CertificateSpec`] with an enforceable bound, every tick
 //!   also records `margin = bound − max_wait`: the distance to the
 //!   Theorem 4.1/4.3 per-buffer wait bound the sentinel enforces. A
 //!   shrinking margin makes a certificate near-miss visible long
 //!   before the sentinel raises a Halt.
-//! * **Span sampler** — packets whose id satisfies
-//!   `id & (N−1) == seed & (N−1)` (a deterministic 1-in-N stratified
-//!   sample; N is rounded up to a power of two) emit a lifecycle span:
+//! * **Span sampler** — packets whose id satisfies `id & (N−1) == 0`
+//!   (a deterministic 1-in-N stratified sample; N is rounded up to a
+//!   power of two) emit a lifecycle span:
 //!   inject → per-hop send/enqueue → absorb, plus wire-fault
 //!   drop/duplicate events, each carrying the edge and the wait in
 //!   steps. Spans are collected into a preallocated scratch during
@@ -46,42 +46,28 @@ use crate::telemetry::SpanKind;
 /// into — the scratch must never allocate mid-step.
 const SPAN_SCRATCH_CAP: usize = 4096;
 
+/// Per-edge depths are captured only when the graph has at most this
+/// many edges; larger runs still get the total/peak series (a
+/// 120k-edge scan per tick is affordable, but the JSONL depth arrays
+/// would not be).
+const MAX_TRACKED_EDGES: usize = 4096;
+
 /// Observatory configuration. The default is the "watch a run" shape:
-/// a backlog tick every 256 steps, 1-in-64 span sampling, per-edge
-/// depths tracked up to 4096 edges.
+/// a backlog tick every 256 steps and 1-in-64 span sampling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObserveConfig {
     /// Steps between backlog ticks (0 is treated as the default 256).
-    /// Doubles each time the in-memory store compacts.
     pub cadence: Time,
-    /// Ticks the in-memory columnar store holds before compacting in
-    /// place (minimum 16).
-    pub capacity: usize,
     /// Sample one packet in this many for lifecycle spans, rounded up
     /// to a power of two; 0 disables span collection.
     pub span_sample_every: u64,
-    /// Seed choosing *which* residue class of packet ids is sampled.
-    pub span_seed: u64,
-    /// Per-edge depth columns are captured only when the graph has at
-    /// most this many edges; larger runs still get the total/peak
-    /// series (a 120k-edge scan per tick is affordable, but the JSONL
-    /// depth arrays would not be).
-    pub max_tracked_edges: usize,
-    /// Explicit certificate bound for the margin tracker. When `None`,
-    /// [`crate::Engine::attach_observatory`] fills it from the
-    /// sentinel's [`crate::CertificateSpec`] if one is attached.
-    pub bound: Option<u64>,
 }
 
 impl Default for ObserveConfig {
     fn default() -> Self {
         ObserveConfig {
             cadence: 256,
-            capacity: 4096,
             span_sample_every: 64,
-            span_seed: 0,
-            max_tracked_edges: 4096,
-            bound: None,
         }
     }
 }
@@ -96,18 +82,6 @@ impl ObserveConfig {
     /// This configuration with 1-in-`every` span sampling (0 = off).
     pub fn with_span_sample_every(mut self, every: u64) -> Self {
         self.span_sample_every = every;
-        self
-    }
-
-    /// This configuration with span-sampling seed `seed`.
-    pub fn with_span_seed(mut self, seed: u64) -> Self {
-        self.span_seed = seed;
-        self
-    }
-
-    /// This configuration with an explicit margin-tracker bound.
-    pub fn with_bound(mut self, bound: u64) -> Self {
-        self.bound = Some(bound);
         self
     }
 }
@@ -140,14 +114,8 @@ pub struct Observe {
     /// input of the engine's probe schedule (`probes.rs`).
     pub(crate) next: Time,
     bound: Option<u64>,
-    capacity: usize,
     ticks: u64,
-    // Columnar tick store (parallel vectors, one entry per kept tick).
-    times: Vec<Time>,
-    totals: Vec<u64>,
-    max_queues: Vec<u64>,
-    max_waits: Vec<Time>,
-    margins: Vec<i64>,
+    min_margin: Option<i64>,
     /// Sparse nonzero `(edge, depth)` pairs of the current tick
     /// (scratch; `backlog` records borrow it).
     pub(crate) depth_scratch: Vec<(u32, u32)>,
@@ -156,10 +124,8 @@ pub struct Observe {
     // Span sampling.
     /// Hot gate: spans are being collected this run.
     pub(crate) spans_on: bool,
-    /// `id & span_mask == span_residue` ⇔ the packet is sampled.
+    /// `id & span_mask == 0` ⇔ the packet is sampled.
     pub(crate) span_mask: u64,
-    /// See [`Observe::span_mask`].
-    pub(crate) span_residue: u64,
     /// Spans staged during the current step (preallocated; flushed at
     /// end of step).
     pub(crate) span_scratch: Vec<SpanRec>,
@@ -176,18 +142,12 @@ impl Observe {
             cadence: 0,
             next: Time::MAX,
             bound: None,
-            capacity: 0,
             ticks: 0,
-            times: Vec::new(),
-            totals: Vec::new(),
-            max_queues: Vec::new(),
-            max_waits: Vec::new(),
-            margins: Vec::new(),
+            min_margin: None,
             depth_scratch: Vec::new(),
             track_depths: false,
             spans_on: false,
             span_mask: 0,
-            span_residue: 0,
             span_scratch: Vec::new(),
             spans_emitted: 0,
             spans_dropped: 0,
@@ -195,8 +155,9 @@ impl Observe {
     }
 
     /// Apply `cfg` against a graph of `edge_count` edges, scheduling
-    /// the first tick after `now`. `bound` is the already-resolved
-    /// margin-tracker bound. All preallocation happens here.
+    /// the first tick after `now`. `bound` is the margin-tracker bound
+    /// (the sentinel's certificate bound, if any). All preallocation
+    /// happens here.
     pub(crate) fn configure(
         &mut self,
         cfg: ObserveConfig,
@@ -205,29 +166,20 @@ impl Observe {
         bound: Option<u64>,
     ) {
         let cadence = if cfg.cadence == 0 { 256 } else { cfg.cadence };
-        let capacity = cfg.capacity.max(16);
         self.enabled = true;
         self.cadence = cadence;
         self.next = now.saturating_add(cadence);
         self.bound = bound;
-        self.capacity = capacity;
         self.ticks = 0;
-        self.times = Vec::with_capacity(capacity);
-        self.totals = Vec::with_capacity(capacity);
-        self.max_queues = Vec::with_capacity(capacity);
-        self.max_waits = Vec::with_capacity(capacity);
-        self.margins = Vec::with_capacity(capacity);
-        self.track_depths = edge_count <= cfg.max_tracked_edges;
+        self.min_margin = None;
+        self.track_depths = edge_count <= MAX_TRACKED_EDGES;
         self.depth_scratch = Vec::with_capacity(if self.track_depths { edge_count } else { 0 });
         self.spans_on = cfg.span_sample_every > 0;
         if self.spans_on {
-            let n = cfg.span_sample_every.next_power_of_two();
-            self.span_mask = n - 1;
-            self.span_residue = cfg.span_seed & self.span_mask;
+            self.span_mask = cfg.span_sample_every.next_power_of_two() - 1;
             self.span_scratch = Vec::with_capacity(SPAN_SCRATCH_CAP);
         } else {
             self.span_mask = 0;
-            self.span_residue = 0;
             self.span_scratch = Vec::new();
         }
         self.spans_emitted = 0;
@@ -242,7 +194,7 @@ impl Observe {
     /// Is `id` in the sampled residue class?
     #[inline]
     pub(crate) fn sampled(&self, id: u64) -> bool {
-        id & self.span_mask == self.span_residue
+        id & self.span_mask == 0
     }
 
     /// Stage a lifecycle span for `packet` at `edge` when spans are on
@@ -289,51 +241,20 @@ impl Observe {
         }
     }
 
-    /// Record one backlog tick into the columnar store and advance the
-    /// tick gate. Returns the margin, if a bound is tracked. The
-    /// caller (the engine) gathers the inputs and emits the record.
-    pub(crate) fn record_tick(
-        &mut self,
-        now: Time,
-        total: u64,
-        max_queue: u64,
-        max_wait: Time,
-    ) -> Option<i64> {
-        if self.times.len() == self.capacity {
-            self.compact();
-        }
+    /// Count one backlog tick, fold its margin into the minimum and
+    /// advance the tick gate. Returns the margin, if a bound is
+    /// tracked. The caller (the engine) gathers the inputs and emits
+    /// the record.
+    pub(crate) fn record_tick(&mut self, now: Time, max_wait: Time) -> Option<i64> {
         let margin = self
             .bound
             .map(|b| (b as i64).saturating_sub(max_wait.min(i64::MAX as u64) as i64));
-        self.times.push(now);
-        self.totals.push(total);
-        self.max_queues.push(max_queue);
-        self.max_waits.push(max_wait);
-        self.margins.push(margin.unwrap_or(0));
+        if let Some(m) = margin {
+            self.min_margin = Some(self.min_margin.map_or(m, |min| min.min(m)));
+        }
         self.ticks += 1;
         self.next = now.saturating_add(self.cadence);
         margin
-    }
-
-    /// Halve the store in place (keep every other tick) and double the
-    /// cadence. No allocation; O(capacity) moves.
-    fn compact(&mut self) {
-        let n = self.times.len();
-        let mut k = 0;
-        for i in (0..n).step_by(2) {
-            self.times[k] = self.times[i];
-            self.totals[k] = self.totals[i];
-            self.max_queues[k] = self.max_queues[i];
-            self.max_waits[k] = self.max_waits[i];
-            self.margins[k] = self.margins[i];
-            k += 1;
-        }
-        self.times.truncate(k);
-        self.totals.truncate(k);
-        self.max_queues.truncate(k);
-        self.max_waits.truncate(k);
-        self.margins.truncate(k);
-        self.cadence = self.cadence.saturating_mul(2);
     }
 
     /// The margin-tracker bound (resolved at attach).
@@ -341,49 +262,16 @@ impl Observe {
         self.bound
     }
 
-    /// Current steps between ticks (doubles on each compaction).
-    pub fn cadence(&self) -> Time {
-        self.cadence
-    }
-
-    /// Ticks recorded over the run (including compacted-away ones).
+    /// Ticks recorded over the run.
     pub fn ticks(&self) -> u64 {
         self.ticks
     }
 
-    /// Tick times currently held, ascending.
-    pub fn times(&self) -> &[Time] {
-        &self.times
-    }
-
-    /// Total live backlog per held tick (parallel to
-    /// [`Observe::times`]).
-    pub fn totals(&self) -> &[u64] {
-        &self.totals
-    }
-
-    /// Deepest-queue running peak per held tick.
-    pub fn max_queues(&self) -> &[u64] {
-        &self.max_queues
-    }
-
-    /// Worst-wait running peak per held tick.
-    pub fn max_waits(&self) -> &[Time] {
-        &self.max_waits
-    }
-
-    /// `bound − max_wait` per held tick (all zero without a bound; see
-    /// [`Observe::bound`]).
-    pub fn margins(&self) -> &[i64] {
-        &self.margins
-    }
-
-    /// The smallest margin seen across held ticks — the run's closest
+    /// The smallest margin seen across ticks — the run's closest
     /// approach to its certificate bound. `None` without a bound or
     /// before the first tick.
     pub fn min_margin(&self) -> Option<i64> {
-        self.bound?;
-        self.margins.iter().copied().min()
+        self.min_margin
     }
 
     /// Spans emitted through the sink so far.
@@ -414,9 +302,8 @@ impl std::fmt::Debug for Observe {
 mod tests {
     use super::*;
 
-    fn configured(cfg: ObserveConfig) -> Observe {
+    fn configured(cfg: ObserveConfig, bound: Option<u64>) -> Observe {
         let mut ob = Observe::disabled();
-        let bound = cfg.bound;
         ob.configure(cfg, 0, 8, bound);
         ob
     }
@@ -430,61 +317,36 @@ mod tests {
     }
 
     #[test]
-    fn tick_store_records_and_margins() {
-        let mut ob = configured(ObserveConfig::default().with_bound(10));
-        assert_eq!(ob.record_tick(256, 40, 7, 3), Some(7));
-        assert_eq!(ob.record_tick(512, 55, 9, 12), Some(-2));
-        assert_eq!(ob.times(), &[256, 512]);
-        assert_eq!(ob.totals(), &[40, 55]);
-        assert_eq!(ob.margins(), &[7, -2]);
+    fn ticks_record_margins() {
+        let mut ob = configured(ObserveConfig::default(), Some(10));
+        assert_eq!(ob.record_tick(256, 3), Some(7));
+        assert_eq!(ob.record_tick(512, 12), Some(-2));
+        assert_eq!(ob.record_tick(768, 5), Some(5));
         assert_eq!(ob.min_margin(), Some(-2));
-        assert_eq!(ob.ticks(), 2);
-        assert_eq!(ob.next, 512 + 256);
+        assert_eq!(ob.ticks(), 3);
+        assert_eq!(ob.next, 768 + 256);
     }
 
     #[test]
     fn no_bound_means_no_margin() {
-        let mut ob = configured(ObserveConfig::default());
-        assert_eq!(ob.record_tick(256, 1, 1, 100), None);
+        let mut ob = configured(ObserveConfig::default(), None);
+        assert_eq!(ob.record_tick(256, 100), None);
         assert_eq!(ob.min_margin(), None);
     }
 
     #[test]
-    fn store_compacts_in_place_and_doubles_cadence() {
-        let mut ob = configured(ObserveConfig {
-            cadence: 1,
-            capacity: 16,
-            ..Default::default()
-        });
-        let base_cap = ob.times.capacity();
-        for t in 1..=40u64 {
-            ob.record_tick(t, t, 0, 0);
-        }
-        // Never grew past the preallocated capacity.
-        assert_eq!(ob.times.capacity(), base_cap);
-        assert!(ob.times().len() <= 16);
-        assert_eq!(ob.ticks(), 40);
-        assert!(ob.cadence() > 1);
-        // Ascending, gap-doubled but intact series.
-        assert!(ob.times().windows(2).all(|w| w[0] < w[1]));
-        for (t, q) in ob.times().iter().zip(ob.totals()) {
-            assert_eq!(t, q);
-        }
-    }
-
-    #[test]
     fn span_sampling_is_a_power_of_two_residue_class() {
-        let mut ob = configured(ObserveConfig {
-            span_sample_every: 48, // rounds up to 64
-            span_seed: 0x2a,
-            ..Default::default()
-        });
+        let mut ob = configured(
+            ObserveConfig {
+                span_sample_every: 48, // rounds up to 64
+                ..Default::default()
+            },
+            None,
+        );
         assert!(ob.spans_on);
         assert_eq!(ob.span_mask, 63);
-        assert_eq!(ob.span_residue, 0x2a & 63);
         let sampled: Vec<u64> = (0..256).filter(|&id| ob.sampled(id)).collect();
-        assert_eq!(sampled.len(), 4); // 256 / 64
-        assert!(sampled.windows(2).all(|w| w[1] - w[0] == 64));
+        assert_eq!(sampled, [0, 64, 128, 192]);
         ob.push_span(SpanRec {
             time: 1,
             op: SpanKind::Inject,
@@ -498,10 +360,13 @@ mod tests {
 
     #[test]
     fn span_scratch_drops_past_cap_without_growing() {
-        let mut ob = configured(ObserveConfig {
-            span_sample_every: 1,
-            ..Default::default()
-        });
+        let mut ob = configured(
+            ObserveConfig {
+                span_sample_every: 1,
+                ..Default::default()
+            },
+            None,
+        );
         let rec = SpanRec {
             time: 0,
             op: SpanKind::Send,

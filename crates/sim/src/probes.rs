@@ -20,7 +20,9 @@ use crate::sentinel::{
     self, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Severity, Violation,
     ViolationReport,
 };
-use crate::telemetry::{Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySink};
+use crate::telemetry::{
+    Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySink, TIMING_SAMPLE_EVERY,
+};
 
 /// The engine's probes and their shared schedule.
 pub(crate) struct Probes {
@@ -115,30 +117,28 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Attach (or reconfigure) the queue observatory: fixed-cadence
-    /// backlog ticks with a certificate-margin series, and seeded
-    /// 1-in-N packet-lifecycle span sampling. All preallocation
-    /// happens here; the step loop stays heap-free. When
-    /// `cfg.bound` is `None` and a sentinel with an enforceable
-    /// [`crate::CertificateSpec`] is attached, the margin tracker
-    /// inherits the theorem bound — attach the sentinel first.
-    /// Records and spans reach the sink attached via
-    /// [`Engine::set_telemetry_sink`]; without one, the in-memory
-    /// series ([`Engine::observatory`]) still fills.
+    /// backlog ticks and deterministic 1-in-N packet-lifecycle span
+    /// sampling. All preallocation happens here; the step loop stays
+    /// heap-free. When a sentinel with an enforceable
+    /// [`crate::CertificateSpec`] is attached, the ticks also track the
+    /// margin to its theorem bound — attach the sentinel first. Records
+    /// and spans reach the sink attached via
+    /// [`Engine::set_telemetry_sink`].
     pub fn attach_observatory(&mut self, cfg: ObserveConfig) {
-        let bound = cfg.bound.or_else(|| {
-            self.probes
-                .sentinel
-                .as_ref()
-                .and_then(|s| s.config().certificate_spec)
-                .and_then(|spec| spec.bound())
-        });
+        let bound = self
+            .probes
+            .sentinel
+            .as_ref()
+            .and_then(|s| s.config().certificate_spec)
+            .and_then(|spec| spec.bound());
         self.probes
             .observe
             .configure(cfg, self.time, self.graph.edge_count(), bound);
         self.reschedule();
     }
 
-    /// The observatory state: backlog/margin series and span tallies.
+    /// The observatory state: tick count, smallest margin and span
+    /// tallies.
     pub fn observatory(&self) -> &Observe {
         &self.probes.observe
     }
@@ -279,7 +279,7 @@ impl<P: Protocol> Engine<P> {
             tel.emit_window(t, &self.metrics.crossings_per_edge);
         }
         if tel.timing_this_step {
-            tel.timing_next = t.saturating_add(tel.timing_stride);
+            tel.timing_next = t.saturating_add(TIMING_SAMPLE_EVERY);
         }
         self.reschedule();
         Ok(())
@@ -309,18 +309,16 @@ impl<P: Protocol> Engine<P> {
         observe.span_scratch.clear();
     }
 
-    /// One observatory backlog tick: capture total-Q(t), the running
-    /// queue/wait peaks, and (within the edge cap) the sparse per-edge
-    /// depths; record the certificate margin; emit the `backlog`
-    /// record.
+    /// One observatory backlog tick: record the certificate margin,
+    /// then capture total-Q(t), the running queue/wait peaks, and
+    /// (within the edge cap) the sparse per-edge depths into the
+    /// `backlog` record.
     fn observe_tick(&mut self, t: Time) {
-        let total = self.metrics.backlog();
-        let max_queue = self.metrics.max_queue();
         let max_wait = self.metrics.max_buffer_wait;
         let Probes {
             telemetry, observe, ..
         } = &mut self.probes;
-        let margin = observe.record_tick(t, total, max_queue, max_wait);
+        let margin = observe.record_tick(t, max_wait);
         let Some(sink) = telemetry.sink.as_mut() else {
             return;
         };
@@ -335,8 +333,8 @@ impl<P: Protocol> Engine<P> {
         }
         sink.record(&TelemetryEvent::Backlog {
             time: t,
-            total,
-            max_queue,
+            total: self.metrics.backlog(),
+            max_queue: self.metrics.max_queue(),
             max_wait,
             bound: observe.bound(),
             margin,
@@ -508,9 +506,9 @@ impl<P: Protocol> Engine<P> {
         None
     }
 
-    /// Dispatch a violation according to the sentinel's severity
-    /// policy. With no sentinel attached (an oracle can be attached
-    /// alone), violations halt.
+    /// Dispatch a violation at the sentinel's severity. With no
+    /// sentinel attached (an oracle can be attached alone), violations
+    /// halt.
     pub(crate) fn raise(
         &mut self,
         kind: InvariantKind,
@@ -521,7 +519,7 @@ impl<P: Protocol> Engine<P> {
             .probes
             .sentinel
             .as_ref()
-            .map_or(Severity::Halt, |s| s.config().severity_of(kind));
+            .map_or(Severity::Halt, |s| s.config().severity);
         let violation = Violation {
             kind,
             time: t,

@@ -441,12 +441,14 @@ impl RateValidator {
         ConstraintSpec::Rate(self.rate)
     }
 
-    /// Record that a packet requiring `edge` was injected at `time`.
-    ///
-    /// Call once per (route edge, injection). Times must be
-    /// non-decreasing **per edge** (the engine guarantees this; the
-    /// rerouting path sorts its cohorts — see `Engine::extend_routes`).
-    pub fn record(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
+    /// Total number of injections recorded for `edge`.
+    pub fn count(&self, edge: EdgeId) -> u64 {
+        self.states[edge.index()].map_or(0, |s| s.count)
+    }
+}
+
+impl Constraint for RateValidator {
+    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
         let num = self.rate.num() as i128;
         let den = self.rate.den() as i128;
         let slot = &mut self.states[edge.index()];
@@ -515,27 +517,8 @@ impl RateValidator {
         }
     }
 
-    /// Record an entire route injected at `time`.
-    pub fn record_route(&mut self, route: &[EdgeId], time: Time) -> Result<(), RateViolation> {
-        for &e in route {
-            self.record(e, time)?;
-        }
-        Ok(())
-    }
-
-    /// Total number of injections recorded for `edge`.
-    pub fn count(&self, edge: EdgeId) -> u64 {
-        self.states[edge.index()].map_or(0, |s| s.count)
-    }
-}
-
-impl Constraint for RateValidator {
-    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
-        self.record(edge, time)
-    }
-
     /// At most `⌈r·1⌉ = 1` injection per edge per step (for `r ≤ 1`),
-    /// so the rate headroom is 0 or 1: a dry run of the `record` check.
+    /// so the rate headroom is 0 or 1: a dry run of the `observe` check.
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
         let num = self.rate.num() as i128;
         let den = self.rate.den() as i128;
@@ -635,10 +618,10 @@ impl WindowValidator {
             rate: self.rate,
         }
     }
+}
 
-    /// Record that a packet requiring `edge` was injected at `time`.
-    /// Times must be non-decreasing per edge.
-    pub fn record(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
+impl Constraint for WindowValidator {
+    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
         let dq = &mut self.recent[edge.index()];
         if let Some(&last) = dq.back() {
             if time < last {
@@ -665,20 +648,6 @@ impl WindowValidator {
         }
         dq.push_back(time);
         Ok(())
-    }
-
-    /// Record an entire route injected at `time`.
-    pub fn record_route(&mut self, route: &[EdgeId], time: Time) -> Result<(), RateViolation> {
-        for &e in route {
-            self.record(e, time)?;
-        }
-        Ok(())
-    }
-}
-
-impl Constraint for WindowValidator {
-    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
-        self.record(edge, time)
     }
 
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
@@ -802,10 +771,10 @@ impl BurstLocalValidator {
             st.min_h_old = Some(st.min_h_old.map_or(h, |m| m.min(h)));
         }
     }
+}
 
-    /// Record that a packet requiring `edge` was injected at `time`.
-    /// Times must be non-decreasing per edge.
-    pub fn record(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
+impl Constraint for BurstLocalValidator {
+    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
         let num = self.rho.num() as i128;
         let den = self.rho.den() as i128;
         let overflow = || RateViolation {
@@ -868,20 +837,6 @@ impl BurstLocalValidator {
         st.count = st.count.saturating_add(1);
         st.last_time = time;
         Ok(())
-    }
-
-    /// Record an entire route injected at `time`.
-    pub fn record_route(&mut self, route: &[EdgeId], time: Time) -> Result<(), RateViolation> {
-        for &e in route {
-            self.record(e, time)?;
-        }
-        Ok(())
-    }
-}
-
-impl Constraint for BurstLocalValidator {
-    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
-        self.record(edge, time)
     }
 
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
@@ -998,10 +953,10 @@ impl BufferBoundValidator {
     fn g(count: u64, time: Time) -> i128 {
         count as i128 - time as i128
     }
+}
 
-    /// Record that a packet requiring `edge` was injected at `time`.
-    /// Times must be non-decreasing per edge.
-    pub fn record(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
+impl Constraint for BufferBoundValidator {
+    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
         let bound = self.bound as i128;
         let slot = &mut self.states[edge.index()];
         match slot {
@@ -1042,20 +997,6 @@ impl BufferBoundValidator {
                 Ok(())
             }
         }
-    }
-
-    /// Record an entire route injected at `time`.
-    pub fn record_route(&mut self, route: &[EdgeId], time: Time) -> Result<(), RateViolation> {
-        for &e in route {
-            self.record(e, time)?;
-        }
-        Ok(())
-    }
-}
-
-impl Constraint for BufferBoundValidator {
-    fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
-        self.record(edge, time)
     }
 
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
@@ -1246,7 +1187,7 @@ mod tests {
         for k in 1..=1000u64 {
             let want = r.floor_mul(k);
             if want > injected {
-                v.record(E, k).expect("floor pattern must validate");
+                v.observe(E, k).expect("floor pattern must validate");
                 injected = want;
             }
         }
@@ -1256,9 +1197,9 @@ mod tests {
     #[test]
     fn rate_validator_rejects_two_per_step() {
         let mut v = RateValidator::new(Ratio::new(3, 5), 1);
-        v.record(E, 5).unwrap();
+        v.observe(E, 5).unwrap();
         // a second injection in the same step violates ceil(r*1)=1
-        assert!(v.record(E, 5).is_err());
+        assert!(v.observe(E, 5).is_err());
     }
 
     #[test]
@@ -1266,9 +1207,9 @@ mod tests {
         // rate 1/2: alternating steps fine, consecutive not (after the
         // first ceil slack is used up)
         let mut v = RateValidator::new(Ratio::new(1, 2), 1);
-        v.record(E, 1).unwrap();
+        v.observe(E, 1).unwrap();
         // interval [1,2]: 2 injections, ceil(1/2*2)=1 -> violation
-        assert!(v.record(E, 2).is_err());
+        assert!(v.observe(E, 2).is_err());
     }
 
     #[test]
@@ -1277,16 +1218,16 @@ mod tests {
         // j-i+1 injections in 2(j-i)+1 steps; ceil((2(j-i)+1)/2) = j-i+1. OK.
         let mut v = RateValidator::new(Ratio::new(1, 2), 1);
         for k in 0..500u64 {
-            v.record(E, 1 + 2 * k).expect("odd steps at rate 1/2");
+            v.observe(E, 1 + 2 * k).expect("odd steps at rate 1/2");
         }
     }
 
     #[test]
     fn rate_validator_independent_edges() {
         let mut v = RateValidator::new(Ratio::new(1, 2), 2);
-        v.record(EdgeId(0), 1).unwrap();
+        v.observe(EdgeId(0), 1).unwrap();
         // same step, different edge: fine
-        v.record(EdgeId(1), 1).unwrap();
+        v.observe(EdgeId(1), 1).unwrap();
         assert_eq!(v.count(EdgeId(0)), 1);
         assert_eq!(v.count(EdgeId(1)), 1);
     }
@@ -1294,15 +1235,15 @@ mod tests {
     #[test]
     fn rate_validator_rejects_non_monotone() {
         let mut v = RateValidator::new(Ratio::new(1, 2), 1);
-        v.record(E, 10).unwrap();
-        assert!(v.record(E, 9).is_err());
+        v.observe(E, 10).unwrap();
+        assert!(v.observe(E, 9).is_err());
     }
 
     #[test]
     fn rate_headroom_predicts_record() {
         let mut v = RateValidator::new(Ratio::new(1, 2), 1);
         assert_eq!(v.headroom(E, 1), 1);
-        v.record(E, 1).unwrap();
+        v.observe(E, 1).unwrap();
         assert_eq!(v.headroom(E, 1), 0, "ceil(r*1) = 1 per step");
         assert_eq!(v.headroom(E, 2), 0, "interval [1,2] is full at r=1/2");
         assert_eq!(v.headroom(E, 3), 1);
@@ -1320,7 +1261,7 @@ mod tests {
             let mut incremental_ok = true;
             for _ in 0..40 {
                 t += rng.gen_range(0..4u64);
-                if v.record(E, t).is_err() {
+                if v.observe(E, t).is_err() {
                     incremental_ok = false;
                     break;
                 }
@@ -1346,30 +1287,30 @@ mod tests {
         // (w=10, r=1/2): bursts of 5 in one step are legal
         let mut v = WindowValidator::new(10, Ratio::new(1, 2), 1);
         for _ in 0..5 {
-            v.record(E, 3).unwrap();
+            v.observe(E, 3).unwrap();
         }
-        assert!(v.record(E, 3).is_err());
+        assert!(v.observe(E, 3).is_err());
         // after the window slides past, capacity returns
         for _ in 0..5 {
-            v.record(E, 13).unwrap();
+            v.observe(E, 13).unwrap();
         }
-        assert!(v.record(E, 13).is_err());
+        assert!(v.observe(E, 13).is_err());
     }
 
     #[test]
     fn window_validator_sliding_boundary() {
         let mut v = WindowValidator::new(4, Ratio::new(1, 2), 1); // budget 2
-        v.record(E, 1).unwrap();
-        v.record(E, 2).unwrap();
-        assert!(v.record(E, 4).is_err()); // window [1,4] would hold 3
-        v.record(E, 5).unwrap(); // window [2,5] holds 2
+        v.observe(E, 1).unwrap();
+        v.observe(E, 2).unwrap();
+        assert!(v.observe(E, 4).is_err()); // window [1,4] would hold 3
+        v.observe(E, 5).unwrap(); // window [2,5] holds 2
     }
 
     #[test]
     fn window_headroom() {
         let mut v = WindowValidator::new(10, Ratio::new(3, 10), 1); // budget 3
         assert_eq!(v.headroom(E, 1), 3);
-        v.record(E, 1).unwrap();
+        v.observe(E, 1).unwrap();
         assert_eq!(v.headroom(E, 1), 2);
         assert_eq!(v.headroom(E, 11), 3); // window slid past time 1
     }
@@ -1379,15 +1320,15 @@ mod tests {
         // (rho=1/4, sigma=3, L=8): short budget floor(8/4)+3 = 5.
         let mut v = BurstLocalValidator::new(Ratio::new(1, 4), 3, 8, 1);
         for _ in 0..5 {
-            v.record(E, 1).unwrap();
+            v.observe(E, 1).unwrap();
         }
-        assert!(v.record(E, 1).is_err(), "short budget is 5");
+        assert!(v.observe(E, 1).is_err(), "short budget is 5");
         // After the L-window slides past, the long-run rate governs:
         // interval [1, 9] has len 9 > L, budget floor? rho*9 + 3 =
         // 9/4 + 3 = 5.25 -> count 6 > 5.25 is illegal, so time 9 must
         // still refuse; by time 13 the budget is 13/4 + 3 = 6.25.
-        assert!(v.record(E, 9).is_err(), "interval [1,9]: 6 > 9/4 + 3");
-        v.record(E, 13).unwrap();
+        assert!(v.observe(E, 9).is_err(), "interval [1,9]: 6 > 9/4 + 3");
+        v.observe(E, 13).unwrap();
     }
 
     #[test]
@@ -1395,18 +1336,18 @@ mod tests {
         // (rho=1/2, sigma=2, L=1): the plain (rho, sigma) bound
         // N <= len/2 + 2 for every interval.
         let mut v = BurstLocalValidator::new(Ratio::new(1, 2), 2, 1, 1);
-        v.record(E, 1).unwrap();
-        v.record(E, 1).unwrap(); // [1,1]: 2 <= 1/2 + 2 ✓
-        assert!(v.record(E, 1).is_err(), "[1,1]: 3 > 2.5");
-        v.record(E, 2).unwrap(); // [1,2]: 3 <= 1 + 2 ✓
-        assert!(v.record(E, 2).is_err(), "[1,2]: 4 > 3");
+        v.observe(E, 1).unwrap();
+        v.observe(E, 1).unwrap(); // [1,1]: 2 <= 1/2 + 2 ✓
+        assert!(v.observe(E, 1).is_err(), "[1,1]: 3 > 2.5");
+        v.observe(E, 2).unwrap(); // [1,2]: 3 <= 1 + 2 ✓
+        assert!(v.observe(E, 2).is_err(), "[1,2]: 4 > 3");
     }
 
     #[test]
     fn burst_local_rejects_non_monotone() {
         let mut v = BurstLocalValidator::new(Ratio::new(1, 2), 1, 4, 1);
-        v.record(E, 10).unwrap();
-        assert!(v.record(E, 9).is_err());
+        v.observe(E, 10).unwrap();
+        assert!(v.observe(E, 9).is_err());
     }
 
     #[test]
@@ -1416,13 +1357,13 @@ mod tests {
             let h = v.headroom(E, t);
             let mut probe = v.clone();
             for _ in 0..h {
-                probe.record(E, t).expect("headroom-many records succeed");
+                probe.observe(E, t).expect("headroom-many records succeed");
             }
-            assert!(probe.record(E, t).is_err(), "h+1-th at t={t} must fail");
+            assert!(probe.observe(E, t).is_err(), "h+1-th at t={t} must fail");
             // advance the real validator by one legal record when
             // possible, so later probes see nontrivial history
             if h > 0 {
-                v.record(E, t).unwrap();
+                v.observe(E, t).unwrap();
             }
         }
     }
@@ -1441,7 +1382,7 @@ mod tests {
             let mut ok = true;
             for _ in 0..40 {
                 t += rng.gen_range(0..3u64);
-                if v.record(E, t).is_err() {
+                if v.observe(E, t).is_err() {
                     ok = false;
                     break;
                 }
@@ -1469,21 +1410,21 @@ mod tests {
         // B=3: a single step holds at most len + B = 4.
         let mut v = BufferBoundValidator::new(3, 1);
         for _ in 0..4 {
-            v.record(E, 5).unwrap();
+            v.observe(E, 5).unwrap();
         }
-        assert!(v.record(E, 5).is_err());
+        assert!(v.observe(E, 5).is_err());
         // one step later one more slot opens ([5,6]: 5 <= 2 + 3)
-        v.record(E, 6).unwrap();
-        assert!(v.record(E, 6).is_err());
+        v.observe(E, 6).unwrap();
+        assert!(v.observe(E, 6).is_err());
     }
 
     #[test]
     fn buffer_bound_zero_is_unit_rate() {
         let mut v = BufferBoundValidator::new(0, 1);
-        v.record(E, 1).unwrap();
-        assert!(v.record(E, 1).is_err(), "B=0: at most one per step");
-        v.record(E, 2).unwrap();
-        v.record(E, 3).unwrap();
+        v.observe(E, 1).unwrap();
+        assert!(v.observe(E, 1).is_err(), "B=0: at most one per step");
+        v.observe(E, 2).unwrap();
+        v.observe(E, 3).unwrap();
     }
 
     #[test]
@@ -1494,11 +1435,11 @@ mod tests {
             let h = v.headroom(E, t);
             let mut probe = v.clone();
             for _ in 0..h {
-                probe.record(E, t).expect("headroom-many records succeed");
+                probe.observe(E, t).expect("headroom-many records succeed");
             }
-            assert!(probe.record(E, t).is_err());
+            assert!(probe.observe(E, t).is_err());
             if h > 0 {
-                v.record(E, t).unwrap();
+                v.observe(E, t).unwrap();
             }
         }
     }
@@ -1515,7 +1456,7 @@ mod tests {
             let mut ok = true;
             for _ in 0..40 {
                 t += rng.gen_range(0..2u64);
-                if v.record(E, t).is_err() {
+                if v.observe(E, t).is_err() {
                     ok = false;
                     break;
                 }
@@ -1610,11 +1551,11 @@ mod tests {
         // Small numerator: the potential stays well inside i128 even
         // at the largest representable times.
         let mut v = RateValidator::new(Ratio::new(1, 2), 1);
-        v.record(E, u64::MAX - 4).unwrap();
-        v.record(E, u64::MAX - 2).unwrap();
-        v.record(E, u64::MAX).unwrap();
+        v.observe(E, u64::MAX - 4).unwrap();
+        v.observe(E, u64::MAX - 2).unwrap();
+        v.observe(E, u64::MAX).unwrap();
         // A genuine breach at the very end of time is still detected.
-        assert!(v.record(E, u64::MAX).is_err());
+        assert!(v.observe(E, u64::MAX).is_err());
     }
 
     #[test]
@@ -1623,7 +1564,7 @@ mod tests {
         // old unchecked math wrapped silently; now it reports.
         let r = Ratio::new(u64::MAX - 2, u64::MAX); // coprime, stays huge
         let mut v = RateValidator::new(r, 1);
-        let err = v.record(E, u64::MAX).unwrap_err();
+        let err = v.observe(E, u64::MAX).unwrap_err();
         assert!(err.detail.contains("overflow"), "got: {}", err.detail);
     }
 
@@ -1631,9 +1572,9 @@ mod tests {
     fn window_validator_handles_times_near_u64_max() {
         let mut v = WindowValidator::new(10, Ratio::new(1, 2), 1); // budget 5
         for _ in 0..5 {
-            v.record(E, u64::MAX).unwrap();
+            v.observe(E, u64::MAX).unwrap();
         }
-        assert!(v.record(E, u64::MAX).is_err());
+        assert!(v.observe(E, u64::MAX).is_err());
         // The brute-force reference saturates instead of overflowing
         // on the window end `t + w - 1`.
         assert!(brute_force_window_check(
@@ -1692,7 +1633,7 @@ mod tests {
             let mut ok = true;
             for _ in 0..30 {
                 t += rng.gen_range(0..3u64);
-                if v.record(E, t).is_err() {
+                if v.observe(E, t).is_err() {
                     ok = false;
                     break;
                 }

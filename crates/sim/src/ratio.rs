@@ -67,11 +67,6 @@ impl Ratio {
         ratio_from_u128(num, den, "Ratio::half_plus")
     }
 
-    /// `1/k`.
-    pub fn inv_int(k: u64) -> Ratio {
-        Ratio::new(1, k)
-    }
-
     /// Numerator (lowest terms).
     #[inline]
     pub fn num(self) -> u64 {

@@ -6,7 +6,7 @@
 //! `check_c_invariant`, experiment E14) catches a corrupted run only
 //! after hours of compute have been spent on garbage. The sentinel
 //! evaluates a set of pluggable invariants *online*, at a configurable
-//! cadence, with a per-invariant severity policy:
+//! cadence, under one severity policy:
 //!
 //! * [`InvariantKind::Conservation`] — the fault-aware packet
 //!   conservation law `injected + duplicated = absorbed + dropped +
@@ -192,7 +192,11 @@ impl CertificateSpec {
     }
 }
 
-/// Sentinel configuration: check cadence and per-invariant severities.
+/// The snapshot round-trip check (allocates a full state capture) runs
+/// every `cadence × ROUNDTRIP_STRIDE` steps.
+const ROUNDTRIP_STRIDE: u64 = 512;
+
+/// Sentinel configuration: check cadence and the severity policy.
 #[derive(Debug, Clone)]
 pub struct SentinelConfig {
     /// Base cadence in steps: the cheap O(E) checks (conservation,
@@ -203,21 +207,8 @@ pub struct SentinelConfig {
     /// certificate's in-buffer wait scan) run every
     /// `cadence × deep_stride` steps. 0 disables them.
     pub deep_stride: u64,
-    /// The snapshot round-trip check (allocates a full state capture)
-    /// runs every `cadence × roundtrip_stride` steps. 0 disables it.
-    pub roundtrip_stride: u64,
-    /// Severity of [`InvariantKind::Conservation`].
-    pub conservation: Severity,
-    /// Severity of [`InvariantKind::UnitSpeed`].
-    pub unit_speed: Severity,
-    /// Severity of [`InvariantKind::RouteProgress`].
-    pub route_progress: Severity,
-    /// Severity of [`InvariantKind::SnapshotRoundTrip`].
-    pub snapshot_roundtrip: Severity,
-    /// Severity of [`InvariantKind::Certificate`].
-    pub certificate: Severity,
-    /// Severity of [`InvariantKind::OracleDivergence`].
-    pub oracle: Severity,
+    /// What a violation of any invariant the engine checks does.
+    pub severity: Severity,
     /// The theorem bound to enforce, if one applies to this run.
     pub certificate_spec: Option<CertificateSpec>,
     /// The run's RNG seed (free-form), stamped into repro bundles.
@@ -225,24 +216,18 @@ pub struct SentinelConfig {
 }
 
 impl Default for SentinelConfig {
-    /// All invariants at [`Severity::Halt`], cadence 1024 with the
+    /// Every invariant at [`Severity::Halt`], cadence 1024 with the
     /// per-packet checks every 64 cadences and the round-trip check
     /// every 512 (the < 5% overhead point measured by the benchmark's
     /// `sim.sentinel_ns_per_step`, `crates/benchmark`: the O(backlog)
     /// scans are what hurt when a step costs tens of nanoseconds, so
     /// they are strided far apart by default; shorten the cadence and
-    /// strides for debugging runs).
+    /// stride for debugging runs).
     fn default() -> Self {
         SentinelConfig {
             cadence: 1024,
             deep_stride: 64,
-            roundtrip_stride: 512,
-            conservation: Severity::Halt,
-            unit_speed: Severity::Halt,
-            route_progress: Severity::Halt,
-            snapshot_roundtrip: Severity::Halt,
-            certificate: Severity::Halt,
-            oracle: Severity::Halt,
+            severity: Severity::Halt,
             certificate_spec: None,
             seed: None,
         }
@@ -253,20 +238,6 @@ impl SentinelConfig {
     /// The default policy: everything halts.
     pub fn all_halt() -> Self {
         SentinelConfig::default()
-    }
-
-    /// Every invariant at [`Severity::Quarantine`] — violations are
-    /// retained with bundles but never abort the run.
-    pub fn quarantine_all() -> Self {
-        SentinelConfig {
-            conservation: Severity::Quarantine,
-            unit_speed: Severity::Quarantine,
-            route_progress: Severity::Quarantine,
-            snapshot_roundtrip: Severity::Quarantine,
-            certificate: Severity::Quarantine,
-            oracle: Severity::Quarantine,
-            ..SentinelConfig::default()
-        }
     }
 
     /// Set the base cadence (builder style).
@@ -287,36 +258,13 @@ impl SentinelConfig {
         self
     }
 
-    /// Override the severity of one invariant family (builder style).
-    /// [`InvariantKind::GadgetInvariant`] has no configurable slot —
-    /// external checkers dispatch their own severity — so setting it
-    /// here is a no-op.
-    pub fn with_severity(mut self, kind: InvariantKind, severity: Severity) -> Self {
-        match kind {
-            InvariantKind::Conservation => self.conservation = severity,
-            InvariantKind::UnitSpeed => self.unit_speed = severity,
-            InvariantKind::RouteProgress => self.route_progress = severity,
-            InvariantKind::SnapshotRoundTrip => self.snapshot_roundtrip = severity,
-            InvariantKind::Certificate => self.certificate = severity,
-            InvariantKind::OracleDivergence => self.oracle = severity,
-            InvariantKind::GadgetInvariant | InvariantKind::RequestConservation => {}
-        }
+    /// Set the severity of every invariant the engine checks (builder
+    /// style). [`InvariantKind::GadgetInvariant`] and
+    /// [`InvariantKind::RequestConservation`] are raised by external
+    /// checkers, which dispatch their own severity.
+    pub fn with_severity(mut self, severity: Severity) -> Self {
+        self.severity = severity;
         self
-    }
-
-    /// The configured severity of `kind`.
-    pub fn severity_of(&self, kind: InvariantKind) -> Severity {
-        match kind {
-            InvariantKind::Conservation => self.conservation,
-            InvariantKind::UnitSpeed => self.unit_speed,
-            InvariantKind::RouteProgress => self.route_progress,
-            InvariantKind::SnapshotRoundTrip => self.snapshot_roundtrip,
-            InvariantKind::Certificate => self.certificate,
-            InvariantKind::OracleDivergence => self.oracle,
-            // External checkers dispatch their own severity; when one
-            // routes through the engine anyway, fail safe.
-            InvariantKind::GadgetInvariant | InvariantKind::RequestConservation => Severity::Halt,
-        }
     }
 }
 
@@ -501,8 +449,7 @@ impl Sentinel {
 
     /// Does the snapshot round-trip check run this round?
     pub(crate) fn roundtrip_due(&self, t: Time) -> bool {
-        self.cfg.roundtrip_stride > 0
-            && t.is_multiple_of(self.cfg.cadence.saturating_mul(self.cfg.roundtrip_stride))
+        t.is_multiple_of(self.cfg.cadence.saturating_mul(ROUNDTRIP_STRIDE))
     }
 
     pub fn state(&self) -> &SentinelState {
@@ -646,7 +593,6 @@ mod tests {
         let cfg = SentinelConfig {
             cadence: 4,
             deep_stride: 2,
-            roundtrip_stride: 4,
             ..SentinelConfig::default()
         };
         let s = Sentinel::new(cfg, 0, &[]);
@@ -655,7 +601,8 @@ mod tests {
         assert!(!s.deep_due(4));
         assert!(s.deep_due(8));
         assert!(!s.roundtrip_due(8));
-        assert!(s.roundtrip_due(16));
+        assert!(!s.roundtrip_due(4 * ROUNDTRIP_STRIDE - 4));
+        assert!(s.roundtrip_due(4 * ROUNDTRIP_STRIDE));
         let off = Sentinel::new(
             SentinelConfig {
                 cadence: 0,
@@ -669,21 +616,9 @@ mod tests {
 
     #[test]
     fn severity_policy_lookup() {
-        let cfg = SentinelConfig {
-            conservation: Severity::Log,
-            oracle: Severity::Quarantine,
-            ..SentinelConfig::default()
-        };
-        assert_eq!(cfg.severity_of(InvariantKind::Conservation), Severity::Log);
-        assert_eq!(
-            cfg.severity_of(InvariantKind::OracleDivergence),
-            Severity::Quarantine
-        );
-        assert_eq!(cfg.severity_of(InvariantKind::UnitSpeed), Severity::Halt);
-        assert_eq!(
-            cfg.severity_of(InvariantKind::GadgetInvariant),
-            Severity::Halt
-        );
+        assert_eq!(SentinelConfig::default().severity, Severity::Halt);
+        let cfg = SentinelConfig::all_halt().with_severity(Severity::Log);
+        assert_eq!(cfg.severity, Severity::Log);
     }
 
     #[test]
@@ -696,23 +631,6 @@ mod tests {
         assert!(names.contains(&"conservation"));
         assert!(names.contains(&"gadget-invariant"));
         assert!(names.contains(&"request-conservation"));
-    }
-
-    #[test]
-    fn with_severity_overrides_each_configurable_slot() {
-        for kind in InvariantKind::ALL {
-            let cfg = SentinelConfig::all_halt().with_severity(kind, Severity::Log);
-            let external = matches!(
-                kind,
-                InvariantKind::GadgetInvariant | InvariantKind::RequestConservation
-            );
-            let expect = if external {
-                Severity::Halt // external checkers dispatch their own
-            } else {
-                Severity::Log
-            };
-            assert_eq!(cfg.severity_of(kind), expect, "{}", kind.name());
-        }
     }
 
     #[test]

@@ -128,6 +128,15 @@ pub struct Provenance {
     pub model_fingerprint: Option<u64>,
 }
 
+/// At [`TelemetryLevel::Timing`], the stage histograms are recorded on
+/// every this-many-th step. Stage timing is *sampled*: a full set of
+/// per-substage clock reads costs a sizeable fraction of a fast step,
+/// so timing every step would distort the quantity being measured. A
+/// stride of 512 keeps the histograms statistically faithful while the
+/// clock cost amortizes to noise even on drain-heavy workloads whose
+/// steps are a handful of nanoseconds.
+pub(crate) const TIMING_SAMPLE_EVERY: Time = 512;
+
 /// Telemetry configuration. The default is the "watch a run" shape:
 /// counters on, a window record every 4096 steps, no timing
 /// histograms. Use [`TelemetryConfig::off`] for the do-nothing config.
@@ -138,15 +147,6 @@ pub struct TelemetryConfig {
     /// Emit a [`TelemetryEvent::Window`] record every this many steps
     /// (0 = never). Ignored when `level` is [`TelemetryLevel::Off`].
     pub window: Time,
-    /// At [`TelemetryLevel::Timing`], record the stage histograms on
-    /// every this-many-th step (0 is treated as 1 = every step). Stage
-    /// timing is *sampled*: a full set of per-substage clock reads
-    /// costs a sizeable fraction of a fast step, so timing every step
-    /// would distort the quantity being measured. The default of 512
-    /// keeps the histograms statistically faithful while the clock
-    /// cost amortizes to noise even on drain-heavy workloads whose
-    /// steps are a handful of nanoseconds.
-    pub timing_sample_every: Time,
     /// Run identity stamped on every emitted record.
     pub provenance: Provenance,
 }
@@ -156,7 +156,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             level: TelemetryLevel::Counters,
             window: 4096,
-            timing_sample_every: 512,
             provenance: Provenance::default(),
         }
     }
@@ -168,7 +167,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             level: TelemetryLevel::Off,
             window: 0,
-            timing_sample_every: 0,
             provenance: Provenance::default(),
         }
     }
@@ -190,14 +188,6 @@ impl TelemetryConfig {
     /// This configuration with a window of `window` steps.
     pub fn with_window(mut self, window: Time) -> Self {
         self.window = window;
-        self
-    }
-
-    /// This configuration with a timing sample stride of `every` steps
-    /// (1 = time every step; see
-    /// [`timing_sample_every`](Self::timing_sample_every)).
-    pub fn with_timing_sample_every(mut self, every: Time) -> Self {
-        self.timing_sample_every = every;
         self
     }
 }
@@ -528,7 +518,7 @@ pub enum TelemetryEvent<'a> {
         provenance: &'a Provenance,
     },
     /// One packet-lifecycle event of a sampled packet
-    /// (`crate::observe`'s seeded 1-in-N span sampling).
+    /// (`crate::observe`'s deterministic 1-in-N span sampling).
     Span {
         /// Engine step of the event.
         time: Time,
@@ -1075,8 +1065,6 @@ pub struct Telemetry {
     /// Step of the next timing sample, never behind the next step;
     /// `Time::MAX` when timing is off.
     pub(crate) timing_next: Time,
-    /// Steps between timing samples (≥ 1 when timing is on).
-    pub(crate) timing_stride: Time,
     /// Running counter totals.
     pub(crate) counters: TelemetryCounters,
     /// Stage timing histograms.
@@ -1103,7 +1091,6 @@ impl Telemetry {
             counters_on: false,
             timing_this_step: false,
             timing_next: Time::MAX,
-            timing_stride: 0,
             counters: TelemetryCounters::default(),
             timings: StageTimings::default(),
             provenance: Provenance::default(),
@@ -1122,11 +1109,6 @@ impl Telemetry {
     pub(crate) fn configure(&mut self, cfg: TelemetryConfig, now: Time, crossings: &[u64]) {
         self.level = cfg.level;
         self.counters_on = cfg.level.counters();
-        self.timing_stride = if cfg.level.timing() {
-            cfg.timing_sample_every.max(1)
-        } else {
-            0
-        };
         self.provenance = cfg.provenance;
         self.window = if cfg.level.counters() { cfg.window } else { 0 };
         self.counters = TelemetryCounters::default();
@@ -1140,8 +1122,8 @@ impl Telemetry {
     pub(crate) fn rebaseline(&mut self, now: Time, crossings: &[u64]) {
         self.window_start = now;
         // First post-(re)baseline step is a timing sample, then every
-        // `timing_stride`-th.
-        self.timing_next = if self.timing_stride > 0 {
+        // `TIMING_SAMPLE_EVERY`-th.
+        self.timing_next = if self.level.timing() {
             now.saturating_add(1)
         } else {
             Time::MAX

@@ -205,11 +205,6 @@ impl<P: Protocol> ClosedLoop<P> {
         }
     }
 
-    /// Route telemetry (the `workload_window` series) through `sink`.
-    pub fn set_sink(&mut self, sink: SharedSink) {
-        self.sink = Some(sink);
-    }
-
     /// Wire one shared sink to both halves of the closed loop: the
     /// engine's telemetry and queue observatory (backlog ticks,
     /// lifecycle spans) and the driver's `workload_window` goodput

@@ -81,7 +81,6 @@ fn run_demo() -> PathBuf {
             protocol: "FIFO".into(),
             ..Provenance::default()
         },
-        ..TelemetryConfig::default()
     });
     // Attached after the sentinel, so the margin tracker inherits the
     // certificate bound.

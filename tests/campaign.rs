@@ -208,6 +208,7 @@ fn breaching_engine(severity: Severity) -> (Engine<Fifo>, Route, FaultPlan) {
     let plan = FaultPlan::new().with_drop(EdgeId(1), 6);
     let mut eng = Engine::new(g, Fifo, EngineConfig::default());
     let mut cfg = SentinelConfig::all_halt()
+        .with_severity(severity)
         .with_seed(0xBEEF)
         .with_certificate(CertificateSpec {
             window: 1,
@@ -218,9 +219,6 @@ fn breaching_engine(severity: Severity) -> (Engine<Fifo>, Route, FaultPlan) {
         });
     cfg.cadence = 1;
     cfg.deep_stride = 1;
-    for kind in InvariantKind::ALL {
-        cfg = cfg.with_severity(kind, severity);
-    }
     eng.attach_sentinel(cfg);
     eng.install_faults(plan.clone()).unwrap();
     (eng, route, plan)

@@ -17,6 +17,9 @@ use proptest::prelude::*;
 /// One collected span: (time, packet, op, edge, hop, wait).
 type Collected = (u64, u64, &'static str, u32, u32, u64);
 
+/// One collected `backlog` record: (time, total, margin).
+type Tick = (u64, u64, Option<i64>);
+
 /// A sink keeping every span record in memory.
 #[derive(Clone)]
 struct SpanCollector(Arc<Mutex<Vec<Collected>>>);
@@ -37,6 +40,30 @@ impl TelemetrySink for SpanCollector {
                 .lock()
                 .unwrap()
                 .push((*time, *packet, op.as_str(), *edge, *hop, *wait));
+        }
+    }
+}
+
+/// A sink keeping every `backlog` record in memory.
+#[derive(Clone, Default)]
+struct TickCollector(Arc<Mutex<Vec<Tick>>>);
+
+impl TickCollector {
+    fn ticks(&self) -> Vec<Tick> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl TelemetrySink for TickCollector {
+    fn record(&mut self, event: &TelemetryEvent<'_>) {
+        if let TelemetryEvent::Backlog {
+            time,
+            total,
+            margin,
+            ..
+        } = event
+        {
+            self.0.lock().unwrap().push((*time, *total, *margin));
         }
     }
 }
@@ -188,8 +215,8 @@ proptest! {
     }
 }
 
-/// The observatory's in-memory series: backlog ticks on cadence, the
-/// margin series inheriting the sentinel's certificate bound.
+/// The observatory's backlog records: ticks on cadence, the margin
+/// series inheriting the sentinel's certificate bound.
 #[test]
 fn observatory_series_and_margin() {
     let g = Arc::new(topologies::ring(8));
@@ -209,6 +236,8 @@ fn observatory_series_and_margin() {
     );
     eng.attach_observatory(ObserveConfig::default().with_cadence(2));
     let bound = eng.observatory().bound().expect("certificate bound");
+    let ticks = TickCollector::default();
+    eng.set_telemetry_sink(Box::new(ticks.clone()));
 
     for e in 0..8 {
         let ids = vec![EdgeId(e), EdgeId((e + 1) % 8), EdgeId((e + 2) % 8)];
@@ -219,9 +248,12 @@ fn observatory_series_and_margin() {
 
     let obs = eng.observatory();
     assert_eq!(obs.ticks(), 10, "cadence-2 ticks over 20 steps");
-    assert_eq!(obs.times().first(), Some(&2));
-    assert_eq!(obs.margins().len(), 10);
+    let ticks = ticks.ticks();
+    let times: Vec<u64> = ticks.iter().map(|t| t.0).collect();
+    assert_eq!(times, (1..=10).map(|k| 2 * k).collect::<Vec<_>>());
+    let margins: Vec<i64> = ticks.iter().map(|t| t.2.expect("margin")).collect();
     let min = obs.min_margin().expect("margin series");
+    assert_eq!(margins.iter().copied().min(), Some(min));
     assert!(min >= 0, "a quiet drain must stay certified");
     assert_eq!(
         min,
@@ -351,7 +383,9 @@ fn restore_reanchors_observatory_ticks() {
             EngineConfig::default(),
         );
         eng.attach_observatory(ObserveConfig::default().with_cadence(8));
-        eng
+        let ticks = TickCollector::default();
+        eng.set_telemetry_sink(Box::new(ticks.clone()));
+        (eng, ticks)
     };
     let drive = |eng: &mut Engine<Box<dyn Protocol>>, from: u64, to: u64| {
         for t in from + 1..=to {
@@ -360,28 +394,50 @@ fn restore_reanchors_observatory_ticks() {
         }
     };
 
-    let mut whole = observed();
+    let (mut whole, whole_ticks) = observed();
     drive(&mut whole, 0, 64);
 
-    let mut first = observed();
+    let (mut first, _) = observed();
     drive(&mut first, 0, 32);
     let ck = aqt_sim::checkpoint::checkpoint(&first);
-    let mut resumed = observed();
+    let (mut resumed, resumed_ticks) = observed();
     aqt_sim::checkpoint::restore(&mut resumed, &ck).unwrap();
     drive(&mut resumed, 32, 64);
 
-    let after: Vec<u64> = whole
-        .observatory()
-        .times()
-        .iter()
-        .copied()
-        .filter(|&t| t > 32)
+    let after: Vec<Tick> = whole_ticks
+        .ticks()
+        .into_iter()
+        .filter(|t| t.0 > 32)
         .collect();
-    assert_eq!(after, [40, 48, 56, 64]);
-    assert_eq!(resumed.observatory().times(), after.as_slice());
-    assert_eq!(
-        resumed.observatory().totals(),
-        &whole.observatory().totals()[4..],
-        "same ticks, same trajectory"
+    let times: Vec<u64> = after.iter().map(|t| t.0).collect();
+    assert_eq!(times, [40, 48, 56, 64]);
+    assert_eq!(resumed_ticks.ticks(), after, "same ticks, same trajectory");
+}
+
+/// The tick cadence never changes over a run: an observatory at
+/// cadence 1 emits one `backlog` record per step, however long the run.
+#[test]
+fn backlog_cadence_stays_fixed_over_long_runs() {
+    let g = Arc::new(topologies::line(2));
+    let mut eng = Engine::new(
+        Arc::clone(&g),
+        by_name("FIFO", 3).unwrap(),
+        EngineConfig::default(),
     );
+    eng.attach_observatory(ObserveConfig::default().with_cadence(1));
+    let ticks = TickCollector::default();
+    eng.set_telemetry_sink(Box::new(ticks.clone()));
+    let route = Route::new(&g, g.edge_ids().collect::<Vec<_>>()).expect("line edges");
+    for t in 1..=5_000u64 {
+        let inj: Vec<Injection> = if t % 3 == 0 {
+            vec![Injection::new(route.clone(), 0)]
+        } else {
+            Vec::new()
+        };
+        eng.step(inj).unwrap();
+    }
+    let times: Vec<u64> = ticks.ticks().iter().map(|t| t.0).collect();
+    assert_eq!(times.len(), 5_000);
+    assert!(times.iter().copied().eq(1..=5_000), "one tick per step");
+    assert_eq!(eng.observatory().ticks(), 5_000);
 }

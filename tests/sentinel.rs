@@ -15,7 +15,7 @@ use aqt_graph::{topologies, EdgeId, Graph, Route};
 use aqt_protocols::{classify, Fifo};
 use aqt_sim::{
     checkpoint, snapshot, Discipline, Engine, EngineConfig, EngineError, Injection, InvariantKind,
-    Packet, Protocol, SentinelConfig, SimError, Time,
+    Packet, Protocol, SentinelConfig, Severity, SimError, Time,
 };
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
@@ -170,7 +170,11 @@ fn tampered_counter_is_caught_within_one_cadence_window() {
 fn quarantine_severity_accumulates_without_halting() {
     let g = Arc::new(topologies::ring(6));
     let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-    eng.attach_sentinel(SentinelConfig::quarantine_all().with_cadence(8));
+    eng.attach_sentinel(
+        SentinelConfig::default()
+            .with_severity(Severity::Quarantine)
+            .with_cadence(8),
+    );
     for t in 1..=20u64 {
         eng.step([Injection::new(ring_route(&g, t), 0)]).unwrap();
     }

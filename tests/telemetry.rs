@@ -153,20 +153,20 @@ fn off_level_counts_nothing() {
     assert!(eng.metrics().absorbed() > 0, "the run itself still ran");
 }
 
-/// `TelemetryLevel::Timing` populates the stage histograms. With the
-/// sampling stride forced to 1, every step is measured.
+/// `TelemetryLevel::Timing` populates the stage histograms: the first
+/// step after the attach is measured, then every 512th.
 #[test]
 fn timing_level_fills_histograms() {
     let graph = Arc::new(topologies::line(4));
     let mut eng = Engine::new(Arc::clone(&graph), Fifo, EngineConfig::default());
-    eng.attach_telemetry(TelemetryConfig::timing().with_timing_sample_every(1));
-    run_line_workload(&mut eng, &graph, 50);
+    eng.attach_telemetry(TelemetryConfig::timing());
+    run_line_workload(&mut eng, &graph, 1100);
     eng.finish_telemetry();
 
     let t = eng.telemetry().timings();
-    assert_eq!(t.step.count(), 50, "one step sample per step");
-    assert_eq!(t.send.count(), 50);
-    assert_eq!(t.receive.count(), 50);
+    assert_eq!(t.step.count(), 3, "steps 1, 513 and 1025 are sampled");
+    assert_eq!(t.send.count(), 3);
+    assert_eq!(t.receive.count(), 3);
     assert!(t.step.mean_nanos() > 0.0);
     assert!(t.step.quantile_bound(0.5).is_some());
 }
@@ -613,7 +613,7 @@ fn sweep_settles_each_job_once() {
 #[test]
 fn engine_stream_is_pinned() {
     use aqt_graph::EdgeId;
-    use aqt_sim::{FaultPlan, InvariantKind, JsonlSink, ObserveConfig, SentinelConfig, Severity};
+    use aqt_sim::{FaultPlan, JsonlSink, ObserveConfig, SentinelConfig, Severity};
 
     let g = Arc::new(topologies::ring(6));
     let route = |start: u32, len: u32| {
@@ -621,11 +621,12 @@ fn engine_stream_is_pinned() {
         Route::new(&g, ids).expect("contiguous ring edges")
     };
     let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-    let sentinel = InvariantKind::ALL.iter().fold(
-        SentinelConfig::default().with_cadence(16).with_seed(5),
-        |cfg, &kind| cfg.with_severity(kind, Severity::Log),
+    eng.attach_sentinel(
+        SentinelConfig::default()
+            .with_cadence(16)
+            .with_seed(5)
+            .with_severity(Severity::Log),
     );
-    eng.attach_sentinel(sentinel);
     eng.attach_oracle(Box::new(Fifo), 4);
     eng.install_faults(
         FaultPlan::new()

@@ -32,7 +32,7 @@ proptest! {
         let mut ok = true;
         for g in gaps {
             t += g;
-            if v.record(EdgeId(0), t).is_err() {
+            if v.observe(EdgeId(0), t).is_err() {
                 ok = false;
                 times.push(t);
                 break;
@@ -57,7 +57,7 @@ proptest! {
         let mut ok = true;
         for g in gaps {
             t += g;
-            if v.record(EdgeId(0), t).is_err() {
+            if v.observe(EdgeId(0), t).is_err() {
                 ok = false;
                 times.push(t);
                 break;
@@ -85,7 +85,7 @@ proptest! {
         let mut ok = true;
         for g in gaps {
             t += g;
-            if v.record(EdgeId(0), t).is_err() {
+            if v.observe(EdgeId(0), t).is_err() {
                 ok = false;
                 times.push(t);
                 break;
@@ -109,7 +109,7 @@ proptest! {
         let mut ok = true;
         for g in gaps {
             t += g;
-            if v.record(EdgeId(0), t).is_err() {
+            if v.observe(EdgeId(0), t).is_err() {
                 ok = false;
                 times.push(t);
                 break;
@@ -175,7 +175,7 @@ proptest! {
             for k in 1..=dur {
                 let want = r.floor_mul(k);
                 if want > injected {
-                    v.record(EdgeId(0), start + k - 1)
+                    v.observe(EdgeId(0), start + k - 1)
                         .map_err(|e| TestCaseError::fail(format!("{e}")))?;
                     injected = want;
                 }
