@@ -14,7 +14,7 @@
 
 use aqt_graph::{EdgeId, Graph, Route};
 use aqt_sim::engine::Injection;
-use aqt_sim::rate::{AdversaryModel, AdversaryModelSpec, Constraint};
+use aqt_sim::rate::{AdversaryModel, AdversaryModelSpec};
 use aqt_sim::{Ratio, Time};
 
 /// The adaptive adversary. Drive it with
@@ -25,6 +25,10 @@ pub struct AdaptiveAdversary {
     tracker: AdversaryModel,
     /// Scratch: (score, route index), reused each step.
     scratch: Vec<(usize, usize)>,
+    /// Per pool route, the last step at which its headroom probe
+    /// failed: headroom only falls within a step, so a later pass at
+    /// the same `t` skips it without probing.
+    blocked: Vec<Option<Time>>,
 }
 
 impl AdaptiveAdversary {
@@ -36,10 +40,14 @@ impl AdaptiveAdversary {
     }
 
     /// Create an adaptive adversary saturating an arbitrary composed
-    /// constraint model.
+    /// constraint model. The model must have a member: the empty model
+    /// has unbounded headroom, so "inject while anything fits" would
+    /// never stop.
     pub fn with_model(graph: &Graph, spec: &AdversaryModelSpec, routes: Vec<Route>) -> Self {
         assert!(!routes.is_empty(), "need at least one candidate route");
+        assert!(!spec.is_empty(), "need a nonempty constraint model");
         AdaptiveAdversary {
+            blocked: vec![None; routes.len()],
             routes,
             tracker: spec.build(graph.edge_count()),
             scratch: Vec::new(),
@@ -79,19 +87,15 @@ impl AdaptiveAdversary {
         loop {
             let mut progressed = false;
             for &(_, i) in self.scratch.iter() {
+                if self.blocked[i] == Some(t) {
+                    continue;
+                }
                 let route = &self.routes[i];
-                let fits = route
-                    .edges()
-                    .iter()
-                    .all(|&e| self.tracker.headroom(e, t) >= 1);
-                if fits {
-                    for &e in route.edges() {
-                        self.tracker
-                            .observe(e, t)
-                            .expect("headroom checked; observe cannot fail");
-                    }
+                if self.tracker.admit(route.edges(), t) {
                     out.push(Injection::new(route.clone(), i as u32));
                     progressed = true;
+                } else {
+                    self.blocked[i] = Some(t);
                 }
             }
             if !progressed {
@@ -107,7 +111,7 @@ mod tests {
     use super::*;
     use aqt_graph::topologies;
     use aqt_protocols::Fifo;
-    use aqt_sim::{Engine, EngineConfig};
+    use aqt_sim::{Constraint, Engine, EngineConfig};
     use std::sync::Arc;
 
     #[test]
@@ -145,6 +149,16 @@ mod tests {
             }
         }
         assert!(total > 0);
+    }
+
+    /// The empty model never runs out of headroom, so its passes would
+    /// inject forever: construction refuses it.
+    #[test]
+    #[should_panic(expected = "nonempty constraint model")]
+    fn empty_model_is_refused() {
+        let g = topologies::ring(6);
+        let routes = crate::stochastic::random_routes(&g, 3, 4, 3);
+        AdaptiveAdversary::with_model(&g, &AdversaryModelSpec::default(), routes);
     }
 
     #[test]

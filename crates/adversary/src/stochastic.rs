@@ -11,14 +11,27 @@
 //! [`SaturatingAdversary::with_model`] saturates *any* composed
 //! [`AdversaryModel`] — `(w,r)` windows, `(ρ,σ,L)` locally bursty
 //! classes, buffer bounds, or their conjunctions — because the greedy
-//! loop only consults [`Constraint::headroom`]. Legality is checked,
+//! loop only consults [`AdversaryModel::admit`]. Legality is checked,
 //! not assumed: the tracker records every injection it emits, and the
 //! per-constraint tests re-validate the stream with an independent
 //! model.
+//!
+//! ## The blocked-at-`t` stamp
+//!
+//! Each step draws `attempts_per_step` routes from the pool, and once
+//! the model is near its ceiling most draws hit a route that has no
+//! room. Headroom only falls within a step: observes at `t` only add
+//! events, and `headroom(e, t)` at a fixed `t` is idempotent (both
+//! pinned for every member by `tests/validators.rs`). So a route whose
+//! probe fails at `t` stays refused until `t + 1`, and the adversary
+//! stamps it: a later draw of that route in the same step is skipped
+//! after one compare instead of re-probing every edge. Every draw is
+//! still made, so the RNG stream, and with it the injection sequence,
+//! is the same as without the stamp.
 
 use aqt_graph::{EdgeId, Graph, NodeId, Route};
 use aqt_sim::engine::Injection;
-use aqt_sim::rate::{AdversaryModel, AdversaryModelSpec, Constraint};
+use aqt_sim::rate::{AdversaryModel, AdversaryModelSpec};
 use aqt_sim::{Ratio, Time};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -84,6 +97,9 @@ pub struct SaturatingAdversary {
     rng: StdRng,
     /// Max injection attempts per step (bounds per-step work).
     attempts_per_step: usize,
+    /// Per pool route, the last step at which its headroom probe
+    /// failed: a route refused at `t` is refused for the rest of `t`.
+    blocked: Vec<Option<Time>>,
 }
 
 impl SaturatingAdversary {
@@ -120,6 +136,7 @@ impl SaturatingAdversary {
         assert!(!routes.is_empty(), "need at least one candidate route");
         let attempts_per_step = (routes.len() * 4).clamp(16, 512);
         SaturatingAdversary {
+            blocked: vec![None; routes.len()],
             routes,
             tracker: spec.build(graph.edge_count()),
             style,
@@ -144,21 +161,17 @@ impl SaturatingAdversary {
         let mut out = Vec::new();
         for _ in 0..self.attempts_per_step {
             let idx = self.rng.gen_range(0..self.routes.len());
+            if self.blocked[idx] == Some(t) {
+                continue;
+            }
             let route = &self.routes[idx];
-            let fits = route
-                .edges()
-                .iter()
-                .all(|&e| self.tracker.headroom(e, t) >= 1);
-            if fits {
-                for &e in route.edges() {
-                    self.tracker
-                        .observe(e, t)
-                        .expect("headroom was checked; observe cannot fail");
-                }
-                out.push(Injection::new(route.clone(), idx as u32));
-                if self.style == InjectionStyle::Spread {
-                    break;
-                }
+            if !self.tracker.admit(route.edges(), t) {
+                self.blocked[idx] = Some(t);
+                continue;
+            }
+            out.push(Injection::new(route.clone(), idx as u32));
+            if self.style == InjectionStyle::Spread {
+                break;
             }
         }
         out
@@ -169,6 +182,7 @@ impl SaturatingAdversary {
 mod tests {
     use super::*;
     use aqt_graph::topologies;
+    use aqt_sim::Constraint;
 
     #[test]
     fn random_routes_are_simple_and_bounded() {

@@ -12,7 +12,7 @@
 use aqt_graph::{EdgeId, Graph};
 use aqt_protocols::registry;
 use aqt_sim::sentinel::CertificateSpec;
-use aqt_sim::{AdversaryModelSpec, Constraint, ConstraintSpec, Ratio, Time};
+use aqt_sim::{AdversaryModelSpec, ConstraintSpec, Ratio, Time};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -159,16 +159,7 @@ fn legalize(injections: &mut Vec<InjectSpec>, model: &[ConstraintSpec], edge_cou
     injections.retain_mut(|inj| {
         let edges: Vec<EdgeId> = inj.cohort.route.iter().map(|&e| EdgeId(e)).collect();
         let mut admitted = 0u32;
-        for _ in 0..inj.cohort.count {
-            let fits = edges.iter().all(|&e| tracker.headroom(e, inj.time) >= 1);
-            if !fits {
-                break;
-            }
-            for &e in &edges {
-                tracker
-                    .observe(e, inj.time)
-                    .expect("headroom was checked; observe cannot fail");
-            }
+        while admitted < inj.cohort.count && tracker.admit(&edges, inj.time) {
             admitted += 1;
         }
         inj.cohort.count = admitted;
@@ -454,6 +445,7 @@ pub fn mutate(rng: &mut StdRng, cfg: &GeneratorConfig, base: &Scenario) -> Scena
 mod tests {
     use super::*;
     use crate::run::{run_scenario, Outcome};
+    use aqt_sim::Constraint;
     use rand::SeedableRng;
 
     #[test]

@@ -1115,6 +1115,23 @@ impl AdversaryModel {
     pub fn members(&self) -> &[ConstraintValidator] {
         &self.members
     }
+
+    /// Admit one packet on `route` at `time` if the model has room for
+    /// it: probe `headroom ≥ 1` on every edge and, only if every probe
+    /// passes, observe each edge. Returns whether the packet was
+    /// admitted; a refused packet leaves the model's events unchanged.
+    /// `route` must not repeat an edge (a simple path), so one unit of
+    /// headroom per edge is exactly what the packet needs.
+    pub fn admit(&mut self, route: &[EdgeId], time: Time) -> bool {
+        if !route.iter().all(|&e| self.headroom(e, time) >= 1) {
+            return false;
+        }
+        for &e in route {
+            self.observe(e, time)
+                .expect("headroom was checked; observe cannot fail");
+        }
+        true
+    }
 }
 
 impl Constraint for AdversaryModel {

@@ -1,10 +1,13 @@
 //! Integration tests for the stability side (Section 4): reduced-scale
-//! versions of experiments E5, E6 and E7.
+//! versions of experiments E5, E6 and E7, and the pinned injection
+//! streams of E16's saturating adversaries.
 
+use aqt_adversary::stochastic::{random_routes, InjectionStyle, SaturatingAdversary};
 use aqt_analysis::Verdict;
-use aqt_core::experiments::{e5_greedy_stability, e6_time_priority, e7_initial_config};
+use aqt_core::experiments::{e16_models, e5_greedy_stability, e6_time_priority, e7_initial_config};
 use aqt_core::theory::StabilityCertificate;
-use aqt_sim::Ratio;
+use aqt_graph::topologies;
+use aqt_sim::{fnv1a_u64s, Ratio};
 
 /// Theorem 4.1 at reduced scale: every protocol, every topology, the
 /// `⌈wr⌉` bound holds and nothing diverges.
@@ -96,4 +99,58 @@ fn bound_is_network_independent() {
         1,
         "one bound across all topologies: {bounds:?}"
     );
+}
+
+/// E16's saturating adversaries emit a pinned injection stream: for
+/// every model of `e16_models(12, r)` at each rate factor, the FNV-1a
+/// hash of every `(t, tag)` over 2,000 steps on `torus(4,4)`, with the
+/// route pool and adversary seeds E16 uses. A faster probe loop must
+/// leave every RNG draw and every admission where it was.
+#[test]
+fn e16_saturating_streams_are_pinned() {
+    // (f10, model, injections, hash)
+    const PINS: [(u64, &str, usize, u64); 15] = [
+        (8, "window", 2558, 0x37e1f36fe670a282),
+        (8, "rate", 3068, 0xb7eadf55a8425b3a),
+        (8, "burst-local", 3129, 0x59fca080517486e3),
+        (8, "buffer-bound", 15466, 0xd016c7afb45b350c),
+        (8, "composed", 2558, 0x37e1f36fe670a282),
+        (10, "window", 3573, 0xcd9393d15d701e98),
+        (10, "rate", 3523, 0x9f62bc9ab4697786),
+        (10, "burst-local", 3742, 0x1077589360ac1de7),
+        (10, "buffer-bound", 14230, 0xa7b96fe1e70be441),
+        (10, "composed", 3620, 0x486c40db13bd7810),
+        (12, "window", 3355, 0x1a07e3efe0d16a83),
+        (12, "rate", 4164, 0xe11ebaa05da047fb),
+        (12, "burst-local", 4237, 0x74147b3893f7f7e1),
+        (12, "buffer-bound", 13455, 0x1b4f5e5f05d104c5),
+        (12, "composed", 3341, 0x3d91960cfc2c89ec),
+    ];
+    let (d, w) = (3usize, 12u64);
+    let graph = topologies::torus(4, 4);
+    let mut got = Vec::new();
+    for f10 in [8u64, 10, 12] {
+        let rate = Ratio::new(f10, 10 * (d as u64 + 1));
+        for (model, spec) in e16_models(w, rate) {
+            let seed = 1600 + f10;
+            let routes = random_routes(&graph, d, 24, seed);
+            let mut adv = SaturatingAdversary::with_model(
+                &graph,
+                &spec,
+                routes,
+                InjectionStyle::Burst,
+                seed ^ 0xe16,
+            );
+            let mut words = Vec::new();
+            for t in 1..=2000 {
+                for inj in adv.injections_for(t) {
+                    words.extend([t, u64::from(inj.tag)]);
+                }
+            }
+            got.push((f10, model, words.len() / 2, fnv1a_u64s(words)));
+        }
+    }
+    for (pin, row) in PINS.iter().zip(&got) {
+        assert_eq!(pin, row, "stream of {} at f = {}/10 moved", row.1, row.0);
+    }
 }

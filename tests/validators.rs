@@ -158,6 +158,85 @@ proptest! {
         prop_assert_eq!(ok, brute, "spec={} times={:?}", spec, times);
     }
 
+    /// The headroom contract the saturating adversaries rely on, for
+    /// every member and the 3-way composition over three edges. After
+    /// a random legal prefix, at a step `t` no earlier than its end:
+    /// `h = headroom(e, t)` observes at `t` succeed on a clone and the
+    /// `(h+1)`-th fails, and further observes at `t`, on any edge,
+    /// never raise `headroom(e', t)` — so a route refused at `t` stays
+    /// refused for the rest of `t`.
+    #[test]
+    fn headroom_is_exact_and_only_falls_within_a_step(
+        kind in 0usize..5,
+        num in 1u64..10,
+        w in 2u64..10,
+        sigma in 0u64..5,
+        locality in 1u64..10,
+        bound in 0u64..8,
+        // edge = x % 3, gap before the event = x / 3
+        prefix in prop::collection::vec(0u64..9, 0..60),
+        last_gap in 0u64..3,
+        at_t in prop::collection::vec(0usize..3, 1..24),
+    ) {
+        let spec = match kind {
+            0 => AdversaryModelSpec::rate(Ratio::new(num, 10)),
+            1 => AdversaryModelSpec::window(w, Ratio::new(num, 10)),
+            2 => AdversaryModelSpec::burst_local(Ratio::new(num, 10), sigma, locality),
+            3 => AdversaryModelSpec::buffer_bound(bound),
+            _ => AdversaryModelSpec::window(w, Ratio::new(num, 10))
+                .and(ConstraintSpec::BurstLocal {
+                    rho: Ratio::new(num, 10),
+                    sigma,
+                    locality,
+                })
+                .and(ConstraintSpec::BufferBound { bound }),
+        };
+        let edges = [EdgeId(0), EdgeId(1), EdgeId(2)];
+        let mut model = spec.build(edges.len());
+        let mut t = 0u64;
+        for x in prefix {
+            t += x / 3;
+            let mut next = model.clone();
+            if next.observe(edges[(x % 3) as usize], t).is_ok() {
+                model = next;
+            }
+        }
+        t += last_gap;
+
+        for &e in &edges {
+            let h = model.headroom(e, t);
+            prop_assert_eq!(h, model.headroom(e, t), "headroom is idempotent at fixed t");
+            prop_assert!(h < 1_000, "{} has finite headroom on {:?}: {}", spec, e, h);
+            let mut fill = model.clone();
+            for k in 0..h {
+                prop_assert!(
+                    fill.observe(e, t).is_ok(),
+                    "{}: observe {} of headroom {} at t={} refused", spec, k + 1, h, t
+                );
+            }
+            prop_assert!(
+                fill.observe(e, t).is_err(),
+                "{}: observe {} past headroom {} at t={} accepted", spec, h + 1, h, t
+            );
+        }
+
+        let mut before: Vec<u64> = edges.iter().map(|&e| model.headroom(e, t)).collect();
+        for i in at_t {
+            if model.headroom(edges[i], t) == 0 {
+                continue;
+            }
+            model.observe(edges[i], t).expect("headroom was checked");
+            for (j, &e) in edges.iter().enumerate() {
+                let now = model.headroom(e, t);
+                prop_assert!(
+                    now <= before[j],
+                    "{}: headroom on {:?} rose from {} to {} at t={}", spec, e, before[j], now, t
+                );
+                before[j] = now;
+            }
+        }
+    }
+
     /// Any composition of floor-pattern streams with >= 1-step gaps on
     /// a shared edge is rate-legal — the structural fact all the
     /// adversary builders rely on.
