@@ -14,19 +14,15 @@
 //!   Definition 2.1 permits.
 //! * [`periodic`] — deterministic multi-stream rate adversaries for
 //!   threshold mapping.
-//! * [`adaptive`] — a feedback adversary that aims its windowed budget
-//!   at the currently most-loaded buffers.
-//! * [`baselines`] — prior-art comparison adversaries: a
-//!   pumping-adversary family on the baseball graph (the network of
-//!   the earlier FIFO instability results \[4, 11, 15\]) and starvation
-//!   workloads for NTG/LIFO on trap networks.
+//! * [`baselines`] — the prior-art comparison adversary of E9: a FIFO
+//!   pumping adversary on the baseball graph (the network of the
+//!   earlier FIFO instability results \[4, 11, 15\]).
 //!
 //! Every builder produces schedules that are replayed through the
 //! engine's exact validators — legality is *checked*, never assumed.
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod baselines;
 pub mod lemma315;
 pub mod lemma316;

@@ -83,11 +83,6 @@ impl PeriodicAdversary {
         })
     }
 
-    /// Total packets injected so far.
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
     /// Build against a composed constraint model: the per-edge stream
     /// rate sums are checked against the model's tightest long-run
     /// rate ([`AdversaryModelSpec::long_run_rate`]).
@@ -152,7 +147,6 @@ mod tests {
             count += adv.injections_for(t).len();
         }
         assert_eq!(count as u64, 20 + 30);
-        assert_eq!(adv.total_injected(), 50);
     }
 
     #[test]

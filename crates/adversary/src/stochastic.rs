@@ -145,17 +145,6 @@ impl SaturatingAdversary {
         }
     }
 
-    /// The parameter `d` of this adversary's route pool: the longest
-    /// candidate route.
-    pub fn d(&self) -> usize {
-        self.routes.iter().map(Route::len).max().unwrap_or(0)
-    }
-
-    /// The constraint model this adversary saturates.
-    pub fn model_spec(&self) -> &AdversaryModelSpec {
-        self.tracker.spec()
-    }
-
     /// Produce the injections for step `t` (monotone increasing calls).
     pub fn injections_for(&mut self, t: Time) -> Vec<Injection> {
         let mut out = Vec::new();

@@ -8,27 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance (0 for fewer than two samples).
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank on a sorted copy.
-pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in quantile input"));
-    let idx = ((v.len() - 1) as f64 * q).round() as usize;
-    v[idx]
-}
-
 /// Ordinary least squares fit `y = a + b·x`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
@@ -36,8 +15,9 @@ pub struct LinearFit {
     pub intercept: f64,
     /// Slope.
     pub slope: f64,
-    /// Coefficient of determination `R²` (1 for a perfect fit; 0 when
-    /// `y` is constant or the fit explains nothing).
+    /// Coefficient of determination `R²` (1 for a perfect fit, and for
+    /// a constant `y`, which the flat fit matches exactly; 0 when the fit
+    /// explains nothing).
     pub r2: f64,
 }
 
@@ -47,7 +27,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }
-    let n = xs.len() as f64;
     let mx = mean(xs);
     let my = mean(ys);
     let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
@@ -71,7 +50,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
             .sum();
         1.0 - ss_res / syy
     };
-    let _ = n;
     Some(LinearFit {
         intercept,
         slope,
@@ -94,20 +72,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance() {
+    fn mean_of_slices() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
-        assert!((variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(variance(&[5.0]), 0.0);
-    }
-
-    #[test]
-    fn quantiles() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 0.5), 3.0);
-        assert_eq!(quantile(&xs, 1.0), 5.0);
-        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -786,19 +786,10 @@ pub struct E10Row {
 /// every replay engine re-validates it against the construction's
 /// identity model `rate(1/2 + ε)` — the `EngineConfig::validate`
 /// convention every other experiment follows.
-pub fn e10_landscape(
-    eps_num: u64,
-    eps_den: u64,
-    iterations: usize,
-) -> Result<Vec<E10Row>, SimError> {
-    let mut cfg = InstabilityConfig::new(eps_num, eps_den);
-    cfg.iterations = iterations;
-    e10_landscape_with(cfg)
-}
-
-/// [`e10_landscape`] with full control over the construction's scale.
-/// Replays against LIS/NIS/FTG/… scan whole buffers per step, so large
-/// constructions are quadratic for them; tests pass a reduced config.
+///
+/// `cfg` sets the construction's scale. Replays against LIS/NIS/FTG/…
+/// scan whole buffers per step, so large constructions are quadratic
+/// for them; tests pass a reduced config.
 ///
 /// Replays carry the construction's identity model `rate(1/2 + ε)` in
 /// `EngineConfig::validate`; validation can only reject illegal

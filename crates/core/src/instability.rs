@@ -36,8 +36,7 @@ use aqt_graph::{GEpsilon, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::metrics::BacklogSample;
 use aqt_sim::{
-    checkpoint, AdversaryModelSpec, Engine, EngineConfig, EngineError, Schedule, SharedSink,
-    SimError, TelemetryConfig, Time,
+    checkpoint, AdversaryModelSpec, Engine, EngineConfig, EngineError, Schedule, SimError, Time,
 };
 
 use crate::verify::{check_c_invariant, CInvariantReport};
@@ -275,21 +274,7 @@ impl InstabilityConstruction {
 
     /// Run the closed loop from the initial configuration and measure.
     pub fn run(&self) -> Result<InstabilityRun, SimError> {
-        self.run_from(None, None)
-    }
-
-    /// Like [`run`](Self::run), but with engine telemetry attached:
-    /// hot-path counters and per-window crossing rates stream to
-    /// `sink` as the construction executes, every record stamped with
-    /// the run's provenance. The telemetry window baselines are set
-    /// *before* the initial configuration is seeded, so the first
-    /// window covers the run from step zero.
-    pub fn run_with_telemetry(
-        &self,
-        tcfg: TelemetryConfig,
-        sink: SharedSink,
-    ) -> Result<InstabilityRun, SimError> {
-        self.run_from(None, Some((tcfg, sink)))
+        self.run_from(None)
     }
 
     /// Continue an interrupted run from an iteration-boundary
@@ -298,14 +283,10 @@ impl InstabilityConstruction {
     /// produced the checkpoint; the resumed trajectory is then
     /// step-for-step identical to the uninterrupted one.
     pub fn resume(&self, ck: &InstabilityCheckpoint) -> Result<InstabilityRun, SimError> {
-        self.run_from(Some(ck), None)
+        self.run_from(Some(ck))
     }
 
-    fn run_from(
-        &self,
-        from: Option<&InstabilityCheckpoint>,
-        telemetry: Option<(TelemetryConfig, SharedSink)>,
-    ) -> Result<InstabilityRun, SimError> {
+    fn run_from(&self, from: Option<&InstabilityCheckpoint>) -> Result<InstabilityRun, SimError> {
         let params = &self.params;
         let rate = params.rate;
         let n = params.n;
@@ -324,13 +305,6 @@ impl InstabilityConstruction {
                 sample_every,
             },
         );
-
-        if let Some((tcfg, sink)) = telemetry {
-            // Attach before seeding so the crossing baselines are all
-            // zero and the first window accounts for every send.
-            eng.attach_telemetry(tcfg);
-            eng.set_telemetry_sink(Box::new(sink));
-        }
 
         let s_star = 2 * self.s0_effective();
         let ingress = self.geps.ingress();
@@ -622,7 +596,6 @@ impl InstabilityConstruction {
             }
         }
 
-        eng.finish_telemetry();
         let max_backlog = eng
             .metrics()
             .series()

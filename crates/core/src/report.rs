@@ -407,7 +407,7 @@ fn e5(scale: Scale) -> Result<Section, SimError> {
 }
 
 /// The E5 table (at `d = 3`, `w = 12`) and its violation count.
-pub fn e5_section(rows: &[StabilityRow]) -> Section {
+fn e5_section(rows: &[StabilityRow]) -> Section {
     bounded_stability(
         "E5 / Theorem 4.1 — greedy stability at r = 1/(d+1) (paper: max wait ≤ ⌈wr⌉, here 3)",
         rows,
@@ -425,7 +425,7 @@ fn e6(scale: Scale) -> Result<Section, SimError> {
 
 /// The E6 table (at `d = 3`, `w = 12`) and the FIFO/LIS violation
 /// count.
-pub fn e6_section(rows: &[StabilityRow]) -> Section {
+fn e6_section(rows: &[StabilityRow]) -> Section {
     let mut t = Table::new(
         "E6 / Theorem 4.3 — time-priority stability at r = 1/d (FIFO & LIS bound = ⌈wr⌉ = 4)",
         &[
@@ -555,7 +555,7 @@ fn e10(scale: Scale) -> Result<Section, SimError> {
 }
 
 /// The E10 table.
-pub fn e10_table(rows: &[E10Row]) -> Table {
+fn e10_table(rows: &[E10Row]) -> Table {
     let mut t = Table::new(
         "E10 — the 1/2+ε adversary vs. every protocol (FIFO should diverge; LIS/FTG should not)",
         &["protocol", "final backlog", "peak backlog", "verdict"],

@@ -1,35 +1,10 @@
 //! Structural graph analysis.
 //!
-//! These are the quantities the paper's theorems are parameterized by:
-//! `m = |E|`, the maximum in-degree `α` (Díaz et al.'s bound `1/(2dmα)`
-//! quoted in the introduction), and — via a given *route set* — the
-//! parameter `d`, the length of the longest route used by any packet,
-//! which governs the `1/d` and `1/(d+1)` stability thresholds of
-//! Section 4.
+//! Cycle detection (the paper's `G_ε` is cyclic, its daisy chains are
+//! not) and the BFS shortest paths that
+//! [`crate::paths::shortest_path_pool`] builds route pools from.
 
 use crate::graph::{EdgeId, Graph, NodeId};
-use crate::route::Route;
-
-/// Maximum in-degree over all nodes (`α` in the introduction's
-/// discussion of Díaz et al.'s bound).
-pub fn max_in_degree(graph: &Graph) -> usize {
-    graph.nodes().map(|v| graph.in_degree(v)).max().unwrap_or(0)
-}
-
-/// Maximum out-degree over all nodes.
-pub fn max_out_degree(graph: &Graph) -> usize {
-    graph
-        .nodes()
-        .map(|v| graph.out_degree(v))
-        .max()
-        .unwrap_or(0)
-}
-
-/// The parameter `d` of Section 4: the length (in edges) of the longest
-/// route in `routes`. Returns 0 for an empty set.
-pub fn longest_route(routes: &[Route]) -> usize {
-    routes.iter().map(Route::len).max().unwrap_or(0)
-}
 
 /// Does the graph contain a directed cycle?
 ///
@@ -73,26 +48,6 @@ pub fn has_cycle(graph: &Graph) -> bool {
     false
 }
 
-/// Nodes reachable from `start` (including `start`), in BFS order.
-pub fn reachable(graph: &Graph, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; graph.node_count()];
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    seen[start.index()] = true;
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &e in graph.out_edges(v) {
-            let w = graph.dst(e);
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    order
-}
-
 /// A shortest path (in hop count) from `src` node to `dst` node, as a
 /// sequence of edge ids, or `None` if unreachable. Deterministic:
 /// BFS explores out-edges in insertion order.
@@ -129,46 +84,11 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Edge
     None
 }
 
-/// Length of the longest simple directed path in a DAG, in edges.
-/// Panics if the graph has a cycle (use [`has_cycle`] first).
-pub fn longest_path_dag(graph: &Graph) -> usize {
-    assert!(!has_cycle(graph), "longest_path_dag requires a DAG");
-    // topological order via Kahn's algorithm
-    let n = graph.node_count();
-    let mut indeg: Vec<usize> = graph.nodes().map(|v| graph.in_degree(v)).collect();
-    let mut queue: std::collections::VecDeque<NodeId> =
-        graph.nodes().filter(|v| indeg[v.index()] == 0).collect();
-    let mut dist = vec![0usize; n];
-    let mut best = 0;
-    while let Some(v) = queue.pop_front() {
-        for &e in graph.out_edges(v) {
-            let w = graph.dst(e);
-            if dist[v.index()] + 1 > dist[w.index()] {
-                dist[w.index()] = dist[v.index()] + 1;
-                best = best.max(dist[w.index()]);
-            }
-            indeg[w.index()] -= 1;
-            if indeg[w.index()] == 0 {
-                queue.push_back(w);
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gadget::{DaisyChain, GEpsilon};
     use crate::topologies;
-    use crate::GraphBuilder;
-
-    #[test]
-    fn degrees_of_baseball() {
-        let (g, _) = topologies::baseball();
-        assert_eq!(max_in_degree(&g), 2);
-        assert_eq!(max_out_degree(&g), 2);
-    }
 
     #[test]
     fn cycle_detection() {
@@ -177,15 +97,6 @@ mod tests {
         assert!(has_cycle(&topologies::torus(2, 2)));
         assert!(!has_cycle(&DaisyChain::new(2, 3).graph));
         assert!(has_cycle(&GEpsilon::new(2, 3).graph));
-    }
-
-    #[test]
-    fn reachability_on_line() {
-        let g = topologies::line(4);
-        let v0 = crate::NodeId(0);
-        assert_eq!(reachable(&g, v0).len(), 5);
-        let v4 = crate::NodeId(4);
-        assert_eq!(reachable(&g, v4).len(), 1);
     }
 
     #[test]
@@ -210,25 +121,5 @@ mod tests {
         let first = crate::NodeId(0);
         assert!(shortest_path(&g, last, first).is_none());
         assert_eq!(shortest_path(&g, first, first), Some(vec![]));
-    }
-
-    #[test]
-    fn longest_path_in_daisy_chain() {
-        // F_n^M longest path: M*(n+1)+1 edges (ingress + n + per-gadget egress)
-        let c = DaisyChain::new(3, 2);
-        assert_eq!(longest_path_dag(&c.graph), 2 * (3 + 1) + 1);
-    }
-
-    #[test]
-    fn longest_route_parameter_d() {
-        let mut b = GraphBuilder::new();
-        let s = b.node("s");
-        let t = b.node("t");
-        let p = b.path(s, t, 5, "e");
-        let g = b.build();
-        let r1 = Route::new(&g, vec![p[0]]).unwrap();
-        let r2 = Route::new(&g, p.clone()).unwrap();
-        assert_eq!(longest_route(&[r1, r2]), 5);
-        assert_eq!(longest_route(&[]), 0);
     }
 }

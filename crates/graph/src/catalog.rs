@@ -22,21 +22,6 @@ impl std::fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
-/// The built-in family names (without parameters).
-pub fn families() -> &'static [&'static str] {
-    &[
-        "ring",
-        "line",
-        "grid",
-        "torus",
-        "hypercube",
-        "complete",
-        "baseball",
-        "fn",
-        "geps",
-    ]
-}
-
 fn parse_params(spec: &str) -> (String, Vec<usize>) {
     match spec.split_once('-') {
         None => (spec.to_string(), Vec::new()),

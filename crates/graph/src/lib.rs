@@ -15,24 +15,18 @@
 //!   `F_n^M` (the `◦` composition of Definition 3.4), and the cyclic
 //!   instability graph `G_ε` of Theorem 3.17 (Figures 3.1 and 3.2).
 //! * [`topologies`] — classic AQT evaluation topologies (rings, lines,
-//!   grids, tori, hypercubes, complete graphs, random digraphs, and the
-//!   "baseball" graph used by the prior FIFO-instability constructions).
-//! * [`analysis`] — degrees, reachability, cycle detection, and the
-//!   route-set parameter `d` (length of the longest route) that governs
-//!   the stability thresholds `1/d` and `1/(d+1)` of Section 4.
+//!   grids, tori, hypercubes, complete graphs, and the "baseball" graph
+//!   used by the prior FIFO-instability constructions).
+//! * [`analysis`] — cycle detection and BFS shortest paths.
 //! * [`dot`] — Graphviz export, regenerating the paper's two figures.
-//! * [`paths`] — diameters, shortest-path route pools (the paper's
-//!   lower-bound routes are shortest paths), simple-path enumeration.
+//! * [`paths`] — diameters and shortest-path route pools (the paper's
+//!   lower-bound routes are shortest paths).
 //! * [`catalog`] — named topology construction (`"ring-8"`, …) for
 //!   sweep tooling.
-//! * [`blueprint`] — generic gadget composition (Section 5's "the
-//!   technique can be applied to various gadgets"), with the paper's
-//!   `F_n` and a `k`-way generalization as instances.
 
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod blueprint;
 pub mod builder;
 pub mod catalog;
 pub mod dot;

@@ -3,11 +3,11 @@
 //! The stability experiments need route sets with a controlled `d`
 //! (the longest route length); the paper's Section 5 remarks that its
 //! instability routes are *shortest paths* ("and hence noncircular").
-//! This module provides shortest-path route pools, diameter
-//! computation, and bounded simple-path enumeration.
+//! This module provides shortest-path route pools and diameter
+//! computation.
 
 use crate::analysis::shortest_path;
-use crate::graph::{Graph, NodeId};
+use crate::graph::Graph;
 use crate::route::Route;
 
 /// Hop-count diameter of the graph restricted to reachable pairs
@@ -54,55 +54,6 @@ pub fn shortest_path_pool(graph: &Graph, max_len: usize) -> Vec<Route> {
     pool
 }
 
-/// Enumerate all simple directed paths from `src` with length (in
-/// edges) between 1 and `max_len`, up to `cap` paths (DFS order,
-/// deterministic). Exponential in general — keep `max_len` small.
-pub fn simple_paths_from(graph: &Graph, src: NodeId, max_len: usize, cap: usize) -> Vec<Route> {
-    let mut out = Vec::new();
-    let mut edge_stack = Vec::new();
-    let mut visited = vec![false; graph.node_count()];
-    visited[src.index()] = true;
-    dfs(
-        graph,
-        src,
-        max_len,
-        cap,
-        &mut edge_stack,
-        &mut visited,
-        &mut out,
-    );
-    out
-}
-
-fn dfs(
-    graph: &Graph,
-    v: NodeId,
-    max_len: usize,
-    cap: usize,
-    edge_stack: &mut Vec<crate::graph::EdgeId>,
-    visited: &mut [bool],
-    out: &mut Vec<Route>,
-) {
-    if out.len() >= cap || edge_stack.len() >= max_len {
-        return;
-    }
-    for &e in graph.out_edges(v) {
-        if out.len() >= cap {
-            return;
-        }
-        let w = graph.dst(e);
-        if visited[w.index()] {
-            continue;
-        }
-        edge_stack.push(e);
-        visited[w.index()] = true;
-        out.push(Route::new(graph, edge_stack.clone()).expect("DFS paths are simple"));
-        dfs(graph, w, max_len, cap, edge_stack, visited, out);
-        visited[w.index()] = false;
-        edge_stack.pop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,25 +84,5 @@ mod tests {
         let pool = shortest_path_pool(&g, 4);
         // ring: every ordered pair has exactly one path; 5*4 pairs
         assert_eq!(pool.len(), 20);
-    }
-
-    #[test]
-    fn simple_paths_enumeration() {
-        let g = topologies::complete(4);
-        let v0 = g.nodes().next().unwrap();
-        let paths = simple_paths_from(&g, v0, 2, 1000);
-        // length 1: 3 paths; length 2: 3*2 = 6 paths
-        assert_eq!(paths.len(), 9);
-        for p in &paths {
-            Route::validate(&g, p.edges()).expect("simple");
-        }
-    }
-
-    #[test]
-    fn simple_paths_cap_respected() {
-        let g = topologies::complete(5);
-        let v0 = g.nodes().next().unwrap();
-        let paths = simple_paths_from(&g, v0, 4, 7);
-        assert_eq!(paths.len(), 7);
     }
 }

@@ -185,16 +185,6 @@ impl Route {
         graph.src(self.first())
     }
 
-    /// Destination node of the route.
-    pub fn destination(&self, graph: &Graph) -> NodeId {
-        graph.dst(self.last())
-    }
-
-    /// Does the route traverse edge `e`?
-    pub fn uses(&self, e: EdgeId) -> bool {
-        self.edges.contains(&e)
-    }
-
     /// A new route equal to this one followed by `suffix`.
     ///
     /// This is the primitive behind the rerouting technique of
@@ -251,9 +241,7 @@ mod tests {
         assert_eq!(r.len(), 4);
         assert_eq!(r.first(), p[0]);
         assert_eq!(r.last(), p[3]);
-        assert!(r.uses(p[2]));
         assert_eq!(r.source(&g), g.node_by_name("s").unwrap());
-        assert_eq!(r.destination(&g), g.node_by_name("t").unwrap());
     }
 
     #[test]

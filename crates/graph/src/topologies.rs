@@ -106,24 +106,6 @@ pub fn complete(k: usize) -> Graph {
     b.build()
 }
 
-/// A random digraph: each ordered pair (u, v), u ≠ v, carries an edge
-/// independently with probability `p`, decided by the caller-supplied
-/// uniform samples to keep this crate free of RNG dependencies. The
-/// closure receives `(i, j)` and returns whether to include the edge.
-pub fn random_digraph(k: usize, mut include: impl FnMut(usize, usize) -> bool) -> Graph {
-    assert!(k >= 2);
-    let mut b = GraphBuilder::new();
-    let vs = b.nodes(k);
-    for i in 0..k {
-        for j in 0..k {
-            if i != j && include(i, j) {
-                b.edge(vs[i], vs[j], format!("p{i}_{j}"));
-            }
-        }
-    }
-    b.build()
-}
-
 /// Handles into the [`baseball`] graph.
 #[derive(Debug, Clone, Copy)]
 pub struct Baseball {
@@ -167,56 +149,6 @@ pub fn baseball() -> (Graph, Baseball) {
             f0p,
             f1,
             f1p,
-        },
-    )
-}
-
-/// Handles into the [`ntg_trap`] network.
-#[derive(Debug, Clone)]
-pub struct NtgTrap {
-    /// The contended "spine" edges `g_1 .. g_k`; long packets must cross
-    /// all of them, distractor packets only the next one.
-    pub spine: Vec<EdgeId>,
-    /// Feeder edge where long packets are injected and queued.
-    pub feeder: EdgeId,
-    /// Tail paths hanging off each spine node: `tail[i]` starts at the
-    /// head of `spine[i]`.
-    pub tails: Vec<Vec<EdgeId>>,
-}
-
-/// A network family in the spirit of Borodin et al. \[7\]'s proof that
-/// NTG (nearest-to-go) can be unstable at arbitrarily low injection
-/// rates: a spine of `k` contended edges where cheap single-edge
-/// "distractor" packets always beat long-haul packets under NTG, plus
-/// a per-spine-node *tail* path of length `tail_len` that makes the
-/// long packets' remaining distance large. The paper's Section 5 cites
-/// this phenomenon (instability with paths of length `16/r`) to argue
-/// its `1/(d+1)` bound is near-optimal.
-pub fn ntg_trap(k: usize, tail_len: usize) -> (Graph, NtgTrap) {
-    assert!(k >= 1 && tail_len >= 1);
-    let mut b = GraphBuilder::new();
-    let src = b.node("src");
-    let first = b.node("s0");
-    let feeder = b.edge(src, first, "feed");
-    let mut spine = Vec::with_capacity(k);
-    let mut spine_nodes = vec![first];
-    for i in 0..k {
-        let nxt = b.node(format!("s{}", i + 1));
-        spine.push(b.edge(spine_nodes[i], nxt, format!("g{}", i + 1)));
-        spine_nodes.push(nxt);
-    }
-    let mut tails = Vec::with_capacity(k);
-    for i in 0..k {
-        let end = b.node(format!("t{}_end", i + 1));
-        let tail = b.path(spine_nodes[i + 1], end, tail_len, &format!("t{}", i + 1));
-        tails.push(tail);
-    }
-    (
-        b.build(),
-        NtgTrap {
-            spine,
-            feeder,
-            tails,
         },
     )
 }
@@ -270,16 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn random_digraph_respects_closure() {
-        let g = random_digraph(4, |i, j| (i + j) % 2 == 0);
-        for e in g.edge_ids() {
-            let i = g.src(e).index();
-            let j = g.dst(e).index();
-            assert_eq!((i + j) % 2, 0);
-        }
-    }
-
-    #[test]
     fn baseball_shape() {
         let (g, h) = baseball();
         assert_eq!(g.node_count(), 4);
@@ -293,19 +215,5 @@ mod tests {
         assert!(g.consecutive(h.e1, h.f1));
         assert!(g.consecutive(h.f1, h.e0));
         assert!(analysis::has_cycle(&g));
-    }
-
-    #[test]
-    fn ntg_trap_shape() {
-        let (g, h) = ntg_trap(3, 4);
-        assert_eq!(h.spine.len(), 3);
-        assert_eq!(h.tails.len(), 3);
-        // long route: feeder, spine..., last tail
-        assert!(g.consecutive(h.feeder, h.spine[0]));
-        assert!(g.consecutive(h.spine[0], h.spine[1]));
-        // each tail hangs off the head of its spine edge
-        for i in 0..3 {
-            assert!(g.consecutive(h.spine[i], h.tails[i][0]));
-        }
     }
 }

@@ -18,19 +18,6 @@ pub struct Classification {
 }
 
 impl Classification {
-    /// The stability threshold `r*` of this protocol class against
-    /// routes of length at most `d`: `1/d` for time-priority protocols
-    /// (Theorem 4.3), `1/(d+1)` for every other greedy protocol
-    /// (Theorem 4.1). `None` only in the degenerate time-priority
-    /// `d = 0` case, where Theorem 4.3 has nothing to say.
-    pub fn stability_threshold(&self, d: usize) -> Option<Ratio> {
-        if self.time_priority {
-            (d > 0).then(|| Ratio::new(1, d as u64))
-        } else {
-            Some(Ratio::new(1, d as u64 + 1))
-        }
-    }
-
     /// The sentinel certificate this classification licenses for a
     /// `(window, rate)` adversary, routes of length at most `d`, and an
     /// `S = initial` starting configuration. Feed the result to
@@ -97,22 +84,6 @@ mod tests {
         ] {
             assert!(!c.time_priority, "{} should not be time-priority", c.name);
         }
-    }
-
-    #[test]
-    fn stability_thresholds_follow_the_theorems() {
-        // FIFO (time-priority): r* = 1/d; NTG (merely greedy): 1/(d+1).
-        assert_eq!(
-            classify(&Fifo).stability_threshold(3),
-            Some(Ratio::new(1, 3))
-        );
-        assert_eq!(
-            classify(&Ntg).stability_threshold(3),
-            Some(Ratio::new(1, 4))
-        );
-        // Degenerate d = 0: Theorem 4.3 is silent, Theorem 4.1 is not.
-        assert_eq!(classify(&Fifo).stability_threshold(0), None);
-        assert_eq!(classify(&Ntg).stability_threshold(0), Some(Ratio::ONE));
     }
 
     #[test]

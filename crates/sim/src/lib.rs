@@ -95,7 +95,7 @@ pub use sentinel::{
 };
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use telemetry::{
-    JsonlSink, Log2Histogram, Provenance, RingSink, SharedSink, SpanKind, StageTimings, TeeSink,
-    Telemetry, TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetryLevel, TelemetrySink,
+    JsonlSink, Log2Histogram, Provenance, RingSink, SharedSink, SpanKind, StageTimings, Telemetry,
+    TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetryLevel, TelemetrySink,
     WorkloadCounters, TELEMETRY_SCHEMA_VERSION,
 };

@@ -141,15 +141,6 @@ impl Metrics {
         self.max_queue_per_edge.iter().copied().max().unwrap_or(0)
     }
 
-    /// The edge with the largest all-time buffer occupancy.
-    pub fn hottest_edge(&self) -> Option<(EdgeId, u64)> {
-        self.max_queue_per_edge
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &q)| q)
-            .map(|(i, &q)| (EdgeId(i as u32), q))
-    }
-
     #[inline]
     pub(crate) fn on_queue_len(&mut self, edge: EdgeId, len: u64) {
         let slot = &mut self.max_queue_per_edge[edge.index()];
@@ -202,7 +193,6 @@ mod tests {
         m.on_queue_len(EdgeId(1), 3);
         m.on_queue_len(EdgeId(2), 4);
         assert_eq!(m.max_queue(), 5);
-        assert_eq!(m.hottest_edge(), Some((EdgeId(1), 5)));
         assert_eq!(m.max_queue_per_edge, vec![0, 5, 4]);
     }
 

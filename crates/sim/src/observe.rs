@@ -186,11 +186,6 @@ impl Observe {
         self.spans_dropped = 0;
     }
 
-    /// Is the observatory attached?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Is `id` in the sampled residue class?
     #[inline]
     pub(crate) fn sampled(&self, id: u64) -> bool {
@@ -311,7 +306,6 @@ mod tests {
     #[test]
     fn disabled_costs_one_gate() {
         let ob = Observe::disabled();
-        assert!(!ob.is_enabled());
         assert_eq!(ob.next, Time::MAX);
         assert!(!ob.spans_on);
     }

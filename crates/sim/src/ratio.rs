@@ -205,12 +205,6 @@ impl Ratio {
         assert!(b != 0);
         (self.num as u128) * (b as u128) <= (a as u128) * (self.den as u128)
     }
-
-    /// Is this ratio < `a/b` (exact)?
-    pub fn lt_frac(self, a: u64, b: u64) -> bool {
-        assert!(b != 0);
-        (self.num as u128) * (b as u128) < (a as u128) * (self.den as u128)
-    }
 }
 
 fn gcd128(mut a: u128, mut b: u128) -> u128 {
@@ -332,8 +326,6 @@ mod tests {
         assert!(Ratio::new(2, 4) == Ratio::new(1, 2));
         assert!(Ratio::new(99, 100) < Ratio::ONE);
         assert!(Ratio::new(1, 3).le_frac(1, 3));
-        assert!(Ratio::new(1, 3).lt_frac(1, 2));
-        assert!(!Ratio::new(1, 2).lt_frac(1, 2));
     }
 
     #[test]

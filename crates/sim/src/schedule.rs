@@ -333,18 +333,8 @@ impl Schedule {
         });
     }
 
-    /// Schedule a route extension at the start of step `time`.
-    pub fn extend_at(&mut self, time: Time, buffers: Vec<EdgeId>, suffix: Vec<EdgeId>) {
-        self.push(ScheduleOp::Extend {
-            time,
-            buffers,
-            suffix,
-            last_edge: None,
-        });
-    }
-
-    /// Like [`Schedule::extend_at`], restricted to packets whose route
-    /// currently ends at `last_edge`.
+    /// Schedule a route extension at the start of step `time`,
+    /// restricted to packets whose route currently ends at `last_edge`.
     pub fn extend_ending_at(
         &mut self,
         time: Time,
@@ -433,13 +423,6 @@ impl Schedule {
         let last = op.last_time();
         self.push(op);
         last
-    }
-
-    /// Merge another schedule into this one.
-    pub fn merge(&mut self, other: Schedule) {
-        for op in other.ops {
-            self.push(op);
-        }
     }
 
     /// Iterate operations (unsorted, insertion order).
@@ -770,7 +753,12 @@ mod tests {
         let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
         eng.seed(route0, 0).unwrap();
         let mut s = Schedule::new();
-        s.extend_at(1, vec![edges[0]], vec![edges[1]]);
+        s.push(ScheduleOp::Extend {
+            time: 1,
+            buffers: vec![edges[0]],
+            suffix: vec![edges[1]],
+            last_edge: None,
+        });
         s.replay(&mut eng, 3).unwrap();
         // the seeded packet crossed e0 at step 1 *with the extension*
         // already applied, so it was forwarded to e1 and absorbed at 2.
@@ -890,19 +878,5 @@ mod tests {
             crate::snapshot::capture(&by_ref),
             crate::snapshot::capture(&again)
         );
-    }
-
-    #[test]
-    fn merge_keeps_all_ops() {
-        let g = topologies::line(1);
-        let e = g.edge_ids().next().unwrap();
-        let route = Route::new(&g, vec![e]).unwrap();
-        let mut a = Schedule::new();
-        a.inject_at(5, route.clone(), 0);
-        let mut b = Schedule::new();
-        b.inject_at(2, route, 1);
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.horizon(), 5);
     }
 }

@@ -24,11 +24,11 @@
 //!   snapshots — see [`TELEMETRY_SCHEMA_VERSION`]). The sinks are thin:
 //!   a JSONL writer over any `io::Write` ([`JsonlSink`]), a
 //!   preallocated in-memory ring of the latest record kinds
-//!   ([`RingSink`]), a fan-out ([`TeeSink`]) and a thread-safe
-//!   shareable handle ([`SharedSink`]). Every engine-emitted record
-//!   carries the run's [`Provenance`] (seed, schedule hash, protocol,
-//!   fault-plan id), so a JSONL line is joinable to the
-//!   [`crate::ReproBundle`] of a sentinel report from the same run.
+//!   ([`RingSink`]) and a thread-safe shareable handle
+//!   ([`SharedSink`]). Every engine-emitted record carries the run's
+//!   [`Provenance`] (seed, schedule hash, protocol, fault-plan id), so
+//!   a JSONL line is joinable to the [`crate::ReproBundle`] of a
+//!   sentinel report from the same run.
 //!
 //! The sweep harness ([`crate::parallel::run_sim_sweep`]) reports
 //! per-job start and finish-or-quarantine events plus an ETA line
@@ -922,7 +922,6 @@ pub struct RingSink {
     cap: usize,
     /// Index of the slot the next record lands in.
     next: usize,
-    total: u64,
 }
 
 impl RingSink {
@@ -934,7 +933,6 @@ impl RingSink {
             buf: Vec::with_capacity(cap),
             cap,
             next: 0,
-            total: 0,
         }
     }
 
@@ -946,11 +944,6 @@ impl RingSink {
     /// Is the ring empty?
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// Total records ever pushed (including overwritten ones).
-    pub fn total_records(&self) -> u64 {
-        self.total
     }
 
     /// Held record kinds, oldest first.
@@ -976,37 +969,12 @@ impl TelemetrySink for RingSink {
             self.buf[self.next] = kind;
         }
         self.next = (self.next + 1) % self.cap;
-        self.total += 1;
     }
 }
 
 // ---------------------------------------------------------------------
-// Tee / shared handle
+// Shared handle
 // ---------------------------------------------------------------------
-
-/// Fans every record out to each inner sink, in order.
-pub struct TeeSink(Vec<Box<dyn TelemetrySink>>);
-
-impl TeeSink {
-    /// A tee over `sinks`.
-    pub fn new(sinks: Vec<Box<dyn TelemetrySink>>) -> Self {
-        TeeSink(sinks)
-    }
-}
-
-impl TelemetrySink for TeeSink {
-    fn record(&mut self, event: &TelemetryEvent<'_>) {
-        for s in &mut self.0 {
-            s.record(event);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.0 {
-            s.flush();
-        }
-    }
-}
 
 /// A clonable, thread-safe handle to a sink: the same underlying sink
 /// can serve an engine, a sweep harness, and the caller that wants to
@@ -1297,7 +1265,6 @@ mod tests {
             eta_secs: 0.0,
         });
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_records(), 5);
         let kept: Vec<&str> = ring.iter().collect();
         assert_eq!(kept, ["job_finished", "job_quarantined", "sweep_progress"]);
     }

@@ -195,6 +195,31 @@ fn missing_cargo_target(root: &std::path::Path, line: &str) -> Option<String> {
     None
 }
 
+/// Every file in `examples/` is run by some CI step: its stem appears
+/// as `--example <stem>` in the workflow. An example nothing runs rots
+/// unnoticed, and one that only repeats a `full_report` section or a
+/// benchmark metric belongs there instead.
+#[test]
+fn every_example_is_run_by_ci() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml");
+    let words: Vec<&str> = ci.split_whitespace().collect();
+    let run: Vec<&str> = words
+        .windows(2)
+        .filter(|w| w[0] == "--example")
+        .map(|w| w[1])
+        .collect();
+    let mut unrun: Vec<String> = std::fs::read_dir(root.join("examples"))
+        .expect("examples/ readable")
+        .map(|e| e.expect("examples/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .filter(|stem| !run.contains(&stem.as_str()))
+        .collect();
+    unrun.sort();
+    assert!(unrun.is_empty(), "examples no CI step runs: {unrun:?}");
+}
+
 // ---------------------------------------------------------------------
 // ReproBundle round-trip fidelity (Halt / Quarantine / Log)
 // ---------------------------------------------------------------------
