@@ -1,6 +1,6 @@
 //! Scenario execution: lower a [`Scenario`] onto a real engine, run it
-//! under an all-[`Severity::Halt`](aqt_sim::Severity) sentinel, and
-//! classify what happened.
+//! under a sentinel (every violation halts the run), and classify what
+//! happened.
 //!
 //! Every campaign run gets the full self-verification stack: a
 //! sentinel at the scenario's cadence (certificate included when the

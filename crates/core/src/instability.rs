@@ -359,240 +359,220 @@ impl InstabilityConstruction {
         let mut watchdog: Option<WatchdogReport> = None;
         let mut last_checkpoint: Option<Box<InstabilityCheckpoint>> = None;
 
-        'iterations: for iter in first_iter..self.cfg.iterations {
+        for iter in first_iter..self.cfg.iterations {
             let mut stages = Vec::new();
             let s_iter_start = s_cur;
-
-            // --- Step (1): bootstrap (Lemma 3.15). ---
-            let s_half = s_cur / 2;
-            if s_half < params.s0 {
-                diverged = false;
-                break;
-            }
-            let boot = lemma315::build(
-                &graph,
-                &self.geps.gadgets[0],
-                params,
-                s_half,
-                eng.time(),
-                alloc_tags!(),
-            )?;
-            record(&mut recorded, &boot.schedule, self.cfg.record_ops);
-            boot.schedule.replay(&mut eng, boot.finish)?;
-            if self.cfg.settle {
-                settle_boundary(&mut eng, &self.geps.gadgets[0], 4 * s_half)?;
-            }
-            let inv = check_c_invariant(&eng, &self.geps.gadgets[0]);
-            let mut s = inv.s_effective();
-            stages.push(StageReport {
-                stage: "bootstrap".into(),
-                finish: eng.time(),
-                s_in: s_cur,
-                s_out: s,
-                invariant: Some(inv),
-            });
-            if let Some(kind) = tripped(&eng) {
-                watchdog = Some(WatchdogReport {
-                    kind,
-                    time: eng.time(),
-                    backlog: eng.backlog(),
-                    iteration: iter,
-                    stage: "bootstrap".into(),
-                });
-                iterations.push(IterationReport {
-                    s_start: s_iter_start,
-                    s_end: s,
-                    stages,
-                });
-                break 'iterations;
-            }
-
-            // --- Step (2): walk the chain (Lemma 3.13 = (M-1) × Lemma 3.6). ---
-            for k in 0..self.m - 1 {
-                if s < params.s0 {
+            // The iteration's stages. The block ends early when the
+            // fresh queue falls below `S₀` (the run stops diverging) or
+            // when a watchdog trips at the end of a stage; its value
+            // says whether the stitch finished, and which watchdog
+            // tripped.
+            let (stitched, trip) = 'stages: {
+                // --- Step (1): bootstrap (Lemma 3.15). ---
+                let s_half = s_cur / 2;
+                if s_half < params.s0 {
                     diverged = false;
-                    break;
+                    break 'stages (false, None);
                 }
-                let step = lemma36::build(
+                let boot = lemma315::build(
                     &graph,
-                    &self.geps.gadgets[k],
-                    &self.geps.gadgets[k + 1],
+                    &self.geps.gadgets[0],
                     params,
-                    s,
+                    s_half,
                     eng.time(),
                     alloc_tags!(),
                 )?;
-                record(&mut recorded, &step.schedule, self.cfg.record_ops);
-                step.schedule.replay(&mut eng, step.finish)?;
+                record(&mut recorded, &boot.schedule, self.cfg.record_ops);
+                boot.schedule.replay(&mut eng, boot.finish)?;
                 if self.cfg.settle {
-                    settle_boundary(&mut eng, &self.geps.gadgets[k + 1], 4 * s)?;
+                    settle_boundary(&mut eng, &self.geps.gadgets[0], 4 * s_half)?;
                 }
-                let inv = check_c_invariant(&eng, &self.geps.gadgets[k + 1]);
-                let s_out = inv.s_effective();
+                let inv = check_c_invariant(&eng, &self.geps.gadgets[0]);
+                let mut s = inv.s_effective();
                 stages.push(StageReport {
-                    stage: format!("gadget {}", k + 1),
+                    stage: "bootstrap".into(),
                     finish: eng.time(),
-                    s_in: s,
-                    s_out,
+                    s_in: s_cur,
+                    s_out: s,
                     invariant: Some(inv),
                 });
-                s = s_out;
                 if let Some(kind) = tripped(&eng) {
-                    watchdog = Some(WatchdogReport {
-                        kind,
-                        time: eng.time(),
-                        backlog: eng.backlog(),
-                        iteration: iter,
-                        stage: format!("gadget {}", k + 1),
-                    });
-                    iterations.push(IterationReport {
-                        s_start: s_iter_start,
-                        s_end: s,
-                        stages,
-                    });
-                    break 'iterations;
+                    break 'stages (false, Some(kind));
                 }
-            }
-            if s < params.s0 {
-                diverged = false;
-                iterations.push(IterationReport {
-                    s_start: s_iter_start,
-                    s_end: s,
-                    stages,
-                });
-                break;
-            }
 
-            // --- Drain: no injections for S + n steps; 2S packets
-            // funnel into the egress of F(M), leaving >= S - n there
-            // (end of the proof of Lemma 3.13). ---
-            let egress = self.geps.egress();
-            eng.run_quiet(s + n as u64)?;
-            let q_egress = eng
-                .queue_iter(egress)
-                .filter(|p| p.remaining() == 1)
-                .count() as u64;
-            stages.push(StageReport {
-                stage: "drain".into(),
-                finish: eng.time(),
-                s_in: s,
-                s_out: q_egress,
-                invariant: None,
-            });
-            if let Some(kind) = tripped(&eng) {
+                // --- Step (2): walk the chain (Lemma 3.13 = (M-1) × Lemma 3.6). ---
+                for k in 0..self.m - 1 {
+                    if s < params.s0 {
+                        diverged = false;
+                        break 'stages (false, None);
+                    }
+                    let step = lemma36::build(
+                        &graph,
+                        &self.geps.gadgets[k],
+                        &self.geps.gadgets[k + 1],
+                        params,
+                        s,
+                        eng.time(),
+                        alloc_tags!(),
+                    )?;
+                    record(&mut recorded, &step.schedule, self.cfg.record_ops);
+                    step.schedule.replay(&mut eng, step.finish)?;
+                    if self.cfg.settle {
+                        settle_boundary(&mut eng, &self.geps.gadgets[k + 1], 4 * s)?;
+                    }
+                    let inv = check_c_invariant(&eng, &self.geps.gadgets[k + 1]);
+                    let s_out = inv.s_effective();
+                    stages.push(StageReport {
+                        stage: format!("gadget {}", k + 1),
+                        finish: eng.time(),
+                        s_in: s,
+                        s_out,
+                        invariant: Some(inv),
+                    });
+                    s = s_out;
+                    if let Some(kind) = tripped(&eng) {
+                        break 'stages (false, Some(kind));
+                    }
+                }
+                if s < params.s0 {
+                    diverged = false;
+                    break 'stages (false, None);
+                }
+
+                // --- Drain: no injections for S + n steps; 2S packets
+                // funnel into the egress of F(M), leaving >= S - n there
+                // (end of the proof of Lemma 3.13). ---
+                let egress = self.geps.egress();
+                eng.run_quiet(s + n as u64)?;
+                let q_egress = eng
+                    .queue_iter(egress)
+                    .filter(|p| p.remaining() == 1)
+                    .count() as u64;
+                stages.push(StageReport {
+                    stage: "drain".into(),
+                    finish: eng.time(),
+                    s_in: s,
+                    s_out: q_egress,
+                    invariant: None,
+                });
+                if let Some(kind) = tripped(&eng) {
+                    break 'stages (false, Some(kind));
+                }
+
+                // --- Step (3): stitch (Lemma 3.16) over
+                //     (egress(F(M)), e0, ingress(F(1))). ---
+                let [a0, a1, a2] = self.geps.stitch_path();
+                let stitch = lemma316::build(
+                    &graph,
+                    a0,
+                    a1,
+                    a2,
+                    rate,
+                    q_egress,
+                    eng.time(),
+                    alloc_tags!(),
+                )?;
+                let fresh_tag = stitch.tags.fresh;
+                record(&mut recorded, &stitch.schedule, self.cfg.record_ops);
+                stitch.schedule.replay(&mut eng, stitch.finish)?;
+                // Settle until only fresh packets remain. Mixed packets all
+                // precede the fresh cohort in the ingress queue (they were
+                // injected earlier into the same buffer), so "everything is
+                // fresh" reduces to two O(1) checks: nothing lives outside
+                // the ingress buffer, and its front packet is fresh.
+                let mut settle = 0u64;
+                while settle < 4 * q_egress + 16 {
+                    let only_ingress = eng.backlog() == eng.queue_len(ingress) as u64;
+                    let front_fresh = eng
+                        .queue_iter(ingress)
+                        .next()
+                        .is_none_or(|p| p.tag == fresh_tag);
+                    if only_ingress && front_fresh {
+                        break;
+                    }
+                    eng.run_quiet(1)?;
+                    settle += 1;
+                }
+                // The next iteration's flat queue: every unit-route packet
+                // at the ingress. Almost all are stitch-fresh; a handful of
+                // carrier/mixer packets can interleave behind the first
+                // fresh arrivals (they too have unit remaining routes and
+                // behave identically — draining them would cost the fresh
+                // packets queued ahead of them for no benefit). They are
+                // counted in, with a purity floor asserted.
+                let total = eng
+                    .queue_iter(ingress)
+                    .filter(|p| p.remaining() == 1)
+                    .count() as u64;
+                let fresh = eng
+                    .queue_iter(ingress)
+                    .filter(|p| p.tag == fresh_tag && p.remaining() == 1)
+                    .count() as u64;
+                debug_assert_eq!(
+                    total,
+                    eng.backlog(),
+                    "the stitch must leave unit-route packets only, all at the ingress"
+                );
+                debug_assert!(
+                    fresh as f64 >= 0.97 * total as f64,
+                    "stitch cohort must be almost entirely fresh ({fresh}/{total})"
+                );
+                stages.push(StageReport {
+                    stage: "stitch".into(),
+                    finish: eng.time(),
+                    s_in: q_egress,
+                    s_out: total,
+                    invariant: None,
+                });
+                (true, tripped(&eng))
+            };
+
+            let stop = !stitched || trip.is_some();
+            if let Some(kind) = trip {
                 watchdog = Some(WatchdogReport {
                     kind,
                     time: eng.time(),
                     backlog: eng.backlog(),
                     iteration: iter,
-                    stage: "drain".into(),
+                    stage: stages
+                        .last()
+                        .expect("a watchdog trips after a stage")
+                        .stage
+                        .clone(),
                 });
-                iterations.push(IterationReport {
-                    s_start: s_iter_start,
-                    s_end: q_egress,
-                    stages,
-                });
-                break 'iterations;
             }
-
-            // --- Step (3): stitch (Lemma 3.16) over
-            //     (egress(F(M)), e0, ingress(F(1))). ---
-            let [a0, a1, a2] = self.geps.stitch_path();
-            let stitch = lemma316::build(
-                &graph,
-                a0,
-                a1,
-                a2,
-                rate,
-                q_egress,
-                eng.time(),
-                alloc_tags!(),
-            )?;
-            let fresh_tag = stitch.tags.fresh;
-            record(&mut recorded, &stitch.schedule, self.cfg.record_ops);
-            stitch.schedule.replay(&mut eng, stitch.finish)?;
-            // Settle until only fresh packets remain. Mixed packets all
-            // precede the fresh cohort in the ingress queue (they were
-            // injected earlier into the same buffer), so "everything is
-            // fresh" reduces to two O(1) checks: nothing lives outside
-            // the ingress buffer, and its front packet is fresh.
-            let mut settle = 0u64;
-            while settle < 4 * q_egress + 16 {
-                let only_ingress = eng.backlog() == eng.queue_len(ingress) as u64;
-                let front_fresh = eng
-                    .queue_iter(ingress)
-                    .next()
-                    .is_none_or(|p| p.tag == fresh_tag);
-                if only_ingress && front_fresh {
-                    break;
-                }
-                eng.run_quiet(1)?;
-                settle += 1;
-            }
-            // The next iteration's flat queue: every unit-route packet
-            // at the ingress. Almost all are stitch-fresh; a handful of
-            // carrier/mixer packets can interleave behind the first
-            // fresh arrivals (they too have unit remaining routes and
-            // behave identically — draining them would cost the fresh
-            // packets queued ahead of them for no benefit). They are
-            // counted in, with a purity floor asserted.
-            let total = eng
-                .queue_iter(ingress)
-                .filter(|p| p.remaining() == 1)
-                .count() as u64;
-            let fresh = eng
-                .queue_iter(ingress)
-                .filter(|p| p.tag == fresh_tag && p.remaining() == 1)
-                .count() as u64;
-            debug_assert_eq!(
-                total,
-                eng.backlog(),
-                "the stitch must leave unit-route packets only, all at the ingress"
-            );
-            debug_assert!(
-                fresh as f64 >= 0.97 * total as f64,
-                "stitch cohort must be almost entirely fresh ({fresh}/{total})"
-            );
-            stages.push(StageReport {
-                stage: "stitch".into(),
-                finish: eng.time(),
-                s_in: q_egress,
-                s_out: total,
-                invariant: None,
-            });
-
-            if total <= s_iter_start {
-                diverged = false;
-            }
+            // A stopped iteration is reported with the stages it ran
+            // (none when it could not bootstrap).
+            let Some(s_end) = stages.last().map(|st| st.s_out) else {
+                break;
+            };
             iterations.push(IterationReport {
                 s_start: s_iter_start,
-                s_end: total,
+                s_end,
                 stages,
             });
-            s_cur = total;
-            // An iteration boundary is the natural resume point: the
-            // whole queue is flat at the ingress, so the checkpoint is
-            // as small as it ever gets.
-            if self.cfg.checkpoint_iterations {
-                last_checkpoint = Some(Box::new(InstabilityCheckpoint {
-                    engine: checkpoint::checkpoint(&eng),
-                    iteration: iter + 1,
-                    s_cur,
-                    tag_next,
-                    recorded: recorded.clone(),
-                    iterations_so_far: iterations.clone(),
-                    diverged_so_far: diverged,
-                }));
+            if stitched {
+                if s_end <= s_iter_start {
+                    diverged = false;
+                }
+                s_cur = s_end;
+                // An iteration boundary is the natural resume point: the
+                // whole queue is flat at the ingress, so the checkpoint is
+                // as small as it ever gets.
+                if self.cfg.checkpoint_iterations {
+                    last_checkpoint = Some(Box::new(InstabilityCheckpoint {
+                        engine: checkpoint::checkpoint(&eng),
+                        iteration: iter + 1,
+                        s_cur,
+                        tag_next,
+                        recorded: recorded.clone(),
+                        iterations_so_far: iterations.clone(),
+                        diverged_so_far: diverged,
+                    }));
+                }
             }
-            if let Some(kind) = tripped(&eng) {
-                watchdog = Some(WatchdogReport {
-                    kind,
-                    time: eng.time(),
-                    backlog: eng.backlog(),
-                    iteration: iter,
-                    stage: "stitch".into(),
-                });
-                break 'iterations;
+            if stop {
+                break;
             }
         }
 

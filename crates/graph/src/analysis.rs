@@ -1,8 +1,8 @@
 //! Structural graph analysis.
 //!
-//! Cycle detection (the paper's `G_ε` is cyclic, its daisy chains are
-//! not) and the BFS shortest paths that
-//! [`crate::paths::shortest_path_pool`] builds route pools from.
+//! The BFS shortest paths that [`crate::paths::shortest_path_pool`]
+//! builds route pools from, and (for tests) cycle detection: the
+//! paper's `G_ε` is cyclic, its daisy chains are not.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 
@@ -10,6 +10,7 @@ use crate::graph::{EdgeId, Graph, NodeId};
 ///
 /// Iterative DFS with tricolor marking (no recursion: gadget chains can
 /// be long).
+#[cfg(test)]
 pub fn has_cycle(graph: &Graph) -> bool {
     #[derive(Clone, Copy, PartialEq)]
     enum Color {

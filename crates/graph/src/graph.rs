@@ -113,14 +113,14 @@ impl Graph {
     }
 
     /// Out-degree of a node.
-    #[inline]
+    #[cfg(test)]
     pub fn out_degree(&self, v: NodeId) -> usize {
         self.out_edges[v.index()].len()
     }
 
     /// In-degree of a node. The maximum over all nodes is the parameter
     /// `α` of Díaz et al. referenced in the paper's introduction.
-    #[inline]
+    #[cfg(test)]
     pub fn in_degree(&self, v: NodeId) -> usize {
         self.in_edges[v.index()].len()
     }
@@ -135,8 +135,8 @@ impl Graph {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// Look up an edge by name. Linear scan — intended for tests and
-    /// construction code, not hot paths.
+    /// Look up an edge by name. Linear scan.
+    #[cfg(test)]
     pub fn edge_by_name(&self, name: &str) -> Option<EdgeId> {
         self.edges
             .iter()
@@ -145,6 +145,7 @@ impl Graph {
     }
 
     /// Look up a node by name. Linear scan.
+    #[cfg(test)]
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.node_names
             .iter()

@@ -17,7 +17,7 @@
 //! * [`topologies`] — classic AQT evaluation topologies (rings, lines,
 //!   grids, tori, hypercubes, complete graphs, and the "baseball" graph
 //!   used by the prior FIFO-instability constructions).
-//! * [`analysis`] — cycle detection and BFS shortest paths.
+//! * [`analysis`] — BFS shortest paths (and, in tests, cycle detection).
 //! * [`dot`] — Graphviz export, regenerating the paper's two figures.
 //! * [`paths`] — diameters and shortest-path route pools (the paper's
 //!   lower-bound routes are shortest paths).

@@ -45,8 +45,8 @@ pub struct Checkpoint {
     last_route_use: Vec<Option<Time>>,
     fault_log: Vec<FaultEvent>,
     /// Dynamic state of the attached sentinel (check phase, crossing
-    /// baseline, accumulated violations) — present iff the captured
-    /// engine had one. The sentinel *configuration*, like the fault
+    /// baseline, rounds run) — present iff the captured engine had
+    /// one. The sentinel *configuration*, like the fault
     /// plan, is configuration and travels outside the checkpoint.
     sentinel: Option<SentinelState>,
 }

@@ -26,9 +26,10 @@
 //!   rerouting of Lemma 3.3, restricted (as in the paper) to suffix
 //!   extension of the remaining route. With
 //!   [`EngineConfig::validate_reroutes`] the engine checks the lemma's
-//!   preconditions: the policy is historic, the rerouted packets share
-//!   a common route edge, and the new edges are *new* in the sense of
-//!   Definition 3.2.
+//!   preconditions: the policy is historic and the new edges are *new*
+//!   in the sense of Definition 3.2. The rerouted packets share a
+//!   common route edge by construction: only routes ending at the
+//!   given last edge are extended.
 //! * **Adversary validation** — with [`EngineConfig::validate`], every
 //!   injection and every route extension is fed to an exact
 //!   [`AdversaryModel`]: the composition of any number of constraint
@@ -98,11 +99,12 @@ pub enum EngineError {
     /// itself, reported instead of panicking so a sweep harness can
     /// quarantine the run.
     Internal(String),
-    /// A sentinel invariant at [`crate::Severity::Halt`] was
-    /// violated. Carries the full report: what failed, when, and the
-    /// minimal reproduction bundle (seed, step, snapshot, fault plan).
-    /// Mapped to [`crate::SimError::InvariantViolated`] at the
-    /// `SimError` boundary.
+    /// A sentinel invariant was violated (or the differential oracle
+    /// diverged), and the run halted. Carries the full report: what
+    /// failed, when, and the minimal reproduction bundle (seed, step,
+    /// snapshot, fault plan). Mapped to
+    /// [`crate::SimError::InvariantViolated`] at the `SimError`
+    /// boundary.
     Invariant(Box<ViolationReport>),
 }
 
@@ -304,9 +306,9 @@ impl<P: Protocol> Engine<P> {
     /// model is synchronized to the engine's current state, so
     /// attaching mid-run is legal.
     ///
-    /// Divergences are raised as [`InvariantKind::OracleDivergence`]
-    /// under the attached sentinel's severity policy
-    /// ([`crate::Severity::Halt`] when no sentinel is attached).
+    /// A divergence halts the run with an
+    /// [`InvariantKind::OracleDivergence`] report, with or without an
+    /// attached sentinel.
     pub fn attach_oracle(&mut self, protocol: Box<dyn Protocol>, every: u64) {
         let mut oracle = Oracle::new(protocol, every, self.graph.edge_count());
         oracle.model.resync(self);
@@ -1056,7 +1058,7 @@ impl<P: Protocol> Engine<P> {
                 .record_duration(t0.elapsed());
         }
         if let Some(detail) = diverged {
-            self.raise(InvariantKind::OracleDivergence, t, detail)?;
+            return Err(self.raise(InvariantKind::OracleDivergence, t, detail));
         }
         Ok(())
     }
@@ -1082,19 +1084,19 @@ impl<P: Protocol> Engine<P> {
     /// extended packet's suffix edges are recorded at its original
     /// injection time.
     ///
-    /// `last_edge` restricts the cohort to packets whose current route
-    /// ends at that edge — the paper's analysis guarantees only such
-    /// packets remain in `F` at the extension time; with exact integer
-    /// rounding a handful of thinning singles can straggle, and those
-    /// must not be rerouted (their routes share no edge with the rest,
-    /// violating Lemma 3.3's precondition).
+    /// Only packets whose current route ends at `last_edge` are in the
+    /// cohort — the paper's analysis guarantees only such packets
+    /// remain in `F` at the extension time; with exact integer rounding
+    /// a handful of thinning singles can straggle, and those must not
+    /// be rerouted (their routes share no edge with the rest). The
+    /// filter is what gives the cohort Lemma 3.3's common edge.
     ///
     /// Returns the number of packets extended.
     pub fn extend_routes_in(
         &mut self,
         buffers: &[EdgeId],
         suffix: &[EdgeId],
-        last_edge: Option<EdgeId>,
+        last_edge: EdgeId,
     ) -> Result<usize, EngineError> {
         if suffix.is_empty() {
             return Ok(0);
@@ -1108,8 +1110,7 @@ impl<P: Protocol> Engine<P> {
         let mut distinct: Vec<(RouteId, Vec<EdgeId>)> = Vec::new();
         {
             let routes = &self.routes;
-            let selected =
-                |p: &Packet| last_edge.is_none_or(|e| routes.get(p.route).last() == Some(&e));
+            let selected = |p: &Packet| routes.get(p.route).last() == Some(&last_edge);
             for &be in buffers {
                 for p in self.buffers.iter(be.index()).filter(|p| selected(p)) {
                     cohort_count += 1;
@@ -1129,7 +1130,7 @@ impl<P: Protocol> Engine<P> {
         }
 
         if self.cfg.validate_reroutes {
-            self.check_lemma33_preconditions(buffers, suffix, last_edge)?;
+            self.check_lemma33_preconditions(suffix)?;
         }
 
         // Feed the model at the original injection times, in
@@ -1140,8 +1141,7 @@ impl<P: Protocol> Engine<P> {
         // included.
         if let Some(model) = &mut self.model {
             let routes = &self.routes;
-            let selected =
-                |p: &&Packet| last_edge.is_none_or(|e| routes.get(p.route).last() == Some(&e));
+            let selected = |p: &&Packet| routes.get(p.route).last() == Some(&last_edge);
             let mut inject_times: Vec<Time> = buffers
                 .iter()
                 .flat_map(|e| {
@@ -1196,15 +1196,11 @@ impl<P: Protocol> Engine<P> {
         Ok(count)
     }
 
-    /// Lemma 3.3 preconditions: historic policy; rerouted packets share
-    /// a common route edge; each suffix edge is *new* with respect to
-    /// the current packet set (Definition 3.2).
-    fn check_lemma33_preconditions(
-        &self,
-        buffers: &[EdgeId],
-        suffix: &[EdgeId],
-        last_edge: Option<EdgeId>,
-    ) -> Result<(), EngineError> {
+    /// Lemma 3.3 preconditions: historic policy; each suffix edge is
+    /// *new* with respect to the current packet set (Definition 3.2).
+    /// The cohort's common route edge needs no check: every selected
+    /// route ends at `last_edge` ([`Engine::extend_routes_in`]).
+    fn check_lemma33_preconditions(&self, suffix: &[EdgeId]) -> Result<(), EngineError> {
         if !self.protocol.is_historic() {
             return Err(EngineError::Reroute(format!(
                 "protocol {} is not historic; Lemma 3.3 does not apply",
@@ -1223,37 +1219,6 @@ impl<P: Protocol> Engine<P> {
                         .into(),
                 )
             })?;
-
-        // Common-edge check over the rerouted cohort. With a
-        // `last_edge` filter the cohort provably shares that edge
-        // (every selected route ends at it), so the intersection is
-        // only computed for unrestricted extensions — the general scan
-        // is O(cohort × |route|²) and cohort routes in a long chain
-        // accumulate hundreds of edges.
-        if last_edge.is_none() {
-            // With no `last_edge` filter every packet in the listed
-            // buffers is in the cohort, and the intersection only needs
-            // each *distinct* route once.
-            let mut iter = buffers.iter().flat_map(|e| self.buffers.iter(e.index()));
-            let first = match iter.next() {
-                Some(p) => p,
-                None => return Ok(()),
-            };
-            let mut common: Vec<EdgeId> = self.routes.get(first.route).to_vec();
-            let mut seen = vec![first.route];
-            for p in iter {
-                if seen.contains(&p.route) {
-                    continue;
-                }
-                seen.push(p.route);
-                common.retain(|e| self.routes.get(p.route).contains(e));
-                if common.is_empty() {
-                    return Err(EngineError::Reroute(
-                        "rerouted packets do not share a common route edge".into(),
-                    ));
-                }
-            }
-        }
 
         // New-edge check: t* = min injection time over ALL live packets;
         // every suffix edge must be unused by any route injected at
@@ -1486,13 +1451,22 @@ mod tests {
         let short = Route::new(eng.graph(), vec![edges[0]]).unwrap();
         eng.seed(short.clone(), 7).unwrap();
         eng.seed(short, 7).unwrap();
+        // A straggler in the same buffer whose route ends elsewhere is
+        // outside the cohort: neither extended nor counted.
+        let straggler = Route::new(eng.graph(), vec![edges[0], edges[1]]).unwrap();
+        eng.seed(straggler, 9).unwrap();
         let n = eng
-            .extend_routes_in(&[edges[0]], &[edges[1], edges[2]], None)
+            .extend_routes_in(&[edges[0]], &[edges[1], edges[2]], edges[0])
             .unwrap();
         assert_eq!(n, 2);
+        let lens: Vec<(u32, usize)> = eng
+            .packets()
+            .map(|p| (p.tag, eng.routes().get(p.route).len()))
+            .collect();
+        assert_eq!(lens, [(7, 3), (7, 3), (9, 2)]);
         eng.run_quiet(5).unwrap();
-        // both packets crossed all three edges and were absorbed
-        assert_eq!(eng.metrics().absorbed, 2);
+        // all three packets were absorbed at the ends of their routes
+        assert_eq!(eng.metrics().absorbed, 3);
         assert_eq!(eng.metrics().max_latency, 4); // second packet waits 1 extra at e0
     }
 
@@ -1502,7 +1476,7 @@ mod tests {
         let short = Route::new(eng.graph(), vec![edges[0]]).unwrap();
         eng.seed(short, 0).unwrap();
         let err = eng
-            .extend_routes_in(&[edges[0]], &[edges[2]], None)
+            .extend_routes_in(&[edges[0]], &[edges[2]], edges[0])
             .unwrap_err();
         assert!(matches!(err, EngineError::Route(_)));
     }
@@ -1527,7 +1501,7 @@ mod tests {
         let short = Route::new(&g, vec![edges[0]]).unwrap();
         eng.step([Injection::new(short, 1)]).unwrap();
         let err = eng
-            .extend_routes_in(&[edges[0]], &[edges[1]], None)
+            .extend_routes_in(&[edges[0]], &[edges[1]], edges[0])
             .unwrap_err();
         assert!(matches!(err, EngineError::Reroute(_)));
     }
@@ -1551,7 +1525,7 @@ mod tests {
         eng.run_quiet(10).unwrap();
         eng.step([Injection::new(short.clone(), 0)]).unwrap(); // t = 11
         let n = eng
-            .extend_routes_in(&[edges[0]], &[edges[1], edges[2]], None)
+            .extend_routes_in(&[edges[0]], &[edges[1], edges[2]], edges[0])
             .unwrap();
         assert_eq!(n, 1);
     }
@@ -1602,7 +1576,7 @@ mod tests {
         let short = Route::new(&g, vec![edges[0]]).unwrap();
         eng.step([Injection::new(short, 0)]).unwrap();
         let err = eng
-            .extend_routes_in(&[edges[0]], &[edges[1]], None)
+            .extend_routes_in(&[edges[0]], &[edges[1]], edges[0])
             .unwrap_err();
         assert!(matches!(err, EngineError::Reroute(_)));
     }

@@ -32,7 +32,7 @@ pub enum SimError {
         /// The version this build reads and writes.
         expected: u32,
     },
-    /// A sentinel invariant at `Severity::Halt` was violated. Carries
+    /// A sentinel invariant was violated and the run halted. Carries
     /// the full report: what failed, when, and a minimal reproduction
     /// bundle (seed, step, snapshot, fault plan).
     InvariantViolated(Box<ViolationReport>),

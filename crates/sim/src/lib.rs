@@ -46,7 +46,7 @@
 //! * [`sentinel`] / [`oracle`] — runtime self-verification: pluggable
 //!   invariants (packet conservation, unit-speed capacity, route
 //!   progress, snapshot integrity, theorem-derived wait bounds)
-//!   checked at a configurable cadence under one severity policy,
+//!   checked at a configurable cadence, each violation halting the run,
 //!   plus a lockstep differential oracle diffing the optimized
 //!   pipeline against a naive reference engine.
 
@@ -90,7 +90,7 @@ pub use ratio::Ratio;
 pub use routes::{fnv1a_u64s, RouteId, RouteTable};
 pub use schedule::{Schedule, ScheduleOp};
 pub use sentinel::{
-    CertificateSpec, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Severity,
+    CertificateSpec, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState,
     Violation, ViolationReport,
 };
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};

@@ -181,19 +181,19 @@ impl ReferenceModel {
 
     /// Mirror of [`Engine::extend_routes_in`]: append `suffix` to the
     /// route of every packet in the listed buffers whose route ends at
-    /// `last_edge` (every packet when `None`). Packets that shared a
-    /// route before share its extension, so a cohort allocates once.
+    /// `last_edge`. Packets that shared a route before share its
+    /// extension, so a cohort allocates once.
     pub(crate) fn mirror_extend(
         &mut self,
         buffers: &[EdgeId],
         suffix: &[EdgeId],
-        last_edge: Option<EdgeId>,
+        last_edge: EdgeId,
     ) {
         let mut extended: Vec<(Edges, Edges)> = Vec::new();
         for &be in buffers {
             let queue = self.buffers[be.index()].iter_mut();
             for (p, edges) in queue.zip(self.routes[be.index()].iter_mut()) {
-                if last_edge.is_some_and(|e| edges.last() != Some(&e)) {
+                if edges.last() != Some(&last_edge) {
                     continue;
                 }
                 let new = match extended.iter().find(|(old, _)| Arc::ptr_eq(old, edges)) {
@@ -517,7 +517,7 @@ mod tests {
         let short = Route::new(&g, vec![edges[0]]).unwrap();
         let mut model = ReferenceModel::new(g.edge_count());
         model.mirror_seed(&short, 0, 2);
-        model.mirror_extend(&[edges[0]], &[edges[1], edges[2]], None);
+        model.mirror_extend(&[edges[0]], &[edges[1], edges[2]], edges[0]);
         // both packets carry the extended route, one allocation shared
         // by the cohort
         let routes = &model.routes[0];

@@ -17,7 +17,7 @@ use crate::oracle::ReferenceModel;
 use crate::packet::Time;
 use crate::protocol::Protocol;
 use crate::sentinel::{
-    self, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Severity, Violation,
+    self, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState, Violation,
     ViolationReport,
 };
 use crate::telemetry::{
@@ -376,10 +376,10 @@ impl<P: Protocol> Engine<P> {
             .map(|ei| self.buffers.len(ei) as u64)
             .sum();
         if let Some(detail) = sentinel::conservation_violation(&self.metrics, live) {
-            self.raise(InvariantKind::Conservation, t, detail)?;
+            return Err(self.raise(InvariantKind::Conservation, t, detail));
         }
         if let Some(detail) = unit_detail {
-            self.raise(InvariantKind::UnitSpeed, t, detail)?;
+            return Err(self.raise(InvariantKind::UnitSpeed, t, detail));
         }
 
         if let Some(bound) = cert.and_then(|spec| spec.bound()) {
@@ -388,7 +388,7 @@ impl<P: Protocol> Engine<P> {
                     "observed buffer wait {} exceeds the theorem bound {}",
                     self.metrics.max_buffer_wait, bound
                 );
-                self.raise(InvariantKind::Certificate, t, detail)?;
+                return Err(self.raise(InvariantKind::Certificate, t, detail));
             }
             if deep {
                 // In-buffer waits: a packet already queued longer than
@@ -406,27 +406,27 @@ impl<P: Protocol> Engine<P> {
                     })
                 });
                 if let Some(detail) = overdue {
-                    self.raise(InvariantKind::Certificate, t, detail)?;
+                    return Err(self.raise(InvariantKind::Certificate, t, detail));
                 }
             }
         }
 
         if deep {
             if let Some(detail) = self.route_progress_violation(t) {
-                self.raise(InvariantKind::RouteProgress, t, detail)?;
+                return Err(self.raise(InvariantKind::RouteProgress, t, detail));
             }
         }
 
         if roundtrip {
             let snap = crate::snapshot::capture(self);
             if let Err(detail) = crate::snapshot::validate_payload(&snap, self.graph.edge_count()) {
-                self.raise(InvariantKind::SnapshotRoundTrip, t, detail)?;
+                return Err(self.raise(InvariantKind::SnapshotRoundTrip, t, detail));
             } else if ReferenceModel::from_snapshot(&snap).to_snapshot() != snap {
-                self.raise(
+                return Err(self.raise(
                     InvariantKind::SnapshotRoundTrip,
                     t,
                     "snapshot does not survive a reference-model round trip".into(),
-                )?;
+                ));
             }
         }
 
@@ -506,49 +506,17 @@ impl<P: Protocol> Engine<P> {
         None
     }
 
-    /// Dispatch a violation at the sentinel's severity. With no
-    /// sentinel attached (an oracle can be attached alone), violations
-    /// halt.
-    pub(crate) fn raise(
-        &mut self,
-        kind: InvariantKind,
-        t: Time,
-        detail: String,
-    ) -> Result<(), EngineError> {
-        let severity = self
-            .probes
-            .sentinel
-            .as_ref()
-            .map_or(Severity::Halt, |s| s.config().severity);
-        let violation = Violation {
-            kind,
-            time: t,
-            detail,
-        };
-        match severity {
-            Severity::Log => {
-                if let Some(s) = self.probes.sentinel.as_mut() {
-                    s.state.log.push(violation);
-                }
-                Ok(())
-            }
-            Severity::Quarantine => {
-                let bundle = self.repro_bundle(t);
-                if let Some(s) = self.probes.sentinel.as_mut() {
-                    s.state
-                        .quarantine
-                        .push(ViolationReport { violation, bundle });
-                }
-                Ok(())
-            }
-            Severity::Halt => {
-                let bundle = self.repro_bundle(t);
-                Err(EngineError::Invariant(Box::new(ViolationReport {
-                    violation,
-                    bundle,
-                })))
-            }
-        }
+    /// The error that halts the run on a violation of `kind` observed
+    /// at `t`, with its reproduction bundle.
+    pub(crate) fn raise(&self, kind: InvariantKind, t: Time, detail: String) -> EngineError {
+        EngineError::Invariant(Box::new(ViolationReport {
+            violation: Violation {
+                kind,
+                time: t,
+                detail,
+            },
+            bundle: self.repro_bundle(t),
+        }))
     }
 
     /// The minimal reproduction bundle for a violation observed at `t`.

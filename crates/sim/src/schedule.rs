@@ -87,9 +87,9 @@ pub enum ScheduleOp {
         buffers: Vec<EdgeId>,
         /// Path appended to each packet's route.
         suffix: Vec<EdgeId>,
-        /// Restrict to packets whose route ends at this edge (see
-        /// [`Engine::extend_routes_in`]).
-        last_edge: Option<EdgeId>,
+        /// Only packets whose route ends at this edge are extended
+        /// (see [`Engine::extend_routes_in`]).
+        last_edge: EdgeId,
     },
     /// A rate-`r` floor-pattern stream: packet `j` (0-based, counted
     /// across all segments) is injected in substep 2 of step
@@ -346,7 +346,7 @@ impl Schedule {
             time,
             buffers,
             suffix,
-            last_edge: Some(last_edge),
+            last_edge,
         });
     }
 
@@ -488,12 +488,7 @@ impl Schedule {
                     suffix,
                     last_edge,
                 }) => (
-                    [
-                        2,
-                        *time,
-                        last_edge.map_or(u64::MAX, |e| u64::from(e.0)),
-                        buffers.len() as u64,
-                    ],
+                    [2, *time, u64::from(last_edge.0), buffers.len() as u64],
                     buffers,
                     suffix,
                 ),
@@ -757,7 +752,7 @@ mod tests {
             time: 1,
             buffers: vec![edges[0]],
             suffix: vec![edges[1]],
-            last_edge: None,
+            last_edge: edges[0],
         });
         s.replay(&mut eng, 3).unwrap();
         // the seeded packet crossed e0 at step 1 *with the extension*

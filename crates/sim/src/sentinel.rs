@@ -6,7 +6,7 @@
 //! `check_c_invariant`, experiment E14) catches a corrupted run only
 //! after hours of compute have been spent on garbage. The sentinel
 //! evaluates a set of pluggable invariants *online*, at a configurable
-//! cadence, under one severity policy:
+//! cadence:
 //!
 //! * [`InvariantKind::Conservation`] — the fault-aware packet
 //!   conservation law `injected + duplicated = absorbed + dropped +
@@ -36,12 +36,10 @@
 //!   one of completed, abandoned, shed, or in-flight. Like the gadget
 //!   invariant, raised by an external checker, never by the engine.
 //!
-//! A violation at [`Severity::Halt`] aborts the run with a typed error
+//! The stability theorems are pass/fail certificates, so a violation
+//! means the run is wrong: it aborts the run with a typed error
 //! carrying a [`ReproBundle`] — seed, step, state snapshot, and fault
-//! plan — enough to replay the failure in isolation. At
-//! [`Severity::Quarantine`] the report (bundle included) is retained on
-//! the sentinel and the run continues; at [`Severity::Log`] only the
-//! violation itself is recorded.
+//! plan — enough to replay the failure in isolation.
 //!
 //! Every invariant family is catalogued in the repository-level
 //! `INVARIANTS.md` (formal statement, how it is tested, what breaks
@@ -54,19 +52,6 @@ use crate::metrics::{BacklogSample, Metrics};
 use crate::packet::Time;
 use crate::ratio::Ratio;
 use crate::snapshot::Snapshot;
-
-/// What happens when an invariant is violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Record the violation on the sentinel's log and continue.
-    Log,
-    /// Record a full [`ViolationReport`] (repro bundle included) on the
-    /// sentinel's quarantine list and continue.
-    Quarantine,
-    /// Abort the run with `EngineError::Invariant` (surfaced as
-    /// [`crate::SimError::InvariantViolated`]).
-    Halt,
-}
 
 /// The invariant families the sentinel evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,7 +181,8 @@ impl CertificateSpec {
 /// every `cadence × ROUNDTRIP_STRIDE` steps.
 const ROUNDTRIP_STRIDE: u64 = 512;
 
-/// Sentinel configuration: check cadence and the severity policy.
+/// Sentinel configuration: check cadence, the bound to enforce and the
+/// seed to stamp on repro bundles.
 #[derive(Debug, Clone)]
 pub struct SentinelConfig {
     /// Base cadence in steps: the cheap O(E) checks (conservation,
@@ -207,8 +193,6 @@ pub struct SentinelConfig {
     /// certificate's in-buffer wait scan) run every
     /// `cadence × deep_stride` steps. 0 disables them.
     pub deep_stride: u64,
-    /// What a violation of any invariant the engine checks does.
-    pub severity: Severity,
     /// The theorem bound to enforce, if one applies to this run.
     pub certificate_spec: Option<CertificateSpec>,
     /// The run's RNG seed (free-form), stamped into repro bundles.
@@ -216,7 +200,7 @@ pub struct SentinelConfig {
 }
 
 impl Default for SentinelConfig {
-    /// Every invariant at [`Severity::Halt`], cadence 1024 with the
+    /// Every invariant checked, cadence 1024 with the
     /// per-packet checks every 64 cadences and the round-trip check
     /// every 512 (the < 5% overhead point measured by the benchmark's
     /// `sim.sentinel_ns_per_step`, `crates/benchmark`: the O(backlog)
@@ -227,7 +211,6 @@ impl Default for SentinelConfig {
         SentinelConfig {
             cadence: 1024,
             deep_stride: 64,
-            severity: Severity::Halt,
             certificate_spec: None,
             seed: None,
         }
@@ -235,7 +218,8 @@ impl Default for SentinelConfig {
 }
 
 impl SentinelConfig {
-    /// The default policy: everything halts.
+    /// Equal to [`SentinelConfig::default`]: every invariant checked,
+    /// each violation halting the run.
     pub fn all_halt() -> Self {
         SentinelConfig::default()
     }
@@ -255,15 +239,6 @@ impl SentinelConfig {
     /// Stamp repro bundles with the run's seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Set the severity of every invariant the engine checks (builder
-    /// style). [`InvariantKind::GadgetInvariant`] and
-    /// [`InvariantKind::RequestConservation`] are raised by external
-    /// checkers, which dispatch their own severity.
-    pub fn with_severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
         self
     }
 }
@@ -291,8 +266,7 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// The minimal reproduction bundle attached to quarantined and halting
-/// violations: everything needed to reconstruct the failing state in a
+/// The minimal reproduction bundle attached to every violation: everything needed to reconstruct the failing state in a
 /// fresh engine (`crate::snapshot::restore` the snapshot, re-install
 /// the fault plan, re-run).
 #[derive(Debug, Clone, PartialEq)]
@@ -368,7 +342,7 @@ impl std::fmt::Display for ViolationReport {
 }
 
 /// The sentinel's dynamic state — checkpointed with the engine so a
-/// resumed run keeps its check phase and its accumulated findings.
+/// resumed run keeps its check phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SentinelState {
     /// Time of the last completed check (baseline for the unit-speed
@@ -376,10 +350,6 @@ pub struct SentinelState {
     pub(crate) last_check: Time,
     /// Per-edge crossing counters at the last check.
     pub(crate) crossings_at_last_check: Vec<u64>,
-    /// Violations recorded at [`Severity::Log`].
-    pub(crate) log: Vec<Violation>,
-    /// Violations recorded at [`Severity::Quarantine`].
-    pub(crate) quarantine: Vec<ViolationReport>,
     /// Number of completed check rounds.
     pub(crate) checks_run: u64,
 }
@@ -399,8 +369,6 @@ impl Sentinel {
             state: SentinelState {
                 last_check: now,
                 crossings_at_last_check: crossings.to_vec(),
-                log: Vec::new(),
-                quarantine: Vec::new(),
                 checks_run: 0,
             },
         }
@@ -411,25 +379,9 @@ impl Sentinel {
         &self.cfg
     }
 
-    /// Violations recorded at [`Severity::Log`].
-    pub fn log(&self) -> &[Violation] {
-        &self.state.log
-    }
-
-    /// Violations recorded at [`Severity::Quarantine`], bundles
-    /// included.
-    pub fn quarantined(&self) -> &[ViolationReport] {
-        &self.state.quarantine
-    }
-
     /// Number of completed check rounds.
     pub fn checks_run(&self) -> u64 {
         self.state.checks_run
-    }
-
-    /// No violations observed at any severity?
-    pub fn is_clean(&self) -> bool {
-        self.state.log.is_empty() && self.state.quarantine.is_empty()
     }
 
     /// Is a check round due at step `t`? A threshold against the last
@@ -612,13 +564,6 @@ mod tests {
             &[],
         );
         assert!(!off.due(256));
-    }
-
-    #[test]
-    fn severity_policy_lookup() {
-        assert_eq!(SentinelConfig::default().severity, Severity::Halt);
-        let cfg = SentinelConfig::all_halt().with_severity(Severity::Log);
-        assert_eq!(cfg.severity, Severity::Log);
     }
 
     #[test]

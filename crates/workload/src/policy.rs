@@ -130,6 +130,7 @@ impl ServicePolicy {
     }
 
     /// The same policy with a service pause installed.
+    #[cfg(test)]
     pub fn with_pause(mut self, start: Time, end: Time) -> Self {
         self.pause = Some((start, end));
         self

@@ -1,7 +1,7 @@
 //! End-to-end tests of the campaign subsystem: the INVARIANTS.md
-//! catalog's exhaustiveness, ReproBundle round-trip fidelity at every
-//! severity, the find → shrink → regression-emit pipeline, and corpus
-//! seeding from sweep quarantine output.
+//! catalog's exhaustiveness, ReproBundle round-trip fidelity, the
+//! find → shrink → regression-emit pipeline, and corpus seeding from
+//! sweep quarantine output.
 
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use aqt_protocols::Fifo;
 use aqt_sim::sentinel::{CertificateSpec, SentinelConfig};
 use aqt_sim::{
     run_sim_sweep, snapshot, Engine, EngineConfig, EngineError, FaultPlan, Injection,
-    InvariantKind, Ratio, Severity, SimError, ViolationReport,
+    InvariantKind, Ratio, SimError, ViolationReport,
 };
 
 // ---------------------------------------------------------------------
@@ -221,19 +221,19 @@ fn every_example_is_run_by_ci() {
 }
 
 // ---------------------------------------------------------------------
-// ReproBundle round-trip fidelity (Halt / Quarantine / Log)
+// ReproBundle round-trip fidelity
 // ---------------------------------------------------------------------
 
-/// A run that provably breaches the certificate: bound ⌈w·r⌉ = 1 on a
-/// line(2), then a 4-packet cohort whose tail waits 3 steps. A drop
-/// fault rides along so the bundle carries a fault plan.
-fn breaching_engine(severity: Severity) -> (Engine<Fifo>, Route, FaultPlan) {
+/// Drive a run that provably breaches the certificate to its halt and
+/// return the report: bound ⌈w·r⌉ = 1 on a line(2), then a 4-packet
+/// cohort whose tail waits 3 steps. A drop fault rides along so the
+/// bundle carries a fault plan.
+fn drive_to_breach() -> Box<ViolationReport> {
     let g = Arc::new(topologies::line(2));
     let route = Route::new(&g, vec![EdgeId(0), EdgeId(1)]).unwrap();
     let plan = FaultPlan::new().with_drop(EdgeId(1), 6);
     let mut eng = Engine::new(g, Fifo, EngineConfig::default());
     let mut cfg = SentinelConfig::all_halt()
-        .with_severity(severity)
         .with_seed(0xBEEF)
         .with_certificate(CertificateSpec {
             window: 1,
@@ -245,12 +245,7 @@ fn breaching_engine(severity: Severity) -> (Engine<Fifo>, Route, FaultPlan) {
     cfg.cadence = 1;
     cfg.deep_stride = 1;
     eng.attach_sentinel(cfg);
-    eng.install_faults(plan.clone()).unwrap();
-    (eng, route, plan)
-}
-
-fn drive_to_breach(severity: Severity) -> (Option<Box<ViolationReport>>, Engine<Fifo>) {
-    let (mut eng, route, _) = breaching_engine(severity);
+    eng.install_faults(plan).unwrap();
     for t in 0..12u64 {
         let inj = if t == 0 {
             vec![Injection::cohort(route.clone(), 0, 4)]
@@ -259,17 +254,16 @@ fn drive_to_breach(severity: Severity) -> (Option<Box<ViolationReport>>, Engine<
         };
         match eng.step(inj) {
             Ok(()) => {}
-            Err(EngineError::Invariant(report)) => return (Some(report), eng),
+            Err(EngineError::Invariant(report)) => return report,
             Err(e) => panic!("unexpected engine error: {e}"),
         }
     }
-    (None, eng)
+    panic!("the certificate must be breached within 12 steps")
 }
 
 #[test]
 fn halt_bundle_replays_to_the_same_breach() {
-    let (report, _) = drive_to_breach(Severity::Halt);
-    let report = report.expect("halting breach");
+    let report = drive_to_breach();
     assert_eq!(report.violation.kind, InvariantKind::Certificate);
     assert_eq!(report.bundle.step, report.violation.time);
     assert_eq!(report.bundle.seed, Some(0xBEEF));
@@ -277,8 +271,7 @@ fn halt_bundle_replays_to_the_same_breach() {
 
     // Fidelity 1: a from-scratch rerun of the same run reproduces the
     // identical violation and the identical bundle.
-    let (again, _) = drive_to_breach(Severity::Halt);
-    let again = again.expect("deterministic breach");
+    let again = drive_to_breach();
     assert_eq!(again.violation, report.violation);
     assert_eq!(again.bundle, report.bundle);
 
@@ -310,43 +303,6 @@ fn halt_bundle_replays_to_the_same_breach() {
     };
     assert_eq!(rereport.violation.kind, InvariantKind::Certificate);
     assert_eq!(rereport.violation.time, report.bundle.step + 1);
-}
-
-#[test]
-fn quarantine_bundle_matches_the_halt_bundle() {
-    let (halted, _) = drive_to_breach(Severity::Halt);
-    let halted = halted.expect("halting breach");
-
-    let (none, eng) = drive_to_breach(Severity::Quarantine);
-    assert!(none.is_none(), "quarantine must not abort the run");
-    let sentinel = eng.sentinel().expect("attached");
-    let quarantined = sentinel.quarantined();
-    assert!(!quarantined.is_empty());
-    // The first quarantined report is the same breach the halting run
-    // died on: same violation, same bundle, observed at the same step.
-    assert_eq!(quarantined[0].violation, halted.violation);
-    assert_eq!(quarantined[0].bundle, halted.bundle);
-    // And the run kept going afterwards.
-    assert_eq!(eng.time(), 12);
-}
-
-#[test]
-fn log_severity_records_the_same_breach_at_the_same_step() {
-    let (halted, _) = drive_to_breach(Severity::Halt);
-    let halted = halted.expect("halting breach");
-
-    let (none, eng) = drive_to_breach(Severity::Log);
-    assert!(none.is_none(), "log must not abort the run");
-    let sentinel = eng.sentinel().expect("attached");
-    assert!(sentinel.quarantined().is_empty(), "log keeps no bundles");
-    let log = sentinel.log();
-    assert!(!log.is_empty());
-    assert_eq!(log[0], halted.violation, "same breach, same step");
-
-    // Log-severity fidelity is from-scratch determinism: a rerun
-    // produces the identical log.
-    let (_, eng2) = drive_to_breach(Severity::Log);
-    assert_eq!(eng2.sentinel().unwrap().log(), log);
 }
 
 // ---------------------------------------------------------------------

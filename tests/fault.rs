@@ -401,7 +401,7 @@ fn watchdogs_stop_a_run_with_a_structured_report() {
 
     cfg.backlog_ceiling = None;
     cfg.step_budget = Some(1);
-    let run = InstabilityConstruction::new(cfg)
+    let run = InstabilityConstruction::new(cfg.clone())
         .run()
         .expect("legal adversary");
     let report = run.watchdog.expect("the step budget must trip");
@@ -410,4 +410,30 @@ fn watchdogs_stop_a_run_with_a_structured_report() {
         WatchdogKind::StepBudget { budget: 1 }
     ));
     assert!(report.time > 1);
+
+    // A budget one step short of a later stage's finish trips at the
+    // end of that stage, and the partial iteration keeps the stages
+    // that ran.
+    cfg.iterations = 1;
+    cfg.step_budget = None;
+    let full = InstabilityConstruction::new(cfg.clone())
+        .run()
+        .expect("legal adversary");
+    assert!(full.watchdog.is_none());
+    let stages = &full.iterations[0].stages;
+    for (stage, ran) in [("gadget 1", 2), ("drain", 5), ("stitch", 6)] {
+        let finish = stages
+            .iter()
+            .find(|s| s.stage == stage)
+            .expect("the stage ran")
+            .finish;
+        cfg.step_budget = Some(finish - 1);
+        let run = InstabilityConstruction::new(cfg.clone())
+            .run()
+            .expect("legal adversary");
+        let report = run.watchdog.expect("the step budget must trip");
+        assert_eq!(report.stage, stage);
+        assert_eq!(report.time, finish);
+        assert_eq!(run.iterations[0].stages.len(), ran, "stages run to {stage}");
+    }
 }

@@ -602,7 +602,7 @@ fn sweep_settles_each_job_once() {
 }
 
 /// Whole-stream pin of one small engine run with every probe attached:
-/// sentinel (cadence 16, every invariant at `Log`), oracle every 4
+/// sentinel (cadence 16, halting on any violation), oracle every 4
 /// steps, `Counters` telemetry with a 16-step window, and the
 /// observatory ticking every 8 steps with 1-in-1 spans, over a seeded
 /// cohort, scheduled injections and a drop plus a duplicate fault.
@@ -613,7 +613,7 @@ fn sweep_settles_each_job_once() {
 #[test]
 fn engine_stream_is_pinned() {
     use aqt_graph::EdgeId;
-    use aqt_sim::{FaultPlan, JsonlSink, ObserveConfig, SentinelConfig, Severity};
+    use aqt_sim::{FaultPlan, JsonlSink, ObserveConfig, SentinelConfig};
 
     let g = Arc::new(topologies::ring(6));
     let route = |start: u32, len: u32| {
@@ -621,12 +621,7 @@ fn engine_stream_is_pinned() {
         Route::new(&g, ids).expect("contiguous ring edges")
     };
     let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());
-    eng.attach_sentinel(
-        SentinelConfig::default()
-            .with_cadence(16)
-            .with_seed(5)
-            .with_severity(Severity::Log),
-    );
+    eng.attach_sentinel(SentinelConfig::default().with_cadence(16).with_seed(5));
     eng.attach_oracle(Box::new(Fifo), 4);
     eng.install_faults(
         FaultPlan::new()
