@@ -48,14 +48,15 @@ pub struct RunStats {
     pub peak_wait: u64,
     /// Total edge crossings (telemetry `packets_sent`).
     pub crossings: u64,
-    /// Completed sentinel check rounds.
+    /// Sentinel check rounds started, including a round that halted
+    /// the run.
     pub sentinel_rounds: u64,
 }
 
 impl RunStats {
     fn capture<P: Protocol>(engine: &Engine<P>) -> RunStats {
         let m = engine.metrics();
-        let c = engine.telemetry().counters();
+        let c = engine.telemetry_counters();
         RunStats {
             steps: engine.time(),
             edges: engine.graph().edge_count() as u64,

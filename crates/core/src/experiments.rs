@@ -389,12 +389,7 @@ fn stability_cell(
         let inj = adv.injections_for(t);
         eng.step(inj)?;
     }
-    let cert = StabilityCertificate::with_initial(w, rate, d_actual, initial);
-    let bound = if time_priority {
-        cert.time_priority_bound().or_else(|| cert.greedy_bound())
-    } else {
-        cert.greedy_bound()
-    };
+    let bound = StabilityCertificate::with_initial(w, rate, d_actual, initial).bound(time_priority);
     let max_wait = eng.metrics().max_buffer_wait();
     let verdict = classify_series(
         &eng.metrics()
@@ -947,11 +942,7 @@ fn e14_cell(
 
     let cert = StabilityCertificate::with_initial(w, rate, d_actual, s_fault);
     let recovery_horizon = cert.recovery_horizon(time_priority);
-    let recovery_bound = if time_priority {
-        cert.time_priority_bound().or_else(|| cert.greedy_bound())
-    } else {
-        cert.greedy_bound()
-    };
+    let recovery_bound = cert.bound(time_priority);
     let post_fault_max_wait = eng.metrics().max_buffer_wait();
     let live: u64 = graph.edge_ids().map(|e| eng.queue_len(e) as u64).sum();
     let m = eng.metrics();

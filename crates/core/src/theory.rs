@@ -1,143 +1,17 @@
-//! The stability theorems of Section 4, as exact bound calculators.
-//!
-//! * **Theorem 4.1** — any greedy protocol, `(w,r)` adversary,
-//!   `r ≤ 1/(d+1)`, empty start: no packet stays in one buffer longer
-//!   than `⌈wr⌉` steps.
-//! * **Theorem 4.3** — time-priority protocols (Definition 4.2; FIFO,
-//!   LIS): the same bound already for `r ≤ 1/d`.
-//! * **Observation 4.4 / Corollaries 4.5, 4.6** — with an
-//!   `S`-initial-configuration and *strict* rate inequality, the bound
-//!   becomes `⌈w*·r*⌉` for `w* = ⌈(S+w+1)/(r*−r)⌉`, where `r*` is the
-//!   respective threshold (`1/(d+1)` or `1/d`).
-//!
-//! All arithmetic is exact (integer/rational); these numbers are
-//! compared against measured `max_buffer_wait` in experiments E5–E7.
+//! The stability theorems of Section 4 — Theorems 4.1/4.3,
+//! Observation 4.4 and Corollaries 4.5/4.6 — as one exact bound
+//! calculator, [`StabilityCertificate`]. It lives in `aqt-sim`, beside
+//! the sentinel's [`aqt_sim::CertificateSpec`] that enforces the same
+//! bound online, and is re-exported here; experiments E5–E7, E13 and
+//! E14 compare its bounds against the measured `max_buffer_wait`.
 
-use aqt_sim::{Protocol, Ratio};
-
-/// Exact bound calculator for a `(w, r)` adversary against routes of
-/// length at most `d`, optionally with an `S`-initial-configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StabilityCertificate {
-    /// The adversary's window `w`.
-    pub window: u64,
-    /// The adversary's rate `r`.
-    pub rate: Ratio,
-    /// Length of the longest packet route, `d`.
-    pub d: usize,
-    /// `S` of the initial configuration (0 = empty start).
-    pub initial: u64,
-}
-
-impl StabilityCertificate {
-    /// Certificate for an empty-start system.
-    pub fn new(window: u64, rate: Ratio, d: usize) -> Self {
-        StabilityCertificate {
-            window,
-            rate,
-            d,
-            initial: 0,
-        }
-    }
-
-    /// Certificate for an `S`-initial-configuration (Observation 4.4).
-    pub fn with_initial(window: u64, rate: Ratio, d: usize, initial: u64) -> Self {
-        StabilityCertificate {
-            window,
-            rate,
-            d,
-            initial,
-        }
-    }
-
-    /// `⌈(S+w+1)/(r* − r)⌉` with `r* = 1/k`, exact. `None` if
-    /// `r ≥ 1/k`.
-    fn w_star(&self, k: u64) -> Option<u64> {
-        let num = self.rate.num();
-        let den = self.rate.den();
-        // 1/k − num/den = (den − num·k) / (den·k)
-        let gap_num = (den as u128).checked_sub(num as u128 * k as u128)?;
-        if gap_num == 0 {
-            return None;
-        }
-        let s_w_1 = (self.initial + self.window + 1) as u128;
-        // ceil(s_w_1 · den·k / gap_num)
-        let prod = s_w_1 * den as u128 * k as u128;
-        Some(prod.div_ceil(gap_num) as u64)
-    }
-
-    /// Theorem 4.1 / Corollary 4.5: per-buffer delay bound for **any
-    /// greedy protocol**. `None` if the rate is too high for the
-    /// theorem to apply (`r > 1/(d+1)`, or `r = 1/(d+1)` with a
-    /// nonempty initial configuration).
-    pub fn greedy_bound(&self) -> Option<u64> {
-        let k = self.d as u64 + 1;
-        if self.initial == 0 {
-            // Theorem 4.1 requires r <= 1/(d+1).
-            if self.rate.le_frac(1, k) {
-                Some(self.rate.ceil_mul(self.window))
-            } else {
-                None
-            }
-        } else {
-            // Corollary 4.5 requires r < 1/(d+1); bound ⌈w*/(d+1)⌉.
-            let w_star = self.w_star(k)?;
-            Some(w_star.div_ceil(k))
-        }
-    }
-
-    /// Theorem 4.3 / Corollary 4.6: per-buffer delay bound for
-    /// **time-priority protocols** (FIFO, LIS). `None` if `r > 1/d`
-    /// (or `r = 1/d` with a nonempty initial configuration).
-    pub fn time_priority_bound(&self) -> Option<u64> {
-        let k = self.d as u64;
-        if k == 0 {
-            return None;
-        }
-        if self.initial == 0 {
-            if self.rate.le_frac(1, k) {
-                Some(self.rate.ceil_mul(self.window))
-            } else {
-                None
-            }
-        } else {
-            let w_star = self.w_star(k)?;
-            Some(w_star.div_ceil(k))
-        }
-    }
-
-    /// The applicable bound for a given protocol: the time-priority
-    /// bound when the protocol qualifies, otherwise the greedy bound.
-    pub fn bound_for<P: Protocol>(&self, protocol: &P) -> Option<u64> {
-        if protocol.is_time_priority() {
-            self.time_priority_bound().or_else(|| self.greedy_bound())
-        } else {
-            self.greedy_bound()
-        }
-    }
-
-    /// Observation 4.4's recovery horizon
-    /// `w* = ⌈(S+w+1)/(r* − r)⌉`, with `r*` the stability threshold of
-    /// the protocol class (`1/d` for time-priority protocols, `1/(d+1)`
-    /// for greedy ones). It is the window length after which an
-    /// `S`-perturbed system again obeys the empty-start behavior — the
-    /// number the fault-recovery experiment (E14) compares measured
-    /// re-settling delays against. `None` when the rate is not strictly
-    /// below the class threshold (the observation needs `r < r*`).
-    pub fn recovery_horizon(&self, time_priority: bool) -> Option<u64> {
-        if time_priority && self.d > 0 {
-            self.w_star(self.d as u64)
-                .or_else(|| self.w_star(self.d as u64 + 1))
-        } else {
-            self.w_star(self.d as u64 + 1)
-        }
-    }
-}
+pub use aqt_sim::StabilityCertificate;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aqt_protocols::{Fifo, Ntg};
+    use aqt_sim::Ratio;
 
     #[test]
     fn theorem_4_1_bound_is_ceil_wr() {

@@ -19,8 +19,8 @@
 
 use aqt_graph::GadgetHandles;
 use aqt_sim::{
-    CertificateSpec, Engine, InvariantKind, Packet, Protocol, ReproBundle, SentinelConfig,
-    SimError, Violation, ViolationReport,
+    Engine, InvariantKind, Packet, Protocol, ReproBundle, SentinelConfig, SimError, Violation,
+    ViolationReport,
 };
 
 use crate::theory::StabilityCertificate;
@@ -133,22 +133,6 @@ pub fn check_c_invariant<P: Protocol>(engine: &Engine<P>, g: &GadgetHandles) -> 
     }
 }
 
-/// The sentinel-side mirror of a [`StabilityCertificate`]: the same
-/// `(w, r, d, S)` parameters plus the protocol-class flag the
-/// theorems dispatch on. `spec.bound()` computes exactly what
-/// [`StabilityCertificate::bound_for`] computes (pinned equal by the
-/// tests below), so the engine's certificate invariant enforces the
-/// theorem this crate derives.
-pub fn certificate_spec(cert: &StabilityCertificate, time_priority: bool) -> CertificateSpec {
-    CertificateSpec {
-        window: cert.window,
-        rate: cert.rate,
-        d: cert.d as u64,
-        initial: cert.initial,
-        time_priority,
-    }
-}
-
 /// Arm `engine`'s sentinel with the theorem certificate matching
 /// `cert` and the engine's protocol class, so every run of a stability
 /// experiment *enforces* the bound it claims rather than only
@@ -157,13 +141,13 @@ pub fn certificate_spec(cert: &StabilityCertificate, time_priority: bool) -> Cer
 /// Returns the enforced per-buffer wait bound, or `None` — leaving the
 /// engine untouched — when no theorem applies at this `(r, d, S)`
 /// (e.g. `r > 1/(d+1)` for a greedy protocol). If a sentinel is
-/// already attached its configuration (cadence, severities, seed) is
+/// already attached its configuration (cadence, deep stride, seed) is
 /// preserved; only the certificate is installed.
 pub fn attach_certificate_sentinel<P: Protocol>(
     engine: &mut Engine<P>,
     cert: &StabilityCertificate,
 ) -> Option<u64> {
-    let spec = certificate_spec(cert, engine.protocol().is_time_priority());
+    let spec = cert.spec(engine.protocol().is_time_priority());
     let bound = spec.bound()?;
     let cfg = engine
         .sentinel()
@@ -285,34 +269,6 @@ mod tests {
         eng.seed(bad, 0).unwrap();
         let rep = check_c_invariant(&eng, &g.handles);
         assert_eq!(rep.e_misrouted, 1);
-    }
-
-    #[test]
-    fn certificate_spec_bound_pins_theory_bounds() {
-        // The sentinel's CertificateSpec::bound() must agree with
-        // StabilityCertificate across protocol classes and S-values —
-        // otherwise the runtime invariant enforces a different theorem
-        // than the one this crate certifies.
-        let cases = [
-            StabilityCertificate::new(10, aqt_sim::Ratio::new(1, 4), 3),
-            StabilityCertificate::new(10, aqt_sim::Ratio::new(26, 100), 3),
-            StabilityCertificate::new(9, aqt_sim::Ratio::new(1, 3), 3),
-            StabilityCertificate::with_initial(5, aqt_sim::Ratio::new(1, 4), 2, 20),
-            StabilityCertificate::with_initial(5, aqt_sim::Ratio::new(1, 3), 2, 20),
-            StabilityCertificate::new(5, aqt_sim::Ratio::new(1, 2), 0),
-        ];
-        for cert in cases {
-            assert_eq!(
-                certificate_spec(&cert, true).bound(),
-                cert.bound_for(&Fifo),
-                "time-priority bound diverged for {cert:?}"
-            );
-            assert_eq!(
-                certificate_spec(&cert, false).bound(),
-                cert.bound_for(&aqt_protocols::Ntg),
-                "greedy bound diverged for {cert:?}"
-            );
-        }
     }
 
     #[test]

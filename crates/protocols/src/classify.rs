@@ -1,6 +1,6 @@
 //! Protocol classification report — the paper's taxonomy as data.
 
-use aqt_sim::{CertificateSpec, Protocol, Ratio};
+use aqt_sim::{CertificateSpec, Protocol, Ratio, StabilityCertificate};
 
 /// Static facts about a protocol, as used by the paper's theorems.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,13 +31,7 @@ impl Classification {
         d: usize,
         initial: u64,
     ) -> CertificateSpec {
-        CertificateSpec {
-            window,
-            rate,
-            d: d as u64,
-            initial,
-            time_priority: self.time_priority,
-        }
+        StabilityCertificate::with_initial(window, rate, d, initial).spec(self.time_priority)
     }
 }
 

@@ -56,18 +56,16 @@ struct ActiveList {
 
 impl ActiveList {
     /// Restore ascending order, drop emptied entries (compacting their
-    /// queues), clear `in_active` for the dropped ones. Returns the
-    /// number of deactivations.
-    fn begin_step(&mut self, queues: &mut [VecDeque<Packet>], in_active: &mut [bool]) -> usize {
+    /// queues), clear `in_active` for the dropped ones.
+    fn begin_step(&mut self, queues: &mut [VecDeque<Packet>], in_active: &mut [bool]) {
         if !self.needs_sort && !self.maybe_emptied {
-            return 0; // nothing activated or emptied since the last step
+            return; // nothing activated or emptied since the last step
         }
         if self.needs_sort {
             self.edges.sort_unstable();
             self.needs_sort = false;
         }
         self.maybe_emptied = false;
-        let mut deactivated = 0;
         self.edges.retain(|&e| {
             let q = &mut queues[e as usize];
             if q.is_empty() {
@@ -75,13 +73,11 @@ impl ActiveList {
                 if q.capacity() > COMPACT_MIN_CAPACITY {
                     q.shrink_to_fit();
                 }
-                deactivated += 1;
                 false
             } else {
                 true
             }
         });
-        deactivated
     }
 }
 
@@ -212,9 +208,7 @@ impl BufferStore {
     /// ascending edge order, drop entries whose buffers emptied since
     /// the last step, and compact those buffers' capacity. After this
     /// call, the list holds exactly the ascending nonempty edges.
-    /// Returns the number of emptied buffers deactivated (the telemetry
-    /// `buffers_compacted` counter site).
-    pub fn begin_step(&mut self) -> usize {
+    pub fn begin_step(&mut self) {
         self.active
             .begin_step(&mut self.queues, &mut self.in_active)
     }

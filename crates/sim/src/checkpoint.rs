@@ -105,20 +105,6 @@ pub fn checkpoint<P: Protocol>(engine: &Engine<P>) -> Checkpoint {
 /// under `rate(1/2) ∘ buffer_bound(4)` — silently changing what gets
 /// validated mid-run would make the resumed result incomparable).
 pub fn restore<P: Protocol>(engine: &mut Engine<P>, ck: &Checkpoint) -> Result<(), SimError> {
-    if ck.snapshot.schema != snapshot::SNAPSHOT_SCHEMA_VERSION {
-        return Err(SimError::SchemaMismatch {
-            found: ck.snapshot.schema,
-            expected: snapshot::SNAPSHOT_SCHEMA_VERSION,
-        });
-    }
-    let edges = engine.graph().edge_count();
-    if ck.snapshot.buffers.len() != edges {
-        return Err(SimError::Checkpoint(format!(
-            "checkpoint has {} buffers but the graph has {} edges",
-            ck.snapshot.buffers.len(),
-            edges
-        )));
-    }
     let (model, _, _, _) = engine.full_state();
     if model.map(AdversaryModel::spec) != ck.model.as_ref().map(AdversaryModel::spec) {
         return Err(SimError::Checkpoint(
@@ -130,51 +116,52 @@ pub fn restore<P: Protocol>(engine: &mut Engine<P>, ck: &Checkpoint) -> Result<(
             "sentinel configuration differs between checkpoint and engine".into(),
         ));
     }
-    snapshot::validate_payload(&ck.snapshot, edges).map_err(SimError::Checkpoint)?;
+    apply(engine, &ck.snapshot, Some(ck)).map_err(|refusal| match refusal {
+        Refusal::Schema(found) => SimError::SchemaMismatch {
+            found,
+            expected: snapshot::SNAPSHOT_SCHEMA_VERSION,
+        },
+        Refusal::Corrupt(e) => SimError::Checkpoint(e),
+    })
+}
 
-    // Restore metrics first (restore_state then overwrites the packet
-    // counters consistently with the snapshot).
-    engine.restore_full_state(
-        ck.model.clone(),
-        ck.last_route_use.clone(),
-        ck.metrics.clone(),
-        ck.fault_log.clone(),
-    );
-    // Map checkpoint route indices to engine route ids (append-only;
-    // validation has already passed, so partial mutation is impossible).
-    let ids: Vec<(crate::routes::RouteId, u32)> = ck
-        .snapshot
-        .routes
-        .iter()
-        .map(|r| (engine.intern_route(r), r.len() as u32))
-        .collect();
-    engine.restore_state(
-        ck.snapshot.time,
-        ck.snapshot.next_id,
-        ck.snapshot.injected,
-        ck.snapshot.absorbed,
-        ck.snapshot.dropped,
-        ck.snapshot.duplicated,
-        ck.snapshot.buffers.iter().map(|buf| {
-            buf.iter()
-                .map(|p| {
-                    let (route, route_len) = ids[p.route as usize];
-                    crate::packet::Packet {
-                        id: crate::packet::PacketId(p.id),
-                        injected_at: p.injected_at,
-                        arrived_at: p.arrived_at,
-                        tag: p.tag,
-                        route,
-                        hop: p.hop,
-                        route_len,
-                    }
-                })
-                .collect()
-        }),
-    );
-    // Last: the checkpointed sentinel state overrides the fresh
-    // baseline restore_state just installed.
-    if let Some(st) = ck.sentinel.clone() {
+/// Why [`apply`] refused a payload; the engine is untouched.
+pub(crate) enum Refusal {
+    /// The payload carries this schema stamp, not
+    /// [`snapshot::SNAPSHOT_SCHEMA_VERSION`].
+    Schema(u32),
+    /// The payload does not fit the engine's graph or contradicts
+    /// itself ([`snapshot::validate_payload`]).
+    Corrupt(String),
+}
+
+/// The one restore path behind [`snapshot::restore`] and [`restore`]
+/// (their engine gates run first): check the schema stamp and the
+/// payload before any mutation, fold the telemetry flow so far into
+/// its totals, install `full`'s metrics, model history, reroute
+/// bookkeeping and fault log when restoring a checkpoint, restore the
+/// network state and clock (which re-anchors the probes), and last
+/// reinstate a checkpointed sentinel state over that fresh baseline.
+pub(crate) fn apply<P: Protocol>(
+    engine: &mut Engine<P>,
+    snap: &Snapshot,
+    full: Option<&Checkpoint>,
+) -> Result<(), Refusal> {
+    if snap.schema != snapshot::SNAPSHOT_SCHEMA_VERSION {
+        return Err(Refusal::Schema(snap.schema));
+    }
+    snapshot::validate_payload(snap, engine.graph().edge_count()).map_err(Refusal::Corrupt)?;
+    engine.fold_telemetry();
+    if let Some(ck) = full {
+        engine.restore_full_state(
+            ck.model.clone(),
+            ck.last_route_use.clone(),
+            ck.metrics.clone(),
+            ck.fault_log.clone(),
+        );
+    }
+    engine.restore_state(snap);
+    if let Some(st) = full.and_then(|ck| ck.sentinel.clone()) {
         engine.restore_sentinel_state(st);
     }
     Ok(())

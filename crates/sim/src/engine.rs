@@ -39,7 +39,6 @@
 //!   precisely the effective adversary `A'` of Lemma 3.3 — the one
 //!   that injects the final routes.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use aqt_graph::{EdgeId, Graph, Route, RouteError};
@@ -53,6 +52,7 @@ use crate::protocol::{Discipline, Protocol};
 use crate::rate::{AdversaryModel, AdversaryModelSpec, Constraint, RateViolation};
 use crate::routes::{RouteId, RouteTable};
 use crate::sentinel::{InvariantKind, ViolationReport};
+use crate::snapshot::Snapshot;
 use crate::telemetry::SpanKind;
 
 // The probes (sentinel, telemetry, observatory) and their one schedule
@@ -60,7 +60,7 @@ use crate::telemetry::SpanKind;
 // blocks read the engine's state directly.
 #[path = "probes.rs"]
 mod probes;
-use probes::{Probes, StepTally};
+use probes::Probes;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
@@ -455,26 +455,38 @@ impl<P: Protocol> Engine<P> {
         self.model.is_some()
     }
 
-    /// Replace the network state wholesale (snapshot restore). The
-    /// caller (`crate::snapshot::restore`) has validated preconditions.
-    #[allow(clippy::too_many_arguments)] // crate-internal; mirrors the Snapshot fields
-    pub(crate) fn restore_state(
-        &mut self,
-        time: Time,
-        next_id: u64,
-        injected: u64,
-        absorbed: u64,
-        dropped: u64,
-        duplicated: u64,
-        buffers: impl Iterator<Item = VecDeque<Packet>>,
-    ) {
-        self.time = time;
-        self.next_id = next_id;
-        self.metrics.injected = injected;
-        self.metrics.absorbed = absorbed;
-        self.metrics.dropped = dropped;
-        self.metrics.duplicated = duplicated;
-        self.buffers.replace_all(buffers);
+    /// Replace the network state and clock with `snap`'s, which the
+    /// restore path (`crate::checkpoint::apply`) has validated. The
+    /// snapshot's routes are interned into the append-only table, so
+    /// ids handed out before the restore stay valid.
+    pub(crate) fn restore_state(&mut self, snap: &Snapshot) {
+        let ids: Vec<(RouteId, u32)> = snap
+            .routes
+            .iter()
+            .map(|r| (self.routes.intern(r), r.len() as u32))
+            .collect();
+        self.time = snap.time;
+        self.next_id = snap.next_id;
+        self.metrics.injected = snap.injected;
+        self.metrics.absorbed = snap.absorbed;
+        self.metrics.dropped = snap.dropped;
+        self.metrics.duplicated = snap.duplicated;
+        self.buffers.replace_all(snap.buffers.iter().map(|buf| {
+            buf.iter()
+                .map(|p| {
+                    let (route, route_len) = ids[p.route as usize];
+                    Packet {
+                        id: PacketId(p.id),
+                        injected_at: p.injected_at,
+                        arrived_at: p.arrived_at,
+                        tag: p.tag,
+                        route,
+                        hop: p.hop,
+                        route_len,
+                    }
+                })
+                .collect()
+        }));
         // An attached oracle cannot replay across a restore; put the
         // model exactly where the engine now is.
         if let Some(mut oracle) = self.oracle.take() {
@@ -596,14 +608,8 @@ impl<P: Protocol> Engine<P> {
         let (addr, len) = (edges.as_ptr() as usize, edges.len());
         for hit in self.inject_memo.iter().flatten() {
             if hit.addr == addr && hit.len == len {
-                if self.probes.telemetry.counters_on {
-                    self.probes.telemetry.counters.memo_hits += 1;
-                }
                 return hit.resolved;
             }
-        }
-        if self.probes.telemetry.counters_on {
-            self.probes.telemetry.counters.memo_misses += 1;
         }
         let resolved = self.intern_for_admit(edges);
         self.inject_memo[self.inject_memo_cursor] = Some(InjectMemoEntry {
@@ -614,12 +620,6 @@ impl<P: Protocol> Engine<P> {
         });
         self.inject_memo_cursor = (self.inject_memo_cursor + 1) % INJECT_MEMO_SLOTS;
         resolved
-    }
-
-    /// Checkpoint/snapshot support (crate-only): intern a restored
-    /// route. Append-only, so ids already handed out stay valid.
-    pub(crate) fn intern_route(&mut self, edges: &[EdgeId]) -> RouteId {
-        self.routes.intern(edges)
     }
 
     /// Internal: create the packet and enqueue it at its first edge.
@@ -683,9 +683,6 @@ impl<P: Protocol> Engine<P> {
         ) as u64;
         self.metrics.injected += n;
         self.metrics.on_queue_len(first, len);
-        if self.probes.telemetry.counters_on {
-            self.probes.telemetry.counters.cohorts_admitted += 1;
-        }
         if self.probes.observe.spans_on {
             // The sampled ids are the multiples of `mask + 1`, so the
             // cohort's sampled members are stepped directly instead of
@@ -722,32 +719,23 @@ impl<P: Protocol> Engine<P> {
         let t = self.time + 1;
         self.time = t;
         let faults_active = self.faults.as_ref().is_some_and(|f| f.active_at(t));
-        // The telemetry level, folded to booleans read once per step.
         // Timing is *sampled*: a full set of per-substage clock reads
         // would dominate a fast step, so the probe schedule arms the
         // `timing_this_step` flag only for every 512th step
         // (`TIMING_SAMPLE_EVERY`), and the substage methods read that
         // flag.
-        let tel_counters = self.probes.telemetry.counters_on;
         let tel_timing = self.probes.telemetry.timing_this_step;
         let step_t0 = tel_timing.then(std::time::Instant::now);
 
         debug_assert!(self.in_transit.is_empty());
-        let absorbed0 = self.metrics.absorbed;
-        let injected0 = self.metrics.injected;
         // The sampled stage clocks share boundary timestamps —
         // compact|send and send|receive are each one `Instant`, not
         // two — so a sampled step costs 6 clock reads end to end.
-        let deactivated = self.buffers.begin_step();
-        if tel_counters && deactivated > 0 {
-            self.probes.telemetry.counters.buffers_compacted += deactivated as u64;
-        }
+        self.buffers.begin_step();
         let send_t0 = tel_timing.then(std::time::Instant::now);
         self.substep_send(t, faults_active)?;
-        let sent = self.in_transit.len() as u64;
         let wire_t0 = tel_timing.then(std::time::Instant::now);
         self.substep_wire_faults(t, faults_active);
-        let delivered = self.delivered.len() as u64;
         self.substep_receive(t);
         let recv_t1 = tel_timing.then(std::time::Instant::now);
         if let (Some(a), Some(b), Some(c), Some(d)) = (step_t0, send_t0, wire_t0, recv_t1) {
@@ -782,17 +770,10 @@ impl<P: Protocol> Engine<P> {
             }
         }
 
-        let tally = StepTally {
-            sent,
-            delivered,
-            absorbed0,
-            injected0,
-            t0: step_t0,
-        };
         if t >= self.probes.next_due {
-            return self.run_due_probes(t, tally);
+            return self.run_due_probes(t, step_t0);
         }
-        self.end_step(tally);
+        self.end_step(step_t0);
         Ok(())
     }
 
@@ -1047,9 +1028,6 @@ impl<P: Protocol> Engine<P> {
         let due = oracle.due(t);
         let diverged = if due { oracle.model().diff(self) } else { None };
         self.oracle = Some(oracle);
-        if due && self.probes.telemetry.counters_on {
-            self.probes.telemetry.counters.oracle_diffs += 1;
-        }
         if let Some(t0) = oracle_t0 {
             self.probes
                 .telemetry

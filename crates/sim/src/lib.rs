@@ -91,7 +91,7 @@ pub use routes::{fnv1a_u64s, RouteId, RouteTable};
 pub use schedule::{Schedule, ScheduleOp};
 pub use sentinel::{
     CertificateSpec, InvariantKind, ReproBundle, Sentinel, SentinelConfig, SentinelState,
-    Violation, ViolationReport,
+    StabilityCertificate, Violation, ViolationReport,
 };
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use telemetry::{

@@ -21,7 +21,8 @@ use crate::sentinel::{
     ViolationReport,
 };
 use crate::telemetry::{
-    Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySink, TIMING_SAMPLE_EVERY,
+    Telemetry, TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetrySink,
+    TIMING_SAMPLE_EVERY,
 };
 
 /// The engine's probes and their shared schedule.
@@ -50,17 +51,6 @@ impl Probes {
     }
 }
 
-/// What one step did, for its end-of-step bookkeeping: packets sent
-/// and delivered past the wire stage, `Metrics::{absorbed, injected}`
-/// before the step, and its start when it is a timing sample.
-pub(crate) struct StepTally {
-    pub(crate) sent: u64,
-    pub(crate) delivered: u64,
-    pub(crate) absorbed0: u64,
-    pub(crate) injected0: u64,
-    pub(crate) t0: Option<std::time::Instant>,
-}
-
 impl<P: Protocol> Engine<P> {
     /// Attach a runtime invariant sentinel. The check baseline (the
     /// unit-speed crossing counters) is taken from the engine's current
@@ -80,12 +70,12 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Attach (or reconfigure) telemetry. Counters restart at zero and
-    /// the window baseline is taken from the engine's current state,
-    /// so attaching mid-run is legal — window records then cover only
-    /// what happens after the attach. When the config leaves
-    /// `provenance.fault_plan_id` unset and a fault plan is installed,
-    /// the plan's [`crate::FaultPlan::plan_id`] is filled in
-    /// automatically.
+    /// the counter and window baselines are taken from the engine's
+    /// current state, so attaching mid-run is legal — counters and
+    /// window records then cover only what happens after the attach.
+    /// When the config leaves `provenance.fault_plan_id` unset and a
+    /// fault plan is installed, the plan's
+    /// [`crate::FaultPlan::plan_id`] is filled in automatically.
     pub fn attach_telemetry(&mut self, mut cfg: TelemetryConfig) {
         if cfg.provenance.fault_plan_id.is_none() {
             cfg.provenance.fault_plan_id = self.faults.as_ref().map(|f| f.plan_id());
@@ -95,7 +85,7 @@ impl<P: Protocol> Engine<P> {
         }
         self.probes
             .telemetry
-            .configure(cfg, self.time, &self.metrics.crossings_per_edge);
+            .configure(cfg, self.time, &self.metrics);
         self.reschedule();
     }
 
@@ -111,9 +101,19 @@ impl<P: Protocol> Engine<P> {
         tel.sink = Some(sink);
     }
 
-    /// The telemetry state: level, counter totals, timing histograms.
+    /// The telemetry state: level, timing histograms, provenance.
     pub fn telemetry(&self) -> &Telemetry {
         &self.probes.telemetry
+    }
+
+    /// The telemetry counter totals since the attach (all zero below
+    /// [`crate::TelemetryLevel::Counters`]). Steps and packets are
+    /// read off the clock and [`crate::Metrics`], so they include
+    /// initial-configuration seeds placed after the attach and a step
+    /// that ended in an error; they carry across snapshot and
+    /// checkpoint restores.
+    pub fn telemetry_counters(&self) -> TelemetryCounters {
+        self.probes.telemetry.totals(self.time, &self.metrics)
     }
 
     /// Attach (or reconfigure) the queue observatory: fixed-cadence
@@ -152,9 +152,7 @@ impl<P: Protocol> Engine<P> {
     /// exactly to [`crate::Metrics::crossings_per_edge`] when telemetry
     /// was attached before the first step.
     pub fn finish_telemetry(&mut self) {
-        self.probes
-            .telemetry
-            .finish(self.time, &self.metrics.crossings_per_edge);
+        self.probes.telemetry.finish(self.time, &self.metrics);
     }
 
     /// Checkpoint support (crate-only): the sentinel's dynamic state.
@@ -205,6 +203,15 @@ impl<P: Protocol> Engine<P> {
             .min(self.probes.observe.next);
     }
 
+    /// Fold the telemetry flow so far into its totals. The restore
+    /// path calls this before it replaces the clock and metrics;
+    /// [`Engine::restart_probes`] then rebaselines the flow, so counter
+    /// totals carry across a restore.
+    pub(crate) fn fold_telemetry(&mut self) {
+        let tel = &mut self.probes.telemetry;
+        tel.counters = tel.totals(self.time, &self.metrics);
+    }
+
     /// Re-anchor every probe at the engine's current clock and crossing
     /// totals, then reschedule. A snapshot or checkpoint restore moves
     /// both discontinuously: the sentinel's interval checks, the
@@ -219,29 +226,21 @@ impl<P: Protocol> Engine<P> {
             s.state.crossings_at_last_check.clear();
             s.state.crossings_at_last_check.extend_from_slice(crossings);
         }
-        self.probes.telemetry.rebaseline(now, crossings);
+        self.probes.telemetry.rebaseline(now, &self.metrics);
         self.probes.observe.restart(now);
         self.reschedule();
     }
 
     /// End-of-step bookkeeping behind the telemetry and observatory
-    /// flags: counters, the sampled step's clock, the span flush.
+    /// flags: the sampled step's clock (`step_t0`), the span flush.
     #[inline]
-    pub(crate) fn end_step(&mut self, tally: StepTally) {
-        let tel = &mut self.probes.telemetry;
-        if tel.counters_on {
-            let absorbed = self.metrics.absorbed - tally.absorbed0;
-            let c = &mut tel.counters;
-            c.steps += 1;
-            c.packets_sent += tally.sent;
-            c.packets_absorbed += absorbed;
-            // Everything delivered and not absorbed moved to its next
-            // buffer.
-            c.packets_forwarded += tally.delivered.saturating_sub(absorbed);
-            c.packets_injected += self.metrics.injected - tally.injected0;
-        }
-        if let Some(t0) = tally.t0 {
-            tel.timings.step.record_duration(t0.elapsed());
+    pub(crate) fn end_step(&mut self, step_t0: Option<std::time::Instant>) {
+        if let Some(t0) = step_t0 {
+            self.probes
+                .telemetry
+                .timings
+                .step
+                .record_duration(t0.elapsed());
         }
         if self.probes.observe.spans_on && !self.probes.observe.span_scratch.is_empty() {
             self.flush_spans();
@@ -250,12 +249,16 @@ impl<P: Protocol> Engine<P> {
 
     /// The end of a step that reached [`Probes::next_due`]: run what is
     /// due, in model order — backlog sample, sentinel round (a halt
-    /// returns before the step's counters are added), the end-of-step
-    /// bookkeeping, observatory tick, telemetry window — then advance
-    /// the timing sampler and reschedule.
+    /// returns before the step's timing sample and span flush), the
+    /// end-of-step bookkeeping, observatory tick, telemetry window —
+    /// then advance the timing sampler and reschedule.
     #[cold]
     #[inline(never)]
-    pub(crate) fn run_due_probes(&mut self, t: Time, tally: StepTally) -> Result<(), EngineError> {
+    pub(crate) fn run_due_probes(
+        &mut self,
+        t: Time,
+        step_t0: Option<std::time::Instant>,
+    ) -> Result<(), EngineError> {
         let every = self.cfg.sample_every;
         if every > 0 && t.is_multiple_of(every) {
             // max_len scans the active set; every nonempty buffer is
@@ -270,13 +273,13 @@ impl<P: Protocol> Engine<P> {
         if self.probes.sentinel.as_ref().is_some_and(|s| s.due(t)) {
             self.run_sentinel_checks(t)?;
         }
-        self.end_step(tally);
+        self.end_step(step_t0);
         if t >= self.probes.observe.next {
             self.observe_tick(t);
         }
         let tel = &mut self.probes.telemetry;
         if t >= tel.window_end() {
-            tel.emit_window(t, &self.metrics.crossings_per_edge);
+            tel.emit_window(t, &self.metrics);
         }
         if tel.timing_this_step {
             tel.timing_next = t.saturating_add(TIMING_SAMPLE_EVERY);
@@ -352,9 +355,7 @@ impl<P: Protocol> Engine<P> {
             .telemetry
             .timing_this_step
             .then(std::time::Instant::now);
-        if self.probes.telemetry.counters_on {
-            self.probes.telemetry.counters.sentinel_rounds += 1;
-        }
+        self.probes.telemetry.counters.sentinel_rounds += 1;
         let (deep, roundtrip, unit_detail, cert) = {
             let s = self.probes.sentinel.as_ref().expect("gated by the runner");
             let elapsed = t.saturating_sub(s.state().last_check);

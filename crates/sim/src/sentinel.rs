@@ -22,9 +22,9 @@
 //!   state is internally consistent and survives a reference-model
 //!   round trip bit-for-bit (checkpoint integrity, checked live).
 //! * [`InvariantKind::Certificate`] — a theorem-derived wait bound
-//!   ([`CertificateSpec`]): `⌈wr⌉` for `r ≤ 1/(d+1)` greedy runs, the
-//!   `1/d` time-priority variant, and the S-degraded Observation 4.4
-//!   bounds.
+//!   ([`CertificateSpec`], computed by [`StabilityCertificate`]):
+//!   `⌈wr⌉` for `r ≤ 1/(d+1)` greedy runs, the `1/d` time-priority
+//!   variant, and the S-degraded Observation 4.4 bounds.
 //! * [`InvariantKind::OracleDivergence`] — raised by the lockstep
 //!   differential oracle ([`crate::oracle`]) when the optimized
 //!   pipeline and the naive reference engine disagree.
@@ -50,6 +50,7 @@
 use crate::fault::FaultPlan;
 use crate::metrics::{BacklogSample, Metrics};
 use crate::packet::Time;
+use crate::protocol::Protocol;
 use crate::ratio::Ratio;
 use crate::snapshot::Snapshot;
 
@@ -109,16 +110,145 @@ impl InvariantKind {
     }
 }
 
-/// A theorem-derived per-buffer wait bound, enforceable online.
+/// The Section 4 stability theorems as one exact bound calculator, for
+/// a `(w, r)` adversary against routes of length at most `d`,
+/// optionally with an `S`-initial-configuration.
 ///
-/// Mirrors `aqt-core`'s `StabilityCertificate` arithmetic (the
-/// dependency points the other way, so the calculator is duplicated
-/// here and pinned equal by aqt-core's tests): Theorem 4.1 gives
-/// `⌈wr⌉` for any greedy protocol at `r ≤ 1/(d+1)`; Theorem 4.3 the
-/// same at `r ≤ 1/d` for time-priority protocols; Observation 4.4 /
-/// Corollaries 4.5–4.6 the S-degraded bound `⌈w*/k⌉` with
-/// `w* = ⌈(S+w+1)/(1/k − r)⌉` when `r` is strictly below the class
-/// threshold `1/k`.
+/// * **Theorem 4.1** — any greedy protocol, `r ≤ 1/(d+1)`, empty
+///   start: no packet stays in one buffer longer than `⌈wr⌉` steps.
+/// * **Theorem 4.3** — time-priority protocols (Definition 4.2; FIFO,
+///   LIS): the same bound already for `r ≤ 1/d`.
+/// * **Observation 4.4 / Corollaries 4.5, 4.6** — with an
+///   `S`-initial-configuration and *strict* rate inequality, the bound
+///   becomes `⌈w*/k⌉` for `w* = ⌈(S+w+1)/(1/k − r)⌉`, where `1/k` is
+///   the class threshold (`1/(d+1)` or `1/d`).
+///
+/// All arithmetic is exact (integer/rational). The sentinel enforces
+/// these bounds through [`CertificateSpec`]; `aqt-core`'s experiments
+/// report them (it re-exports this type as
+/// `aqt_core::theory::StabilityCertificate`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StabilityCertificate {
+    /// The adversary's window `w`.
+    pub window: u64,
+    /// The adversary's rate `r`.
+    pub rate: Ratio,
+    /// Length of the longest packet route, `d`.
+    pub d: usize,
+    /// `S` of the initial configuration (0 = empty start).
+    pub initial: u64,
+}
+
+impl StabilityCertificate {
+    /// Certificate for an empty-start system.
+    pub fn new(window: u64, rate: Ratio, d: usize) -> Self {
+        Self::with_initial(window, rate, d, 0)
+    }
+
+    /// Certificate for an `S`-initial-configuration (Observation 4.4).
+    pub fn with_initial(window: u64, rate: Ratio, d: usize, initial: u64) -> Self {
+        StabilityCertificate {
+            window,
+            rate,
+            d,
+            initial,
+        }
+    }
+
+    /// `⌈(S+w+1)/(1/k − r)⌉`, exact. `None` if `r ≥ 1/k`.
+    fn w_star(&self, k: u64) -> Option<u64> {
+        let num = self.rate.num();
+        let den = self.rate.den();
+        // 1/k − num/den = (den − num·k) / (den·k)
+        let gap_num = (den as u128).checked_sub(num as u128 * k as u128)?;
+        if gap_num == 0 {
+            return None;
+        }
+        let s_w_1 = (self.initial + self.window + 1) as u128;
+        // ceil(s_w_1 · den·k / gap_num)
+        let prod = s_w_1 * den as u128 * k as u128;
+        Some(prod.div_ceil(gap_num) as u64)
+    }
+
+    /// The bound against threshold `1/k`: `⌈wr⌉` for an empty start
+    /// with `r ≤ 1/k`, `⌈w*/k⌉` for an S-start with `r < 1/k`.
+    fn bound_at(&self, k: u64) -> Option<u64> {
+        if k == 0 {
+            None
+        } else if self.initial == 0 {
+            self.rate
+                .le_frac(1, k)
+                .then(|| self.rate.ceil_mul(self.window))
+        } else {
+            self.w_star(k).map(|w| w.div_ceil(k))
+        }
+    }
+
+    /// Theorem 4.1 / Corollary 4.5: per-buffer delay bound for **any
+    /// greedy protocol**. `None` if the rate is too high for the
+    /// theorem to apply (`r > 1/(d+1)`, or `r = 1/(d+1)` with a
+    /// nonempty initial configuration).
+    pub fn greedy_bound(&self) -> Option<u64> {
+        self.bound_at(self.d as u64 + 1)
+    }
+
+    /// Theorem 4.3 / Corollary 4.6: per-buffer delay bound for
+    /// **time-priority protocols** (FIFO, LIS). `None` if `r > 1/d`
+    /// (or `r = 1/d` with a nonempty initial configuration).
+    pub fn time_priority_bound(&self) -> Option<u64> {
+        self.bound_at(self.d as u64)
+    }
+
+    /// The applicable bound for a protocol class: the time-priority
+    /// bound when the protocol qualifies and it applies, otherwise the
+    /// greedy bound. `None` when no theorem applies at this rate.
+    pub fn bound(&self, time_priority: bool) -> Option<u64> {
+        if time_priority {
+            self.time_priority_bound().or_else(|| self.greedy_bound())
+        } else {
+            self.greedy_bound()
+        }
+    }
+
+    /// [`StabilityCertificate::bound`] for `protocol`'s class.
+    pub fn bound_for<P: Protocol>(&self, protocol: &P) -> Option<u64> {
+        self.bound(protocol.is_time_priority())
+    }
+
+    /// The sentinel's [`CertificateSpec`] for this certificate and a
+    /// protocol class: `spec.bound()` is `self.bound(time_priority)`.
+    pub fn spec(&self, time_priority: bool) -> CertificateSpec {
+        CertificateSpec {
+            window: self.window,
+            rate: self.rate,
+            d: self.d as u64,
+            initial: self.initial,
+            time_priority,
+        }
+    }
+
+    /// Observation 4.4's recovery horizon
+    /// `w* = ⌈(S+w+1)/(r* − r)⌉`, with `r*` the stability threshold of
+    /// the protocol class (`1/d` for time-priority protocols, `1/(d+1)`
+    /// for greedy ones). It is the window length after which an
+    /// `S`-perturbed system again obeys the empty-start behavior — the
+    /// number the fault-recovery experiment (E14) compares measured
+    /// re-settling delays against. `None` when the rate is not strictly
+    /// below the class threshold (the observation needs `r < r*`).
+    pub fn recovery_horizon(&self, time_priority: bool) -> Option<u64> {
+        if time_priority && self.d > 0 {
+            self.w_star(self.d as u64)
+                .or_else(|| self.w_star(self.d as u64 + 1))
+        } else {
+            self.w_star(self.d as u64 + 1)
+        }
+    }
+}
+
+/// A theorem-derived per-buffer wait bound, enforceable online: the
+/// [`StabilityCertificate`] parameters plus the protocol-class flag
+/// the theorems dispatch on. Plain public fields, because the
+/// campaign emits specs as regression-test source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CertificateSpec {
     /// The adversary's window `w`.
@@ -134,46 +264,12 @@ pub struct CertificateSpec {
 }
 
 impl CertificateSpec {
-    /// `⌈(S+w+1)/(1/k − r)⌉`, exact; `None` if `r ≥ 1/k`.
-    fn w_star(&self, k: u64) -> Option<u64> {
-        let num = self.rate.num();
-        let den = self.rate.den();
-        let gap_num = (den as u128).checked_sub(num as u128 * k as u128)?;
-        if gap_num == 0 {
-            return None;
-        }
-        let s_w_1 = (self.initial + self.window + 1) as u128;
-        let prod = s_w_1 * den as u128 * k as u128;
-        Some(prod.div_ceil(gap_num) as u64)
-    }
-
-    /// The bound against threshold `1/k`: `⌈wr⌉` for an empty start
-    /// with `r ≤ 1/k`, `⌈w*/k⌉` for an S-start with `r < 1/k`.
-    fn bound_with_threshold(&self, k: u64) -> Option<u64> {
-        if k == 0 {
-            return None;
-        }
-        if self.initial == 0 {
-            if self.rate.le_frac(1, k) {
-                Some(self.rate.ceil_mul(self.window))
-            } else {
-                None
-            }
-        } else {
-            self.w_star(k).map(|w| w.div_ceil(k))
-        }
-    }
-
-    /// The enforceable per-buffer wait bound, or `None` when no
-    /// theorem applies at this rate. Time-priority protocols first try
-    /// the `1/d` threshold, falling back to the greedy `1/(d+1)`.
+    /// The enforceable per-buffer wait bound
+    /// ([`StabilityCertificate::bound`]), or `None` when no theorem
+    /// applies at this rate.
     pub fn bound(&self) -> Option<u64> {
-        if self.time_priority {
-            self.bound_with_threshold(self.d)
-                .or_else(|| self.bound_with_threshold(self.d + 1))
-        } else {
-            self.bound_with_threshold(self.d + 1)
-        }
+        StabilityCertificate::with_initial(self.window, self.rate, self.d as usize, self.initial)
+            .bound(self.time_priority)
     }
 }
 
@@ -459,65 +555,6 @@ pub(crate) fn unit_speed_violation(prev: &[u64], now: &[u64], elapsed: u64) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn certificate_spec_matches_the_theorems() {
-        // Theorem 4.1: d = 3, r = 1/4, w = 10 -> ⌈10/4⌉ = 3
-        let c = CertificateSpec {
-            window: 10,
-            rate: Ratio::new(1, 4),
-            d: 3,
-            initial: 0,
-            time_priority: false,
-        };
-        assert_eq!(c.bound(), Some(3));
-        // r above 1/(d+1): no theorem applies
-        let c = CertificateSpec {
-            rate: Ratio::new(26, 100),
-            ..c
-        };
-        assert_eq!(c.bound(), None);
-        // Theorem 4.3: time-priority extends to r = 1/d
-        let c = CertificateSpec {
-            window: 9,
-            rate: Ratio::new(1, 3),
-            d: 3,
-            initial: 0,
-            time_priority: true,
-        };
-        assert_eq!(c.bound(), Some(3));
-        let greedy = CertificateSpec {
-            time_priority: false,
-            ..c
-        };
-        assert_eq!(greedy.bound(), None);
-    }
-
-    #[test]
-    fn certificate_spec_s_degraded_bounds() {
-        // Corollary 4.5: d = 2, r = 1/4 < 1/3, w = 5, S = 20:
-        // w* = ⌈26·12⌉ = 312, bound ⌈312/3⌉ = 104
-        let c = CertificateSpec {
-            window: 5,
-            rate: Ratio::new(1, 4),
-            d: 2,
-            initial: 20,
-            time_priority: false,
-        };
-        assert_eq!(c.bound(), Some(104));
-        // Corollary 4.6: time-priority threshold 1/2 -> w* = 104, bound 52
-        let tp = CertificateSpec {
-            time_priority: true,
-            ..c
-        };
-        assert_eq!(tp.bound(), Some(52));
-        // strict inequality required with S > 0
-        let at_threshold = CertificateSpec {
-            rate: Ratio::new(1, 3),
-            ..c
-        };
-        assert_eq!(at_threshold.bound(), None);
-    }
 
     #[test]
     fn conservation_check() {

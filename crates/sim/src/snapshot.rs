@@ -27,8 +27,9 @@ use std::sync::Arc;
 
 use aqt_graph::EdgeId;
 
+use crate::checkpoint::{self, Refusal};
 use crate::engine::{Engine, EngineError};
-use crate::packet::{Packet, Time};
+use crate::packet::Time;
 use crate::protocol::Protocol;
 use crate::routes::RouteId;
 
@@ -231,57 +232,25 @@ pub(crate) fn validate_payload(snap: &Snapshot, edge_count: usize) -> Result<(),
 /// engine's (append-only) route table, so ids the engine handed out
 /// before the restore stay valid.
 pub fn restore<P: Protocol>(engine: &mut Engine<P>, snap: &Snapshot) -> Result<(), EngineError> {
-    if snap.schema != SNAPSHOT_SCHEMA_VERSION {
-        return Err(EngineError::Usage(format!(
-            "snapshot schema version {} is not supported (this build reads version {})",
-            snap.schema, SNAPSHOT_SCHEMA_VERSION
-        )));
-    }
     if engine.has_validators() {
         return Err(EngineError::Usage(
             "cannot restore a snapshot into a validating engine".into(),
         ));
     }
-    validate_payload(snap, engine.graph().edge_count())
-        .map_err(|e| EngineError::Usage(format!("corrupt snapshot: {e}")))?;
-    // Map snapshot route indices to engine route ids. Mutates only the
-    // append-only table, after validation has passed.
-    let ids: Vec<(RouteId, u32)> = snap
-        .routes
-        .iter()
-        .map(|r| (engine.intern_route(r), r.len() as u32))
-        .collect();
-    engine.restore_state(
-        snap.time,
-        snap.next_id,
-        snap.injected,
-        snap.absorbed,
-        snap.dropped,
-        snap.duplicated,
-        snap.buffers.iter().map(|buf| {
-            buf.iter()
-                .map(|p| {
-                    let (route, route_len) = ids[p.route as usize];
-                    Packet {
-                        id: crate::packet::PacketId(p.id),
-                        injected_at: p.injected_at,
-                        arrived_at: p.arrived_at,
-                        tag: p.tag,
-                        route,
-                        hop: p.hop,
-                        route_len,
-                    }
-                })
-                .collect()
-        }),
-    );
-    Ok(())
+    checkpoint::apply(engine, snap, None).map_err(|refusal| match refusal {
+        Refusal::Schema(found) => EngineError::Usage(format!(
+            "snapshot schema version {found} is not supported (this build reads version {})",
+            SNAPSHOT_SCHEMA_VERSION
+        )),
+        Refusal::Corrupt(e) => EngineError::Usage(format!("corrupt snapshot: {e}")),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, Injection};
+    use crate::packet::Packet;
     use crate::ratio::Ratio;
     use aqt_graph::{topologies, Graph, Route};
     use std::collections::VecDeque;

@@ -6,15 +6,14 @@
 //! growth, stage latencies) that the empirical-stability literature
 //! diagnoses from. Three layers, each zero-cost when off:
 //!
-//! * **Hot-path counters** ([`TelemetryCounters`]) — plain `u64` fields
-//!   on a [`Telemetry`] struct owned by the engine: per-substage work
-//!   counts (send/absorb/inject/compact), packets moved, cohorts
-//!   admitted, intern-memo hits/misses, sentinel/oracle passes. The
-//!   enablement level is folded into two booleans read once per step
-//!   (window records and timing samples join the engine's one probe
-//!   schedule), so the disabled path costs a handful of predictable
-//!   branches and never touches the heap — `tests/alloc_regression.rs`
-//!   pins this.
+//! * **Counters** ([`TelemetryCounters`]) — steps and packets sent,
+//!   absorbed and injected, read off the engine's clock and
+//!   [`crate::Metrics`] relative to a baseline taken at attach, plus
+//!   the sentinel rounds and windows emitted, counted where they
+//!   happen. The step path writes no counter; window records and
+//!   timing samples join the engine's one probe schedule, so the
+//!   disabled path costs one compare and a flag read and never touches
+//!   the heap — `tests/alloc_regression.rs` pins this.
 //! * **Stage timing** ([`StageTimings`]) — coarse [`Log2Histogram`]
 //!   latency histograms per substage and per oracle/sentinel pass.
 //!   `std::time::Instant` only; no external deps.
@@ -40,6 +39,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::metrics::Metrics;
 use crate::packet::Time;
 
 /// Version stamp written on every JSONL record. Bump when the record
@@ -77,15 +77,20 @@ use crate::packet::Time;
 /// * **7** — the sweep harness no longer retries: the job-retry
 ///   record is gone, and `job_finished` and `job_quarantined` lost
 ///   their `attempts` field (it was always 1).
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 7;
+/// * **8** — counter blocks lost the six counters nothing read
+///   (`packets_forwarded`, `cohorts_admitted`, `buffers_compacted`,
+///   `memo_hits`, `memo_misses`, `oracle_diffs`); the flow counters
+///   are read off the engine's metrics, so `packets_injected` now
+///   includes initial-configuration seeds placed after the attach.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 8;
 
 /// How much the engine instruments per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TelemetryLevel {
-    /// No instrumentation: the step pipeline pays two predictable
-    /// branch tests and one integer compare, nothing else.
+    /// No instrumentation: the step pipeline pays one flag read and
+    /// one integer compare, nothing else.
     Off,
-    /// Hot-path counters and window records (cheap integer adds).
+    /// Counters and window records.
     Counters,
     /// Counters plus per-substage latency histograms (two
     /// `Instant::now` calls per timed substage).
@@ -192,38 +197,26 @@ impl TelemetryConfig {
     }
 }
 
-/// The hot-path counters: plain `u64`s, updated only when the level
-/// enables them. A [`TelemetryEvent::Window`] record carries the
-/// *delta* of these over the window; [`Telemetry::counters`] exposes
-/// the running totals.
+/// The telemetry counters (all zero below [`TelemetryLevel::Counters`]).
+/// A [`TelemetryEvent::Window`] record carries the *delta* of these
+/// over the window; [`crate::Engine::telemetry_counters`] returns the
+/// running totals since the attach, which survive snapshot and
+/// checkpoint restores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryCounters {
-    /// Steps executed.
+    /// Steps executed (the clock's advance).
     pub steps: u64,
     /// Packets sent in substep 1 (including ones later lost to wire
-    /// faults).
+    /// faults): the growth of Σ [`crate::Metrics::crossings_per_edge`].
     pub packets_sent: u64,
-    /// Packets moved into a next buffer by the receive substage.
-    pub packets_forwarded: u64,
     /// Packets absorbed at their destination.
     pub packets_absorbed: u64,
     /// Packets admitted (injections, bursts, and — when telemetry is
     /// attached before seeding — initial-configuration seeds).
     pub packets_injected: u64,
-    /// Cohort admissions (each a single validated range-extend).
-    pub cohorts_admitted: u64,
-    /// Emptied buffers deactivated (and capacity-compacted) at step
-    /// boundaries by the active-set maintenance.
-    pub buffers_compacted: u64,
-    /// Injection-path intern-memo hits.
-    pub memo_hits: u64,
-    /// Injection-path intern-memo misses (fell through to a real
-    /// intern).
-    pub memo_misses: u64,
-    /// Sentinel check rounds run.
+    /// Sentinel check rounds started (a round that halts the run
+    /// counts).
     pub sentinel_rounds: u64,
-    /// Oracle full-state diffs performed.
-    pub oracle_diffs: u64,
     /// Telemetry windows closed and emitted (including the final
     /// partial window). A campaign coverage dimension: runs that never
     /// cross a window boundary exercise none of the window-emission
@@ -234,23 +227,29 @@ pub struct TelemetryCounters {
 impl TelemetryCounters {
     /// Field-wise `self - base` (saturating): the per-window delta.
     pub fn delta_since(&self, base: &TelemetryCounters) -> TelemetryCounters {
+        self.zip(base, u64::saturating_sub)
+    }
+
+    /// The engine flow the step counters read: the clock, Σ crossings
+    /// and the absorbed and injected totals.
+    fn flow(now: Time, m: &Metrics) -> TelemetryCounters {
         TelemetryCounters {
-            steps: self.steps.saturating_sub(base.steps),
-            packets_sent: self.packets_sent.saturating_sub(base.packets_sent),
-            packets_forwarded: self
-                .packets_forwarded
-                .saturating_sub(base.packets_forwarded),
-            packets_absorbed: self.packets_absorbed.saturating_sub(base.packets_absorbed),
-            packets_injected: self.packets_injected.saturating_sub(base.packets_injected),
-            cohorts_admitted: self.cohorts_admitted.saturating_sub(base.cohorts_admitted),
-            buffers_compacted: self
-                .buffers_compacted
-                .saturating_sub(base.buffers_compacted),
-            memo_hits: self.memo_hits.saturating_sub(base.memo_hits),
-            memo_misses: self.memo_misses.saturating_sub(base.memo_misses),
-            sentinel_rounds: self.sentinel_rounds.saturating_sub(base.sentinel_rounds),
-            oracle_diffs: self.oracle_diffs.saturating_sub(base.oracle_diffs),
-            windows_emitted: self.windows_emitted.saturating_sub(base.windows_emitted),
+            steps: now,
+            packets_sent: m.crossings_per_edge.iter().sum(),
+            packets_absorbed: m.absorbed,
+            packets_injected: m.injected,
+            ..TelemetryCounters::default()
+        }
+    }
+
+    fn zip(&self, other: &TelemetryCounters, f: impl Fn(u64, u64) -> u64) -> TelemetryCounters {
+        TelemetryCounters {
+            steps: f(self.steps, other.steps),
+            packets_sent: f(self.packets_sent, other.packets_sent),
+            packets_absorbed: f(self.packets_absorbed, other.packets_absorbed),
+            packets_injected: f(self.packets_injected, other.packets_injected),
+            sentinel_rounds: f(self.sentinel_rounds, other.sentinel_rounds),
+            windows_emitted: f(self.windows_emitted, other.windows_emitted),
         }
     }
 }
@@ -760,21 +759,13 @@ fn provenance_fields(line: &mut String, p: &Provenance) {
 fn counter_fields(line: &mut String, c: &TelemetryCounters) {
     write!(
         line,
-        ",\"steps\":{},\"packets_sent\":{},\"packets_forwarded\":{},\
-         \"packets_absorbed\":{},\"packets_injected\":{},\"cohorts_admitted\":{},\
-         \"buffers_compacted\":{},\"memo_hits\":{},\"memo_misses\":{},\
-         \"sentinel_rounds\":{},\"oracle_diffs\":{},\"windows_emitted\":{}",
+        ",\"steps\":{},\"packets_sent\":{},\"packets_absorbed\":{},\
+         \"packets_injected\":{},\"sentinel_rounds\":{},\"windows_emitted\":{}",
         c.steps,
         c.packets_sent,
-        c.packets_forwarded,
         c.packets_absorbed,
         c.packets_injected,
-        c.cohorts_admitted,
-        c.buffers_compacted,
-        c.memo_hits,
-        c.memo_misses,
         c.sentinel_rounds,
-        c.oracle_diffs,
         c.windows_emitted
     )
     .unwrap();
@@ -1017,15 +1008,13 @@ impl TelemetrySink for SharedSink {
 // The engine-owned state
 // ---------------------------------------------------------------------
 
-/// The engine-owned telemetry state: config, counters, timings, window
-/// bookkeeping, and the attached sink. Constructed disabled; the
-/// per-step cost while disabled is two boolean tests. The window and
+/// The engine-owned telemetry state: config, counter baseline, timings,
+/// window bookkeeping, and the attached sink. Constructed disabled; the
+/// per-step cost while disabled is one flag read. The window and
 /// timing-sample steps are inputs of the engine's one probe schedule
 /// (`probes.rs`), which also arms `timing_this_step`.
 pub struct Telemetry {
     level: TelemetryLevel,
-    /// Hot flag: counters are being maintained (read once per step).
-    pub(crate) counters_on: bool,
     /// Hot flag: *this* step is a timing sample — armed before the
     /// step by the probe schedule and read by the substage methods, so
     /// sampling is decided exactly once per step.
@@ -1033,8 +1022,12 @@ pub struct Telemetry {
     /// Step of the next timing sample, never behind the next step;
     /// `Time::MAX` when timing is off.
     pub(crate) timing_next: Time,
-    /// Running counter totals.
+    /// Counter totals as of `flow_base`: the flow before the last
+    /// restore, and the sentinel rounds and windows emitted so far.
     pub(crate) counters: TelemetryCounters,
+    /// The engine flow ([`TelemetryCounters::flow`]) at the attach or
+    /// the last restore; the flow counters grow from here.
+    flow_base: TelemetryCounters,
     /// Stage timing histograms.
     pub(crate) timings: StageTimings,
     /// Run identity stamped on every engine-emitted record.
@@ -1056,10 +1049,10 @@ impl Telemetry {
     pub(crate) fn disabled() -> Self {
         Telemetry {
             level: TelemetryLevel::Off,
-            counters_on: false,
             timing_this_step: false,
             timing_next: Time::MAX,
             counters: TelemetryCounters::default(),
+            flow_base: TelemetryCounters::default(),
             timings: StageTimings::default(),
             provenance: Provenance::default(),
             window: 0,
@@ -1071,23 +1064,34 @@ impl Telemetry {
         }
     }
 
-    /// Apply `cfg`, (re)baselining windows at the current engine state.
-    /// All preallocation happens here, so the step loop stays
-    /// heap-free.
-    pub(crate) fn configure(&mut self, cfg: TelemetryConfig, now: Time, crossings: &[u64]) {
+    /// Apply `cfg`, (re)baselining the counters and windows at the
+    /// current engine state. All preallocation happens here, so the
+    /// step loop stays heap-free.
+    pub(crate) fn configure(&mut self, cfg: TelemetryConfig, now: Time, m: &Metrics) {
         self.level = cfg.level;
-        self.counters_on = cfg.level.counters();
         self.provenance = cfg.provenance;
         self.window = if cfg.level.counters() { cfg.window } else { 0 };
         self.counters = TelemetryCounters::default();
         self.timings = StageTimings::default();
-        self.rebaseline(now, crossings);
+        self.rebaseline(now, m);
     }
 
-    /// Reset the window baseline to the engine's current state (also
-    /// called after snapshot/checkpoint restores, where the crossing
-    /// totals jump).
-    pub(crate) fn rebaseline(&mut self, now: Time, crossings: &[u64]) {
+    /// The running counter totals at engine time `now` with metrics
+    /// `m` (all zero below [`TelemetryLevel::Counters`]).
+    pub(crate) fn totals(&self, now: Time, m: &Metrics) -> TelemetryCounters {
+        if !self.level.counters() {
+            return TelemetryCounters::default();
+        }
+        let flow = TelemetryCounters::flow(now, m).delta_since(&self.flow_base);
+        self.counters.zip(&flow, u64::saturating_add)
+    }
+
+    /// Reset the counter and window baselines to the engine's current
+    /// state (also called after snapshot/checkpoint restores, where
+    /// the clock and metrics jump).
+    pub(crate) fn rebaseline(&mut self, now: Time, m: &Metrics) {
+        let crossings = &m.crossings_per_edge;
+        self.flow_base = TelemetryCounters::flow(now, m);
         self.window_start = now;
         // First post-(re)baseline step is a timing sample, then every
         // `TIMING_SAMPLE_EVERY`-th.
@@ -1116,13 +1120,12 @@ impl Telemetry {
     /// sink. Heap-free: the crossing deltas land in the preallocated
     /// scratch and the event borrows them.
     #[cold]
-    pub(crate) fn emit_window(&mut self, now: Time, crossings: &[u64]) {
+    pub(crate) fn emit_window(&mut self, now: Time, m: &Metrics) {
+        let crossings = &m.crossings_per_edge;
         debug_assert_eq!(crossings.len(), self.crossings_at_window_start.len());
-        if self.counters_on {
-            // Before the delta: the closing window accounts for its own
-            // emission.
-            self.counters.windows_emitted += 1;
-        }
+        // Before the delta: the closing window accounts for its own
+        // emission.
+        self.counters.windows_emitted += 1;
         for (i, (&total, base)) in crossings
             .iter()
             .zip(self.crossings_at_window_start.iter_mut())
@@ -1131,8 +1134,9 @@ impl Telemetry {
             self.crossings_scratch[i] = total.saturating_sub(*base);
             *base = total;
         }
-        let delta = self.counters.delta_since(&self.counters_at_window_start);
-        self.counters_at_window_start = self.counters;
+        let totals = self.totals(now, m);
+        let delta = totals.delta_since(&self.counters_at_window_start);
+        self.counters_at_window_start = totals;
         let start = self.window_start;
         self.window_start = now;
         if let Some(sink) = self.sink.as_mut() {
@@ -1150,15 +1154,16 @@ impl Telemetry {
     /// steps are pending) and a [`TelemetryEvent::RunEnd`]. Then flush
     /// the sink at any level: an observatory-only run's records must
     /// reach the writer when the run closes.
-    pub(crate) fn finish(&mut self, now: Time, crossings: &[u64]) {
+    pub(crate) fn finish(&mut self, now: Time, m: &Metrics) {
         if self.level != TelemetryLevel::Off {
             if self.window > 0 && now > self.window_start {
-                self.emit_window(now, crossings);
+                self.emit_window(now, m);
             }
+            let counters = self.totals(now, m);
             if let Some(sink) = self.sink.as_mut() {
                 sink.record(&TelemetryEvent::RunEnd {
                     time: now,
-                    counters: self.counters,
+                    counters,
                     timings: &self.timings,
                     provenance: &self.provenance,
                 });
@@ -1172,12 +1177,6 @@ impl Telemetry {
     /// The configured level.
     pub fn level(&self) -> TelemetryLevel {
         self.level
-    }
-
-    /// Running counter totals (all zero below
-    /// [`TelemetryLevel::Counters`]).
-    pub fn counters(&self) -> &TelemetryCounters {
-        &self.counters
     }
 
     /// Stage timing histograms (all empty below
@@ -1197,7 +1196,6 @@ impl std::fmt::Debug for Telemetry {
         f.debug_struct("Telemetry")
             .field("level", &self.level)
             .field("window", &self.window)
-            .field("counters", &self.counters)
             .field("has_sink", &self.sink.is_some())
             .finish_non_exhaustive()
     }
@@ -1241,11 +1239,11 @@ mod tests {
         let mut b = a;
         b.steps = 25;
         b.packets_sent = 170;
-        b.memo_hits = 3;
+        b.sentinel_rounds = 3;
         let d = b.delta_since(&a);
         assert_eq!(d.steps, 15);
         assert_eq!(d.packets_sent, 70);
-        assert_eq!(d.memo_hits, 3);
+        assert_eq!(d.sentinel_rounds, 3);
     }
 
     #[test]
@@ -1312,7 +1310,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         for l in &lines {
-            assert!(l.starts_with("{\"schema\":7,\"kind\":\""), "line: {l}");
+            assert!(l.starts_with("{\"schema\":8,\"kind\":\""), "line: {l}");
             assert!(l.ends_with('}'), "line: {l}");
         }
         assert!(lines[0].contains("\"kind\":\"run_start\""));

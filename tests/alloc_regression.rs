@@ -157,7 +157,7 @@ fn telemetry_enabled_drain_steps_do_not_allocate() {
         allocations, 0,
         "telemetry-enabled drain must be allocation-free: {allocations} allocations in 2000 steps",
     );
-    let counters = eng.telemetry().counters();
+    let counters = eng.telemetry_counters();
     assert_eq!(counters.steps, 2_100, "telemetry counted every step");
     assert!(
         counters.packets_absorbed >= 2_100,
@@ -183,7 +183,7 @@ fn jsonl_sink_drain_steps_do_not_allocate() {
         allocations, 0,
         "JSONL-sink drain must be allocation-free: {allocations} allocations in 2000 steps",
     );
-    assert_eq!(eng.telemetry().counters().windows_emitted, 8);
+    assert_eq!(eng.telemetry_counters().windows_emitted, 8);
 }
 
 /// The drain with the observatory and the sentinel attached: backlog

@@ -8,7 +8,8 @@ use aqt_graph::{topologies, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::{
     run_sim_sweep, Engine, EngineConfig, Injection, JobOutcome, Provenance, SharedSink, SimError,
-    TelemetryConfig, TelemetryEvent, TelemetrySink, Time, TELEMETRY_SCHEMA_VERSION,
+    TelemetryConfig, TelemetryCounters, TelemetryEvent, TelemetrySink, Time,
+    TELEMETRY_SCHEMA_VERSION,
 };
 
 /// `(start, end, per-edge crossing deltas)` of one emitted window.
@@ -21,6 +22,7 @@ type WindowRecord = (Time, Time, Vec<u64>);
 struct Capture {
     kinds: Arc<Mutex<Vec<&'static str>>>,
     windows: Arc<Mutex<Vec<WindowRecord>>>,
+    window_counters: Arc<Mutex<Vec<TelemetryCounters>>>,
 }
 
 impl TelemetrySink for Capture {
@@ -29,6 +31,7 @@ impl TelemetrySink for Capture {
         if let TelemetryEvent::Window {
             start,
             end,
+            counters,
             crossings,
             ..
         } = event
@@ -37,6 +40,7 @@ impl TelemetrySink for Capture {
                 .lock()
                 .unwrap()
                 .push((*start, *end, crossings.to_vec()));
+            self.window_counters.lock().unwrap().push(*counters);
         }
     }
 }
@@ -125,7 +129,7 @@ fn counters_match_batch_metrics() {
     run_line_workload(&mut eng, &graph, 60);
     eng.finish_telemetry();
 
-    let c = eng.telemetry().counters();
+    let c = eng.telemetry_counters();
     assert_eq!(c.steps, 60);
     assert_eq!(c.packets_injected, eng.metrics().injected());
     assert_eq!(c.packets_absorbed, eng.metrics().absorbed());
@@ -133,6 +137,89 @@ fn counters_match_batch_metrics() {
         c.packets_sent,
         eng.metrics().crossings_per_edge().iter().sum::<u64>()
     );
+}
+
+/// Initial-configuration seeds placed after the attach count in
+/// `packets_injected`, as the batch metrics count them.
+#[test]
+fn seeds_count_as_injected() {
+    let graph = Arc::new(topologies::line(4));
+    let mut eng = Engine::new(Arc::clone(&graph), Fifo, EngineConfig::default());
+    eng.attach_telemetry(TelemetryConfig::default());
+    let route = Route::new(&graph, graph.edge_ids().collect::<Vec<_>>()).expect("full line route");
+    eng.seed_cohort(route, 0, 5)
+        .expect("seed before the first step");
+    eng.run_quiet(3).expect("quiet steps");
+
+    let c = eng.telemetry_counters();
+    assert_eq!(eng.metrics().injected(), 5);
+    assert_eq!(c.packets_injected, 5, "the seeds are injected packets");
+    assert_eq!(c.steps, 3);
+}
+
+/// Counter totals carry across a snapshot restore and a checkpoint
+/// restore: they continue from their pre-restore values and grow by
+/// the flow after the restore, while the window baseline restarts at
+/// the restored clock.
+#[test]
+fn counter_totals_survive_restores() {
+    use aqt_sim::{checkpoint, snapshot};
+
+    let graph = Arc::new(topologies::line(4));
+    let flow = |e: &Engine<Fifo>| {
+        let m = e.metrics();
+        let sent: u64 = m.crossings_per_edge().iter().sum();
+        (sent, m.absorbed(), m.injected())
+    };
+    for via_checkpoint in [false, true] {
+        let mut eng = Engine::new(Arc::clone(&graph), Fifo, EngineConfig::default());
+        let capture = Capture::default();
+        eng.attach_telemetry(TelemetryConfig::default().with_window(8));
+        eng.set_telemetry_sink(Box::new(capture.clone()));
+        run_line_workload(&mut eng, &graph, 20);
+        let snap = snapshot::capture(&eng);
+        let ck = checkpoint::checkpoint(&eng);
+        run_line_workload(&mut eng, &graph, 10);
+        let before = eng.telemetry_counters();
+        assert_eq!(before.steps, 30);
+
+        if via_checkpoint {
+            checkpoint::restore(&mut eng, &ck).expect("checkpoint restore");
+        } else {
+            snapshot::restore(&mut eng, &snap).expect("snapshot restore");
+        }
+        assert_eq!(eng.time(), 20);
+        assert_eq!(eng.telemetry_counters(), before, "a restore moves no total");
+
+        let (sent0, absorbed0, injected0) = flow(&eng);
+        run_line_workload(&mut eng, &graph, 12);
+        let (sent, absorbed, injected) = flow(&eng);
+        let after = eng.telemetry_counters();
+        assert_eq!(after.steps, before.steps + 12);
+        assert_eq!(after.packets_sent, before.packets_sent + sent - sent0);
+        assert_eq!(
+            after.packets_absorbed,
+            before.packets_absorbed + absorbed - absorbed0
+        );
+        assert_eq!(
+            after.packets_injected,
+            before.packets_injected + injected - injected0
+        );
+        assert!(after.packets_sent > before.packets_sent, "packets moved");
+
+        // Windows closed at 8, 16 and 24 before the restore; the next
+        // one spans (20, 28] of the restored clock.
+        let windows = capture.windows.lock().unwrap();
+        let (start, end, crossings) = windows.last().expect("windows emitted");
+        assert_eq!(
+            (*start, *end),
+            (20, 28),
+            "the window restarts at the restore"
+        );
+        let last = *capture.window_counters.lock().unwrap().last().unwrap();
+        assert_eq!(last.steps, 8);
+        assert_eq!(last.packets_sent, crossings.iter().sum::<u64>());
+    }
 }
 
 /// `TelemetryLevel::Off` keeps every counter at zero and emits no
@@ -147,8 +234,8 @@ fn off_level_counts_nothing() {
     run_line_workload(&mut eng, &graph, 50);
     eng.finish_telemetry();
 
-    assert_eq!(eng.telemetry().counters().steps, 0);
-    assert_eq!(eng.telemetry().counters().packets_sent, 0);
+    assert_eq!(eng.telemetry_counters().steps, 0);
+    assert_eq!(eng.telemetry_counters().packets_sent, 0);
     assert!(capture.windows.lock().unwrap().is_empty());
     assert!(eng.metrics().absorbed() > 0, "the run itself still ran");
 }
@@ -249,10 +336,9 @@ fn workload_window_jsonl_layout_is_pinned() {
     use aqt_sim::{StageTimings, TelemetryCounters, WorkloadCounters};
 
     assert_eq!(
-        TELEMETRY_SCHEMA_VERSION, 7,
-        "the golden lines below were pinned at version 7 (sweep job \
-         records without retries or attempt counts); a bump means they \
-         must be re-pinned"
+        TELEMETRY_SCHEMA_VERSION, 8,
+        "the golden lines below were pinned at version 8 (counter blocks \
+         of six counters); a bump means they must be re-pinned"
     );
 
     let buf = SharedBuf::default();
@@ -291,15 +377,9 @@ fn workload_window_jsonl_layout_is_pinned() {
     let counters = TelemetryCounters {
         steps: 1,
         packets_sent: 2,
-        packets_forwarded: 3,
         packets_absorbed: 4,
         packets_injected: 5,
-        cohorts_admitted: 6,
-        buffers_compacted: 7,
-        memo_hits: 8,
-        memo_misses: 9,
         sentinel_rounds: 10,
-        oracle_diffs: 11,
         windows_emitted: 12,
     };
     let mut timings = StageTimings::default();
@@ -348,7 +428,7 @@ fn workload_window_jsonl_layout_is_pinned() {
     // fields serialize as explicit nulls).
     assert_eq!(
         lines[0],
-        "{\"schema\":7,\"kind\":\"workload_window\",\"start\":0,\"end\":64,\
+        "{\"schema\":8,\"kind\":\"workload_window\",\"start\":0,\"end\":64,\
          \"requests_issued\":10,\"requests_completed\":5,\
          \"requests_abandoned\":2,\"requests_shed\":1,\
          \"requests_in_flight\":2,\"attempts_issued\":17,\
@@ -360,28 +440,24 @@ fn workload_window_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[1],
-        "{\"schema\":7,\"kind\":\"run_start\",\"time\":0,\
+        "{\"schema\":8,\"kind\":\"run_start\",\"time\":0,\
          \"seed\":7,\"schedule_hash\":99,\"protocol\":\"NTG\",\
          \"fault_plan_id\":13,\"model_fingerprint\":11}"
     );
     assert_eq!(
         lines[2],
-        "{\"schema\":7,\"kind\":\"window\",\"start\":0,\"end\":16,\
-         \"steps\":1,\"packets_sent\":2,\"packets_forwarded\":3,\
-         \"packets_absorbed\":4,\"packets_injected\":5,\"cohorts_admitted\":6,\
-         \"buffers_compacted\":7,\"memo_hits\":8,\"memo_misses\":9,\
-         \"sentinel_rounds\":10,\"oracle_diffs\":11,\"windows_emitted\":12,\
+        "{\"schema\":8,\"kind\":\"window\",\"start\":0,\"end\":16,\
+         \"steps\":1,\"packets_sent\":2,\"packets_absorbed\":4,\
+         \"packets_injected\":5,\"sentinel_rounds\":10,\"windows_emitted\":12,\
          \"crossings\":[3,0,5],\
          \"seed\":7,\"schedule_hash\":99,\"protocol\":\"NTG\",\
          \"fault_plan_id\":13,\"model_fingerprint\":11}"
     );
     assert_eq!(
         lines[3],
-        "{\"schema\":7,\"kind\":\"run_end\",\"time\":16,\
-         \"steps\":1,\"packets_sent\":2,\"packets_forwarded\":3,\
-         \"packets_absorbed\":4,\"packets_injected\":5,\"cohorts_admitted\":6,\
-         \"buffers_compacted\":7,\"memo_hits\":8,\"memo_misses\":9,\
-         \"sentinel_rounds\":10,\"oracle_diffs\":11,\"windows_emitted\":12,\
+        "{\"schema\":8,\"kind\":\"run_end\",\"time\":16,\
+         \"steps\":1,\"packets_sent\":2,\"packets_absorbed\":4,\
+         \"packets_injected\":5,\"sentinel_rounds\":10,\"windows_emitted\":12,\
          \"timings\":{\
          \"send\":{\"count\":2,\"total_ns\":400,\"mean_ns\":200.0,\
          \"p50_ns_le\":128,\"p99_ns_le\":512},\
@@ -402,20 +478,20 @@ fn workload_window_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[4],
-        "{\"schema\":7,\"kind\":\"job_started\",\"index\":0,\"total\":3}"
+        "{\"schema\":8,\"kind\":\"job_started\",\"index\":0,\"total\":3}"
     );
     assert_eq!(
         lines[5],
-        "{\"schema\":7,\"kind\":\"job_finished\",\"index\":0,\
+        "{\"schema\":8,\"kind\":\"job_finished\",\"index\":0,\
          \"secs\":1.250}"
     );
     assert_eq!(
         lines[6],
-        "{\"schema\":7,\"kind\":\"job_quarantined\",\"index\":1}"
+        "{\"schema\":8,\"kind\":\"job_quarantined\",\"index\":1}"
     );
     assert_eq!(
         lines[7],
-        "{\"schema\":7,\"kind\":\"sweep_progress\",\"done\":2,\"total\":3,\
+        "{\"schema\":8,\"kind\":\"sweep_progress\",\"done\":2,\"total\":3,\
          \"elapsed_secs\":2.500,\"eta_secs\":1.250}"
     );
 }
@@ -473,7 +549,7 @@ fn observatory_jsonl_layout_is_pinned() {
     assert_eq!(lines.len(), 3);
     assert_eq!(
         lines[0],
-        "{\"schema\":7,\"kind\":\"backlog\",\"time\":256,\"total\":40,\
+        "{\"schema\":8,\"kind\":\"backlog\",\"time\":256,\"total\":40,\
          \"max_queue\":9,\"max_wait\":3,\"bound\":12,\"margin\":9,\
          \"depths\":[[0,5],[3,2]],\
          \"seed\":7,\"schedule_hash\":null,\"protocol\":\"FIFO\",\
@@ -481,7 +557,7 @@ fn observatory_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[1],
-        "{\"schema\":7,\"kind\":\"backlog\",\"time\":512,\"total\":0,\
+        "{\"schema\":8,\"kind\":\"backlog\",\"time\":512,\"total\":0,\
          \"max_queue\":9,\"max_wait\":3,\"bound\":null,\"margin\":null,\
          \"depths\":[],\"seed\":7,\
          \"schedule_hash\":null,\"protocol\":\"FIFO\",\
@@ -489,7 +565,7 @@ fn observatory_jsonl_layout_is_pinned() {
     );
     assert_eq!(
         lines[2],
-        "{\"schema\":7,\"kind\":\"span\",\"time\":300,\"packet\":64,\
+        "{\"schema\":8,\"kind\":\"span\",\"time\":300,\"packet\":64,\
          \"op\":\"send\",\"edge\":3,\"hop\":1,\"wait\":2,\
          \"seed\":7,\"schedule_hash\":null,\"protocol\":\"FIFO\",\
          \"fault_plan_id\":null,\"model_fingerprint\":null}"
@@ -579,23 +655,23 @@ fn sweep_settles_each_job_once() {
 
     let progress_line = |done: usize| {
         format!(
-            "{{\"schema\":7,\"kind\":\"sweep_progress\",\"done\":{done},\"total\":3,\
+            "{{\"schema\":8,\"kind\":\"sweep_progress\",\"done\":{done},\"total\":3,\
              \"elapsed_secs\":0.000,\"eta_secs\":0.000}}"
         )
     };
     let started =
-        |i: usize| format!("{{\"schema\":7,\"kind\":\"job_started\",\"index\":{i},\"total\":3}}");
+        |i: usize| format!("{{\"schema\":8,\"kind\":\"job_started\",\"index\":{i},\"total\":3}}");
     assert_eq!(
         *lines.lock().unwrap(),
         [
             started(0),
-            "{\"schema\":7,\"kind\":\"job_finished\",\"index\":0,\"secs\":0.000}".into(),
+            "{\"schema\":8,\"kind\":\"job_finished\",\"index\":0,\"secs\":0.000}".into(),
             progress_line(1),
             started(1),
-            "{\"schema\":7,\"kind\":\"job_quarantined\",\"index\":1}".into(),
+            "{\"schema\":8,\"kind\":\"job_quarantined\",\"index\":1}".into(),
             progress_line(2),
             started(2),
-            "{\"schema\":7,\"kind\":\"job_quarantined\",\"index\":2}".into(),
+            "{\"schema\":8,\"kind\":\"job_quarantined\",\"index\":2}".into(),
             progress_line(3),
         ]
     );
@@ -683,5 +759,5 @@ fn engine_stream_is_pinned() {
     );
     assert!(text.contains("\"op\":\"drop\""), "the drop fault fired");
     assert!(text.contains("\"op\":\"dup\""), "the duplicate fault fired");
-    assert_eq!(hash, 0x485a_40c9_dbf4_eaea, "stream hash");
+    assert_eq!(hash, 0x23c0_0b75_f822_29ec, "stream hash");
 }
