@@ -46,7 +46,7 @@ pub struct RunStats {
     pub peak_queue: u64,
     /// Worst per-buffer wait (the Theorem 4.1/4.3 quantity).
     pub peak_wait: u64,
-    /// Total edge crossings (telemetry `packets_sent`).
+    /// Total edge crossings (Σ [`aqt_sim::Metrics::crossings_per_edge`]).
     pub crossings: u64,
     /// Sentinel check rounds started, including a round that halted
     /// the run.
@@ -73,7 +73,7 @@ impl RunStats {
                 .max(m.backlog()),
             peak_queue: m.max_queue(),
             peak_wait: m.max_buffer_wait(),
-            crossings: c.packets_sent,
+            crossings: m.crossings_per_edge().iter().sum(),
             sentinel_rounds: c.sentinel_rounds,
         }
     }
@@ -290,6 +290,40 @@ mod tests {
             panic!("expected clean under RANDOM, got {out:?}");
         };
         assert_eq!(stats.absorbed, 5);
+    }
+
+    #[test]
+    fn crossings_do_not_depend_on_telemetry() {
+        let scenario = clean_scenario();
+        let run = |telemetry: bool| {
+            let built = scenario.build().expect("clean scenario builds");
+            let protocol = registry::by_name(&scenario.protocol, scenario.seed).expect("FIFO");
+            let mut engine = Engine::new(built.graph, protocol, EngineConfig::default());
+            if telemetry {
+                engine.attach_telemetry(TelemetryConfig {
+                    level: TelemetryLevel::Counters,
+                    ..TelemetryConfig::default()
+                });
+            }
+            built
+                .schedule
+                .replay(&mut engine, scenario.horizon)
+                .expect("clean replay");
+            (
+                RunStats::capture(&engine),
+                engine.telemetry_counters().packets_sent,
+            )
+        };
+        let (bare, bare_sent) = run(false);
+        let (observed, observed_sent) = run(true);
+        assert_eq!(bare_sent, 0, "no telemetry, no counters");
+        assert_eq!(bare.crossings, observed.crossings);
+        assert_eq!(observed.crossings, observed_sent);
+        assert_eq!(bare.crossings, 3 * 3 + 2 * 2);
+        let Outcome::Clean(stats) = run_scenario(&scenario) else {
+            panic!("expected clean");
+        };
+        assert_eq!(stats.crossings, bare.crossings);
     }
 
     #[test]

@@ -83,21 +83,24 @@ pub struct GEpsilon {
 fn chain_builder(n: usize, m: usize) -> (GraphBuilder, Vec<GadgetHandles>) {
     assert!(n >= 1, "gadget parameter n must be >= 1");
     assert!(m >= 1, "chain length M must be >= 1");
-    let mut b = GraphBuilder::new();
+    // Per gadget: its exit, the 2(n - 1) path interiors and the next
+    // entry; per gadget 2n + 1 edges, plus the chain's ingress and
+    // room for `G_ε`'s feedback edge.
+    let mut b = GraphBuilder::with_capacity(2 + 2 * n * m, 2 + (2 * n + 1) * m, 0);
     let source = b.node("src");
     let mut entry = b.node("g1_in");
     let mut ingress = b.edge(source, entry, "a^1");
     let mut gadgets = Vec::with_capacity(m);
     for k in 1..=m {
-        let exit = b.node(format!("g{k}_out"));
+        let exit = b.node_fmt(format_args!("g{k}_out"));
         let e_path = b.path(entry, exit, n, &format!("g{k}.e"));
         let f_path = b.path(entry, exit, n, &format!("g{k}.f"));
         let next_entry = if k == m {
             b.node("sink")
         } else {
-            b.node(format!("g{}_in", k + 1))
+            b.node_fmt(format_args!("g{}_in", k + 1))
         };
-        let egress = b.edge(exit, next_entry, format!("a^{}", k + 1));
+        let egress = b.edge_fmt(exit, next_entry, format_args!("a^{}", k + 1));
         gadgets.push(GadgetHandles {
             ingress,
             egress,

@@ -10,13 +10,20 @@
 use crate::builder::GraphBuilder;
 use crate::graph::{EdgeId, Graph, NodeId};
 
+/// Decimal digits of `n`: `1 + decimal_len(n)` bytes hold any
+/// one-letter-prefixed name (`v7`, `l12`) whose index is at most `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 /// A directed ring `v_0 -> v_1 -> … -> v_{k-1} -> v_0`.
 pub fn ring(k: usize) -> Graph {
     assert!(k >= 2, "a ring needs at least two nodes");
-    let mut b = GraphBuilder::new();
+    let name_bytes = 2 * k * (1 + decimal_len(k - 1));
+    let mut b = GraphBuilder::with_capacity(k, k, name_bytes);
     let vs = b.nodes(k);
     for i in 0..k {
-        b.edge(vs[i], vs[(i + 1) % k], format!("r{i}"));
+        b.edge_fmt(vs[i], vs[(i + 1) % k], format_args!("r{i}"));
     }
     b.build()
 }
@@ -24,10 +31,11 @@ pub fn ring(k: usize) -> Graph {
 /// A directed line `v_0 -> v_1 -> … -> v_k` (`k` edges).
 pub fn line(k: usize) -> Graph {
     assert!(k >= 1, "a line needs at least one edge");
-    let mut b = GraphBuilder::new();
+    let name_bytes = (2 * k + 1) * (1 + decimal_len(k));
+    let mut b = GraphBuilder::with_capacity(k + 1, k, name_bytes);
     let vs = b.nodes(k + 1);
     for i in 0..k {
-        b.edge(vs[i], vs[i + 1], format!("l{i}"));
+        b.edge_fmt(vs[i], vs[i + 1], format_args!("l{i}"));
     }
     b.build()
 }
@@ -35,19 +43,23 @@ pub fn line(k: usize) -> Graph {
 /// A `w × h` grid with edges in both directions between 4-neighbours.
 pub fn grid(w: usize, h: usize) -> Graph {
     assert!(w >= 1 && h >= 1);
-    let mut b = GraphBuilder::new();
+    let mut b = GraphBuilder::with_capacity(w * h, 2 * ((w - 1) * h + w * (h - 1)), 0);
     let vs: Vec<Vec<NodeId>> = (0..h)
-        .map(|y| (0..w).map(|x| b.node(format!("g{x}_{y}"))).collect())
+        .map(|y| {
+            (0..w)
+                .map(|x| b.node_fmt(format_args!("g{x}_{y}")))
+                .collect()
+        })
         .collect();
     for y in 0..h {
         for x in 0..w {
             if x + 1 < w {
-                b.edge(vs[y][x], vs[y][x + 1], format!("h{x}_{y}+"));
-                b.edge(vs[y][x + 1], vs[y][x], format!("h{x}_{y}-"));
+                b.edge_fmt(vs[y][x], vs[y][x + 1], format_args!("h{x}_{y}+"));
+                b.edge_fmt(vs[y][x + 1], vs[y][x], format_args!("h{x}_{y}-"));
             }
             if y + 1 < h {
-                b.edge(vs[y][x], vs[y + 1][x], format!("v{x}_{y}+"));
-                b.edge(vs[y + 1][x], vs[y][x], format!("v{x}_{y}-"));
+                b.edge_fmt(vs[y][x], vs[y + 1][x], format_args!("v{x}_{y}+"));
+                b.edge_fmt(vs[y + 1][x], vs[y][x], format_args!("v{x}_{y}-"));
             }
         }
     }
@@ -57,14 +69,18 @@ pub fn grid(w: usize, h: usize) -> Graph {
 /// A `w × h` torus with unidirectional wrap-around edges (right and down).
 pub fn torus(w: usize, h: usize) -> Graph {
     assert!(w >= 2 && h >= 2);
-    let mut b = GraphBuilder::new();
+    let mut b = GraphBuilder::with_capacity(w * h, 2 * w * h, 0);
     let vs: Vec<Vec<NodeId>> = (0..h)
-        .map(|y| (0..w).map(|x| b.node(format!("t{x}_{y}"))).collect())
+        .map(|y| {
+            (0..w)
+                .map(|x| b.node_fmt(format_args!("t{x}_{y}")))
+                .collect()
+        })
         .collect();
     for y in 0..h {
         for x in 0..w {
-            b.edge(vs[y][x], vs[y][(x + 1) % w], format!("h{x}_{y}"));
-            b.edge(vs[y][x], vs[(y + 1) % h][x], format!("v{x}_{y}"));
+            b.edge_fmt(vs[y][x], vs[y][(x + 1) % w], format_args!("h{x}_{y}"));
+            b.edge_fmt(vs[y][x], vs[(y + 1) % h][x], format_args!("v{x}_{y}"));
         }
     }
     b.build()
@@ -75,16 +91,16 @@ pub fn torus(w: usize, h: usize) -> Graph {
 pub fn hypercube(dim: usize) -> Graph {
     assert!((1..=16).contains(&dim));
     let n = 1usize << dim;
-    let mut b = GraphBuilder::new();
+    let mut b = GraphBuilder::with_capacity(n, n * dim, 0);
     let vs: Vec<NodeId> = (0..n)
-        .map(|i| b.node(format!("c{i:0width$b}", width = dim)))
+        .map(|i| b.node_fmt(format_args!("c{i:0width$b}", width = dim)))
         .collect();
     for i in 0..n {
         for d in 0..dim {
             let j = i ^ (1 << d);
             if i < j {
-                b.edge(vs[i], vs[j], format!("q{i}_{j}"));
-                b.edge(vs[j], vs[i], format!("q{j}_{i}"));
+                b.edge_fmt(vs[i], vs[j], format_args!("q{i}_{j}"));
+                b.edge_fmt(vs[j], vs[i], format_args!("q{j}_{i}"));
             }
         }
     }
@@ -94,12 +110,12 @@ pub fn hypercube(dim: usize) -> Graph {
 /// The complete directed graph on `k` nodes (no self-loops).
 pub fn complete(k: usize) -> Graph {
     assert!(k >= 2);
-    let mut b = GraphBuilder::new();
+    let mut b = GraphBuilder::with_capacity(k, k * (k - 1), 0);
     let vs = b.nodes(k);
     for i in 0..k {
         for j in 0..k {
             if i != j {
-                b.edge(vs[i], vs[j], format!("k{i}_{j}"));
+                b.edge_fmt(vs[i], vs[j], format_args!("k{i}_{j}"));
             }
         }
     }
@@ -129,7 +145,7 @@ pub struct Baseball {
 /// `v3 -> v0` are doubled (parallel edges `f` and `f'`), giving the
 /// adversary two interchangeable ways around each half.
 pub fn baseball() -> (Graph, Baseball) {
-    let mut b = GraphBuilder::new();
+    let mut b = GraphBuilder::with_capacity(4, 6, 0);
     let v0 = b.node("v0");
     let v1 = b.node("v1");
     let v2 = b.node("v2");

@@ -28,6 +28,29 @@
 //! releases excess capacity held by the emptied queues (a `VecDeque`
 //! never shrinks on its own, and gadget-boundary buffers peak in the
 //! millions of packets).
+//!
+//! # Capacity policy
+//!
+//! A `VecDeque` doubles when full, so a queue grown one packet at a
+//! time carries up to 2× slack, and it never gives memory back. The
+//! store keeps large queues tighter, in its two single-packet paths:
+//!
+//! * **Growth.** [`BufferStore::push_back`] on a full queue of at least
+//!   [`GROW_EXACT_MIN_LEN`] packets reserves exactly `len / 4` more
+//!   (1.25×) instead of letting the `VecDeque` double.
+//! * **Shrink.** [`BufferStore::remove`] on a queue whose capacity is
+//!   at least [`SHRINK_MIN_CAPACITY`] and whose length has fallen below
+//!   half that capacity shrinks it to `len + len / 4`.
+//!
+//! A queue grows only when full and shrinks only below half full, and
+//! both moves leave it between those two marks, so a queue that
+//! alternates one push and one remove at either boundary reallocates
+//! once, not on every step. A buffer of at least
+//! [`SHRINK_MIN_CAPACITY`] packets therefore gives memory back at most
+//! once per halving of its length. Cohort admission
+//! ([`BufferStore::extend_back`]) reserves exactly, and
+//! [`BufferStore::begin_step`] releases the capacity of queues that
+//! emptied, as before.
 
 use std::collections::VecDeque;
 
@@ -37,6 +60,15 @@ use crate::packet::Packet;
 /// the retained allocation is noise, and shrinking tiny buffers that
 /// oscillate between empty and length 1 would thrash the allocator.
 const COMPACT_MIN_CAPACITY: usize = 64;
+
+/// A full queue at least this long grows by exactly a quarter of its
+/// length; shorter queues keep the `VecDeque`'s doubling (see the
+/// module docs).
+const GROW_EXACT_MIN_LEN: usize = 1_024;
+
+/// A queue with at least this capacity shrinks once its length falls
+/// below half the capacity (see the module docs).
+const SHRINK_MIN_CAPACITY: usize = 4_096;
 
 /// The active-edge list; see the module docs.
 #[derive(Debug, Default)]
@@ -165,6 +197,9 @@ impl BufferStore {
             self.active.needs_sort = true;
         }
         let q = &mut self.queues[edge];
+        if q.len() == q.capacity() && q.len() >= GROW_EXACT_MIN_LEN {
+            q.reserve_exact(q.len() / 4);
+        }
         q.push_back(p);
         q.len()
     }
@@ -192,13 +227,18 @@ impl BufferStore {
     /// Remove and return the packet at `pos` in the buffer at edge
     /// index `edge` (`None` if out of range). Positions 0 and
     /// `len - 1` are O(1); interior positions cost one memmove of the
-    /// shorter side. Deactivation of an emptied buffer is deferred to
-    /// [`BufferStore::begin_step`].
+    /// shorter side. A large queue that falls below half its capacity
+    /// shrinks (see the module docs). Deactivation of an emptied buffer
+    /// is deferred to [`BufferStore::begin_step`].
     #[inline]
     pub fn remove(&mut self, edge: usize, pos: usize) -> Option<Packet> {
         let q = &mut self.queues[edge];
         let p = q.remove(pos);
-        if q.is_empty() {
+        let (len, cap) = (q.len(), q.capacity());
+        if cap >= SHRINK_MIN_CAPACITY && len < cap / 2 {
+            q.shrink_to(len + len / 4);
+        }
+        if len == 0 {
             self.active.maybe_emptied = true;
         }
         p
@@ -371,5 +411,86 @@ mod tests {
         assert!(s.queue(0).capacity() > COMPACT_MIN_CAPACITY);
         s.begin_step();
         assert!(s.queue(0).capacity() <= COMPACT_MIN_CAPACITY);
+    }
+
+    /// A store holding one queue of `n` packets pushed one at a time.
+    fn pushed(n: u64) -> BufferStore {
+        let mut s = BufferStore::new(1);
+        for i in 0..n {
+            s.push_back(0, pkt(i));
+        }
+        s
+    }
+
+    #[test]
+    fn single_pushes_grow_large_queues_by_a_quarter() {
+        let s = pushed(100_000);
+        let (len, cap) = (s.len(0), s.queue(0).capacity());
+        assert_eq!(len, 100_000);
+        assert!(cap <= len + len / 4 + 1, "capacity {cap} for {len} packets");
+    }
+
+    #[test]
+    fn draining_gives_memory_back() {
+        let mut s = pushed(100_000);
+        while s.len(0) > 10_000 {
+            s.remove(0, 0);
+        }
+        let (len, cap) = (s.len(0), s.queue(0).capacity());
+        assert!(cap <= 2 * len, "capacity {cap} for {len} packets");
+        assert!(s.iter(0).zip(90_000..).all(|(p, i)| p.id == PacketId(i)));
+    }
+
+    #[test]
+    fn alternating_at_the_grow_mark_reallocates_once() {
+        // Fill a queue of at least GROW_EXACT_MIN_LEN to exactly its
+        // capacity, then alternate one push and one remove.
+        let mut s = pushed(GROW_EXACT_MIN_LEN as u64);
+        while s.len(0) < s.queue(0).capacity() {
+            s.push_back(0, pkt(0));
+        }
+        s.push_back(0, pkt(1));
+        let cap = s.queue(0).capacity();
+        assert!(cap > s.len(0));
+        for i in 0..100 {
+            s.remove(0, 0);
+            assert_eq!(s.queue(0).capacity(), cap);
+            s.push_back(0, pkt(i));
+            assert_eq!(s.queue(0).capacity(), cap);
+        }
+    }
+
+    #[test]
+    fn alternating_at_the_shrink_mark_reallocates_once() {
+        let mut s = pushed(20_000);
+        let full = s.queue(0).capacity();
+        assert!(full >= SHRINK_MIN_CAPACITY);
+        // Down to exactly half the capacity: not yet below it.
+        while s.len(0) > full / 2 {
+            s.remove(0, 0);
+        }
+        assert_eq!(s.queue(0).capacity(), full);
+        s.remove(0, 0);
+        let cap = s.queue(0).capacity();
+        assert!(cap < full);
+        for i in 0..100 {
+            s.push_back(0, pkt(i));
+            assert_eq!(s.queue(0).capacity(), cap);
+            s.remove(0, 0);
+            assert_eq!(s.queue(0).capacity(), cap);
+        }
+    }
+
+    #[test]
+    fn interior_removes_shrink_like_front_removes() {
+        // LIS and NTG take packets from inside the queue.
+        let mut front = pushed(50_000);
+        let mut interior = pushed(50_000);
+        while front.len(0) > 0 {
+            front.remove(0, 0);
+            let mid = interior.len(0) / 2;
+            interior.remove(0, mid);
+            assert_eq!(front.queue(0).capacity(), interior.queue(0).capacity());
+        }
     }
 }

@@ -9,18 +9,22 @@
 //! that sneaks a per-step allocation into send/receive (a route clone,
 //! a fresh scratch `Vec`, an accidental `Arc` bump-and-drop) fails here
 //! before it shows up in the benchmark's `sim.*_ns_per_step` figures
-//! (`crates/benchmark`).
+//! (`crates/benchmark`). The stores that grow with a run are gated too:
+//! interned routes share one arena, and a graph is a handful of flat
+//! arrays, so neither costs an allocation per item. A packet buffer of
+//! at least 4,096 packets gives memory back at most once per halving of
+//! its length (`aqt_sim::buffer`'s tests pin that policy).
 #![cfg(feature = "alloc-counter")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use aqt_graph::{topologies, EdgeId, Route};
+use aqt_graph::{topologies, EdgeId, GEpsilon, Route};
 use aqt_protocols::Fifo;
 use aqt_sim::{
-    Engine, EngineConfig, JsonlSink, ObserveConfig, Provenance, Ratio, RingSink, Schedule,
-    SentinelConfig, TelemetryConfig, TelemetrySink, Time,
+    Engine, EngineConfig, JsonlSink, ObserveConfig, Provenance, Ratio, RingSink, RouteTable,
+    Schedule, SentinelConfig, TelemetryConfig, TelemetrySink, Time,
 };
 
 /// System allocator with a per-thread counter on every acquiring call
@@ -287,4 +291,42 @@ fn steady_state_stream_replay_does_not_allocate() {
         long, short,
         "stream build, hash and replay must not allocate per step: {short} allocations for 2000 steps, {long} for 4000"
     );
+}
+
+/// Allocations made by `f`.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = allocations();
+    std::hint::black_box(f());
+    allocations() - before
+}
+
+/// Interned routes live back to back in one arena with an intrusive
+/// hash chain, so a table's allocations grow with the log of its size
+/// (vector doublings), not with its route count: 4,096 distinct routes
+/// of 64 edges take at most 64. A boxed slice and a chain `Vec` per
+/// route would take at least 8,192.
+#[test]
+fn interning_routes_allocates_per_doubling_not_per_route() {
+    let edges: Vec<EdgeId> = (0..4_096 + 64).map(EdgeId).collect();
+    let n = allocations_of(|| {
+        let mut t = RouteTable::new();
+        for start in 0..4_096 {
+            t.intern(&edges[start..start + 64]);
+        }
+        assert_eq!(t.len(), 4_096);
+        t
+    });
+    assert!(n <= 64, "4,096 interned routes took {n} allocations");
+}
+
+/// A graph keeps its names in one `String` and its adjacency in
+/// compressed sparse rows, so building `G_ε` at n = 10, M = 9 (173
+/// nodes, 191 edges) takes at most 120 allocations, and the 2-edge
+/// line, sized exactly up front, at most 8.
+#[test]
+fn graphs_build_without_an_allocation_per_node() {
+    let n = allocations_of(|| GEpsilon::new(10, 9));
+    assert!(n <= 120, "GEpsilon::new(10, 9) took {n} allocations");
+    let n = allocations_of(|| topologies::line(2));
+    assert!(n <= 8, "topologies::line(2) took {n} allocations");
 }
