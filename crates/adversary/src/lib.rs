@@ -12,8 +12,6 @@
 //! * [`stochastic`] — saturating `(w,r)` adversaries for the stability
 //!   side (Section 4): random-route generators that inject as much as
 //!   Definition 2.1 permits.
-//! * [`periodic`] — deterministic multi-stream rate adversaries for
-//!   threshold mapping.
 //! * [`baselines`] — the prior-art comparison adversary of E9: a FIFO
 //!   pumping adversary on the baseball graph (the network of the
 //!   earlier FIFO instability results \[4, 11, 15\]).
@@ -28,7 +26,6 @@ pub mod lemma315;
 pub mod lemma316;
 pub mod lemma36;
 pub mod params;
-pub mod periodic;
 pub mod stochastic;
 
 pub use params::GadgetParams;

@@ -7,7 +7,7 @@
 
 use crate::stats::{linear_fit, mean};
 
-/// Classification of a backlog series.
+/// The verdict on a backlog series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Clear sustained growth.

@@ -1,9 +1,8 @@
 //! Mutable construction of [`Graph`]s.
 //!
-//! The builder writes every node and edge name into one `String` as it
-//! goes — generated names (`nodes`, `path`, and the `_fmt` variants)
-//! are formatted straight into it — and [`GraphBuilder::build`] lays
-//! the adjacency out as compressed sparse rows (see [`Graph`]).
+//! The builder formats every node and edge name straight into one
+//! `String` as it goes, and [`GraphBuilder::build`] lays the adjacency
+//! out as compressed sparse rows (see [`Graph`]).
 
 use std::fmt::{self, Write};
 
@@ -58,14 +57,16 @@ impl GraphBuilder {
         }
     }
 
-    /// Add a node with the given display name; returns its id.
-    pub fn node(&mut self, name: impl Into<String>) -> NodeId {
-        self.node_fmt(format_args!("{}", name.into()))
+    /// Add a node with the given display name; returns its id. The name
+    /// is formatted straight into the builder's names, so a generated
+    /// name (`b.node(format_args!("g{k}_in"))`) needs no `String`.
+    pub fn node(&mut self, name: impl fmt::Display) -> NodeId {
+        self.named_node(format_args!("{name}"))
     }
 
-    /// [`GraphBuilder::node`] with a name formatted in place, e.g.
-    /// `b.node_fmt(format_args!("g{k}_in"))`: no temporary `String`.
-    pub fn node_fmt(&mut self, name: fmt::Arguments<'_>) -> NodeId {
+    /// [`GraphBuilder::node`] for the names the builder generates itself:
+    /// written in one formatting pass, not through a second `Display`.
+    fn named_node(&mut self, name: fmt::Arguments<'_>) -> NodeId {
         let span = self.write_name(name);
         let id = NodeId(self.node_names.len() as u32);
         self.node_names.push(span);
@@ -77,24 +78,22 @@ impl GraphBuilder {
         (0..count)
             .map(|_| {
                 let k = self.node_names.len();
-                self.node_fmt(format_args!("v{k}"))
+                self.named_node(format_args!("v{k}"))
             })
             .collect()
     }
 
-    /// Add a directed edge `src -> dst` with the given display name.
+    /// Add a directed edge `src -> dst` with the given display name,
+    /// formatted in place like [`GraphBuilder::node`]'s.
     ///
     /// # Panics
     /// Panics if either endpoint does not exist.
-    pub fn edge(&mut self, src: NodeId, dst: NodeId, name: impl Into<String>) -> EdgeId {
-        self.edge_fmt(src, dst, format_args!("{}", name.into()))
+    pub fn edge(&mut self, src: NodeId, dst: NodeId, name: impl fmt::Display) -> EdgeId {
+        self.named_edge(src, dst, format_args!("{name}"))
     }
 
-    /// [`GraphBuilder::edge`] with a name formatted in place.
-    ///
-    /// # Panics
-    /// Panics if either endpoint does not exist.
-    pub fn edge_fmt(&mut self, src: NodeId, dst: NodeId, name: fmt::Arguments<'_>) -> EdgeId {
+    /// [`GraphBuilder::edge`] for the names the builder generates itself.
+    fn named_edge(&mut self, src: NodeId, dst: NodeId, name: fmt::Arguments<'_>) -> EdgeId {
         assert!(
             src.index() < self.node_names.len() && dst.index() < self.node_names.len(),
             "edge endpoints must be previously created nodes"
@@ -119,9 +118,9 @@ impl GraphBuilder {
             let next = if i == len {
                 dst
             } else {
-                self.node_fmt(format_args!("{prefix}_x{i}"))
+                self.named_node(format_args!("{prefix}_x{i}"))
             };
-            edges.push(self.edge_fmt(cur, next, format_args!("{prefix}{i}")));
+            edges.push(self.named_edge(cur, next, format_args!("{prefix}{i}")));
             cur = next;
         }
         edges

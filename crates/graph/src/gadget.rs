@@ -92,15 +92,15 @@ fn chain_builder(n: usize, m: usize) -> (GraphBuilder, Vec<GadgetHandles>) {
     let mut ingress = b.edge(source, entry, "a^1");
     let mut gadgets = Vec::with_capacity(m);
     for k in 1..=m {
-        let exit = b.node_fmt(format_args!("g{k}_out"));
+        let exit = b.node(format_args!("g{k}_out"));
         let e_path = b.path(entry, exit, n, &format!("g{k}.e"));
         let f_path = b.path(entry, exit, n, &format!("g{k}.f"));
         let next_entry = if k == m {
             b.node("sink")
         } else {
-            b.node_fmt(format_args!("g{}_in", k + 1))
+            b.node(format_args!("g{}_in", k + 1))
         };
-        let egress = b.edge_fmt(exit, next_entry, format_args!("a^{}", k + 1));
+        let egress = b.edge(exit, next_entry, format_args!("a^{}", k + 1));
         gadgets.push(GadgetHandles {
             ingress,
             egress,

@@ -17,22 +17,16 @@
 //! * [`topologies`] — classic AQT evaluation topologies (rings, lines,
 //!   grids, tori, hypercubes, complete graphs, and the "baseball" graph
 //!   used by the prior FIFO-instability constructions).
-//! * [`analysis`] — BFS shortest paths (and, in tests, cycle detection).
 //! * [`dot`] — Graphviz export, regenerating the paper's two figures.
-//! * [`paths`] — diameters and shortest-path route pools (the paper's
-//!   lower-bound routes are shortest paths).
-//! * [`catalog`] — named topology construction (`"ring-8"`, …) for
-//!   sweep tooling.
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
+#[cfg(test)]
+mod analysis;
 pub mod builder;
-pub mod catalog;
 pub mod dot;
 pub mod gadget;
 pub mod graph;
-pub mod paths;
 pub mod route;
 pub mod topologies;
 

@@ -67,21 +67,6 @@ impl Route {
         })
     }
 
-    /// Build a route without checking simplicity (connectivity is still
-    /// required). The instability construction of Theorem 3.17 extends
-    /// routes across many gadgets; each individual route remains simple
-    /// ("we note that our lower bounds use shortest-paths (and hence
-    /// noncircular) routes"), but when experimenting with custom
-    /// adversaries on cyclic graphs it is occasionally useful to permit
-    /// walks. Prefer [`Route::new`].
-    pub fn new_walk(graph: &Graph, edges: impl Into<Vec<EdgeId>>) -> Result<Self, RouteError> {
-        let edges: Vec<EdgeId> = edges.into();
-        Self::validate_connectivity(graph, &edges)?;
-        Ok(Route {
-            edges: edges.into(),
-        })
-    }
-
     /// Single-edge route (always simple).
     pub fn single(graph: &Graph, edge: EdgeId) -> Result<Self, RouteError> {
         Self::new(graph, vec![edge])
@@ -184,28 +169,6 @@ impl Route {
     pub fn source(&self, graph: &Graph) -> NodeId {
         graph.src(self.first())
     }
-
-    /// A new route equal to this one followed by `suffix`.
-    ///
-    /// This is the primitive behind the rerouting technique of
-    /// Lemma 3.3: the remaining route of a packet is replaced by
-    /// `q_p e_p r'_p` where `r'_p` consists of new edges. Connectivity
-    /// is validated; simplicity is validated when `require_simple`.
-    pub fn extended(
-        &self,
-        graph: &Graph,
-        suffix: &[EdgeId],
-        require_simple: bool,
-    ) -> Result<Route, RouteError> {
-        let mut edges = Vec::with_capacity(self.edges.len() + suffix.len());
-        edges.extend_from_slice(&self.edges);
-        edges.extend_from_slice(suffix);
-        if require_simple {
-            Route::new(graph, edges)
-        } else {
-            Route::new_walk(graph, edges)
-        }
-    }
 }
 
 impl fmt::Display for Route {
@@ -274,9 +237,6 @@ mod tests {
         let g = b.build();
         let err = Route::new(&g, vec![uv, vu]).unwrap_err();
         assert!(matches!(err, RouteError::NotSimple { .. }));
-        // but permitted as a walk
-        let w = Route::new_walk(&g, vec![uv, vu]).unwrap();
-        assert_eq!(w.len(), 2);
     }
 
     /// Around `ring(k)`, a walk of `len` edges from edge 1 is simple
@@ -304,16 +264,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn extension_keeps_connectivity() {
-        let (g, p) = line(4);
-        let r = Route::new(&g, vec![p[0], p[1]]).unwrap();
-        let ext = r.extended(&g, &[p[2], p[3]], true).unwrap();
-        assert_eq!(ext.len(), 4);
-        let bad = r.extended(&g, &[p[3]], true);
-        assert!(bad.is_err());
     }
 
     #[test]

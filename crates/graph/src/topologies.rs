@@ -23,7 +23,7 @@ pub fn ring(k: usize) -> Graph {
     let mut b = GraphBuilder::with_capacity(k, k, name_bytes);
     let vs = b.nodes(k);
     for i in 0..k {
-        b.edge_fmt(vs[i], vs[(i + 1) % k], format_args!("r{i}"));
+        b.edge(vs[i], vs[(i + 1) % k], format_args!("r{i}"));
     }
     b.build()
 }
@@ -35,7 +35,7 @@ pub fn line(k: usize) -> Graph {
     let mut b = GraphBuilder::with_capacity(k + 1, k, name_bytes);
     let vs = b.nodes(k + 1);
     for i in 0..k {
-        b.edge_fmt(vs[i], vs[i + 1], format_args!("l{i}"));
+        b.edge(vs[i], vs[i + 1], format_args!("l{i}"));
     }
     b.build()
 }
@@ -45,21 +45,17 @@ pub fn grid(w: usize, h: usize) -> Graph {
     assert!(w >= 1 && h >= 1);
     let mut b = GraphBuilder::with_capacity(w * h, 2 * ((w - 1) * h + w * (h - 1)), 0);
     let vs: Vec<Vec<NodeId>> = (0..h)
-        .map(|y| {
-            (0..w)
-                .map(|x| b.node_fmt(format_args!("g{x}_{y}")))
-                .collect()
-        })
+        .map(|y| (0..w).map(|x| b.node(format_args!("g{x}_{y}"))).collect())
         .collect();
     for y in 0..h {
         for x in 0..w {
             if x + 1 < w {
-                b.edge_fmt(vs[y][x], vs[y][x + 1], format_args!("h{x}_{y}+"));
-                b.edge_fmt(vs[y][x + 1], vs[y][x], format_args!("h{x}_{y}-"));
+                b.edge(vs[y][x], vs[y][x + 1], format_args!("h{x}_{y}+"));
+                b.edge(vs[y][x + 1], vs[y][x], format_args!("h{x}_{y}-"));
             }
             if y + 1 < h {
-                b.edge_fmt(vs[y][x], vs[y + 1][x], format_args!("v{x}_{y}+"));
-                b.edge_fmt(vs[y + 1][x], vs[y][x], format_args!("v{x}_{y}-"));
+                b.edge(vs[y][x], vs[y + 1][x], format_args!("v{x}_{y}+"));
+                b.edge(vs[y + 1][x], vs[y][x], format_args!("v{x}_{y}-"));
             }
         }
     }
@@ -71,16 +67,12 @@ pub fn torus(w: usize, h: usize) -> Graph {
     assert!(w >= 2 && h >= 2);
     let mut b = GraphBuilder::with_capacity(w * h, 2 * w * h, 0);
     let vs: Vec<Vec<NodeId>> = (0..h)
-        .map(|y| {
-            (0..w)
-                .map(|x| b.node_fmt(format_args!("t{x}_{y}")))
-                .collect()
-        })
+        .map(|y| (0..w).map(|x| b.node(format_args!("t{x}_{y}"))).collect())
         .collect();
     for y in 0..h {
         for x in 0..w {
-            b.edge_fmt(vs[y][x], vs[y][(x + 1) % w], format_args!("h{x}_{y}"));
-            b.edge_fmt(vs[y][x], vs[(y + 1) % h][x], format_args!("v{x}_{y}"));
+            b.edge(vs[y][x], vs[y][(x + 1) % w], format_args!("h{x}_{y}"));
+            b.edge(vs[y][x], vs[(y + 1) % h][x], format_args!("v{x}_{y}"));
         }
     }
     b.build()
@@ -93,14 +85,14 @@ pub fn hypercube(dim: usize) -> Graph {
     let n = 1usize << dim;
     let mut b = GraphBuilder::with_capacity(n, n * dim, 0);
     let vs: Vec<NodeId> = (0..n)
-        .map(|i| b.node_fmt(format_args!("c{i:0width$b}", width = dim)))
+        .map(|i| b.node(format_args!("c{i:0width$b}", width = dim)))
         .collect();
     for i in 0..n {
         for d in 0..dim {
             let j = i ^ (1 << d);
             if i < j {
-                b.edge_fmt(vs[i], vs[j], format_args!("q{i}_{j}"));
-                b.edge_fmt(vs[j], vs[i], format_args!("q{j}_{i}"));
+                b.edge(vs[i], vs[j], format_args!("q{i}_{j}"));
+                b.edge(vs[j], vs[i], format_args!("q{j}_{i}"));
             }
         }
     }
@@ -115,7 +107,7 @@ pub fn complete(k: usize) -> Graph {
     for i in 0..k {
         for j in 0..k {
             if i != j {
-                b.edge_fmt(vs[i], vs[j], format_args!("k{i}_{j}"));
+                b.edge(vs[i], vs[j], format_args!("k{i}_{j}"));
             }
         }
     }

@@ -16,12 +16,16 @@
 //! | [`Nts`]  | nearest to source | yes | no | counterpart of FFS |
 //! | [`Random`] | uniformly random | yes | no | baseline |
 //!
+//! The historic and time-priority columns are each protocol's
+//! [`Protocol::is_historic`](aqt_sim::Protocol::is_historic) and
+//! [`Protocol::is_time_priority`](aqt_sim::Protocol::is_time_priority);
+//! [`registry`] constructs a protocol by name.
+//!
 //! Ties are always broken deterministically (documented per protocol),
 //! so simulation runs are reproducible.
 
 #![forbid(unsafe_code)]
 
-pub mod classify;
 pub mod fifo;
 pub mod lifo;
 pub mod ordering;
@@ -30,10 +34,9 @@ pub mod registry;
 pub mod route_position;
 pub mod system_age;
 
-pub use classify::{classify, Classification};
 pub use fifo::Fifo;
 pub use lifo::Lifo;
 pub use random::Random;
-pub use registry::{all_protocols, by_name, protocol_names};
+pub use registry::{by_name, protocol_names};
 pub use route_position::{Ffs, Ftg, Ntg, Nts};
 pub use system_age::{Lis, Nis};

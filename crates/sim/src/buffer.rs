@@ -36,17 +36,17 @@
 //! store keeps large queues tighter, in its two single-packet paths:
 //!
 //! * **Growth.** [`BufferStore::push_back`] on a full queue of at least
-//!   [`GROW_EXACT_MIN_LEN`] packets reserves exactly `len / 4` more
-//!   (1.25×) instead of letting the `VecDeque` double.
+//!   `GROW_EXACT_MIN_LEN` (1,024) packets reserves exactly `len / 4`
+//!   more (1.25×) instead of letting the `VecDeque` double.
 //! * **Shrink.** [`BufferStore::remove`] on a queue whose capacity is
-//!   at least [`SHRINK_MIN_CAPACITY`] and whose length has fallen below
-//!   half that capacity shrinks it to `len + len / 4`.
+//!   at least `SHRINK_MIN_CAPACITY` (4,096) and whose length has fallen
+//!   below half that capacity shrinks it to `len + len / 4`.
 //!
 //! A queue grows only when full and shrinks only below half full, and
 //! both moves leave it between those two marks, so a queue that
 //! alternates one push and one remove at either boundary reallocates
 //! once, not on every step. A buffer of at least
-//! [`SHRINK_MIN_CAPACITY`] packets therefore gives memory back at most
+//! `SHRINK_MIN_CAPACITY` packets therefore gives memory back at most
 //! once per halving of its length. Cohort admission
 //! ([`BufferStore::extend_back`]) reserves exactly, and
 //! [`BufferStore::begin_step`] releases the capacity of queues that

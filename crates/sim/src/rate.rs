@@ -409,6 +409,16 @@ struct EdgeState {
     last_time: Time,
 }
 
+/// The potential `H = den·count − num·time` of rate `num/den`, in
+/// checked i128 (the products reach 2^128). `None` on overflow, which
+/// every caller treats as a violation rather than a bogus verdict.
+#[inline]
+fn potential(rate: Ratio, count: u64, time: Time) -> Option<i128> {
+    (rate.den() as i128)
+        .checked_mul(count as i128)?
+        .checked_sub((rate.num() as i128).checked_mul(time as i128)?)
+}
+
 /// Exact incremental validator for the rate-r adversary.
 #[derive(Debug, Clone)]
 pub struct RateValidator {
@@ -450,13 +460,8 @@ impl RateValidator {
 impl Constraint for RateValidator {
     fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
         let num = self.rate.num() as i128;
-        let den = self.rate.den() as i128;
         let slot = &mut self.states[edge.index()];
-        // The potential H_k = den·k − num·t_k is computed in checked
-        // i128: with num, den, k, t all up to 2^64 the products reach
-        // 2^128, which i128 cannot hold. Overflow is reported as a
-        // violation (exact validation is impossible) rather than
-        // wrapping into a bogus accept/reject.
+        // The potential H_k = den·k − num·t_k (see `potential`).
         let overflow = |time| RateViolation {
             edge,
             time,
@@ -467,10 +472,7 @@ impl Constraint for RateValidator {
         match slot {
             None => {
                 // k = 0, so H_0 = −num·t
-                let h = num
-                    .checked_mul(time as i128)
-                    .map(|v| -v)
-                    .ok_or_else(|| overflow(time))?;
+                let h = potential(self.rate, 0, time).ok_or_else(|| overflow(time))?;
                 *slot = Some(EdgeState {
                     count: 1,
                     min_h: h,
@@ -489,14 +491,7 @@ impl Constraint for RateValidator {
                         ),
                     });
                 }
-                let k = st.count as i128;
-                let h = den
-                    .checked_mul(k)
-                    .and_then(|dk| {
-                        num.checked_mul(time as i128)
-                            .and_then(|nt| dk.checked_sub(nt))
-                    })
-                    .ok_or_else(|| overflow(time))?;
+                let h = potential(self.rate, st.count, time).ok_or_else(|| overflow(time))?;
                 if h.checked_sub(st.min_h).ok_or_else(|| overflow(time))? >= num {
                     // Reconstruct a human-readable bound for the report.
                     return Err(RateViolation {
@@ -521,17 +516,13 @@ impl Constraint for RateValidator {
     /// so the rate headroom is 0 or 1: a dry run of the `observe` check.
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
         let num = self.rate.num() as i128;
-        let den = self.rate.den() as i128;
         match self.states[edge.index()] {
             None => u64::from(num.checked_mul(time as i128).is_some()),
             Some(st) => {
                 if time < st.last_time {
                     return 0;
                 }
-                let Some(h) = den.checked_mul(st.count as i128).and_then(|dk| {
-                    num.checked_mul(time as i128)
-                        .and_then(|nt| dk.checked_sub(nt))
-                }) else {
+                let Some(h) = potential(self.rate, st.count, time) else {
                     return 0;
                 };
                 match h.checked_sub(st.min_h) {
@@ -729,21 +720,6 @@ impl BurstLocalValidator {
         }
     }
 
-    /// The long-run rate `ρ`.
-    pub fn rho(&self) -> Ratio {
-        self.rho
-    }
-
-    /// The burst allowance `σ`.
-    pub fn sigma(&self) -> u64 {
-        self.sigma
-    }
-
-    /// The locality scale `L`.
-    pub fn locality(&self) -> u64 {
-        self.locality
-    }
-
     /// The member spec describing this validator.
     pub fn spec(&self) -> ConstraintSpec {
         ConstraintSpec::BurstLocal {
@@ -775,8 +751,6 @@ impl BurstLocalValidator {
 
 impl Constraint for BurstLocalValidator {
     fn observe(&mut self, edge: EdgeId, time: Time) -> Result<(), RateViolation> {
-        let num = self.rho.num() as i128;
-        let den = self.rho.den() as i128;
         let overflow = || RateViolation {
             edge,
             time,
@@ -812,13 +786,7 @@ impl Constraint for BurstLocalValidator {
         }
         // Long intervals (length > L): H_j − min H_i ≤ den·(σ−1) + num
         // over entries that aged out of the window.
-        let h = den
-            .checked_mul(st.count as i128)
-            .and_then(|dk| {
-                num.checked_mul(time as i128)
-                    .and_then(|nt| dk.checked_sub(nt))
-            })
-            .ok_or_else(overflow)?;
+        let h = potential(self.rho, st.count, time).ok_or_else(overflow)?;
         if let Some(min_old) = st.min_h_old {
             if h.checked_sub(min_old).ok_or_else(overflow)? > slack {
                 return Err(RateViolation {
@@ -840,7 +808,6 @@ impl Constraint for BurstLocalValidator {
     }
 
     fn headroom(&mut self, edge: EdgeId, time: Time) -> u64 {
-        let num = self.rho.num() as i128;
         let den = self.rho.den() as i128;
         let Some(slack) = self.long_slack() else {
             return 0;
@@ -853,25 +820,21 @@ impl Constraint for BurstLocalValidator {
         }
         Self::age_out(st, time.saturating_sub(locality - 1));
         let short = short_budget.saturating_sub(st.recent.len() as u64);
+        // `observe` computes H (and errs on its overflow) before it
+        // reads the old-entry minimum, so the probe does too: room it
+        // reports is room `observe` grants.
+        let Some(h) = potential(self.rho, st.count, time) else {
+            return 0;
+        };
         // Repeated observes at `time` raise H by den each; the old-entry
         // minimum is fixed (new entries stay inside the window), so the
         // m-th succeeds iff H + (m−1)·den − min_old ≤ slack.
         let long = match st.min_h_old {
             None => u64::MAX,
-            Some(min_old) => {
-                let Some(h) = den.checked_mul(st.count as i128).and_then(|dk| {
-                    num.checked_mul(time as i128)
-                        .and_then(|nt| dk.checked_sub(nt))
-                }) else {
-                    return 0;
-                };
-                let avail = slack - (h - min_old);
-                if avail < 0 {
-                    0
-                } else {
-                    u64::try_from(avail / den + 1).unwrap_or(u64::MAX)
-                }
-            }
+            Some(min_old) => match h.checked_sub(min_old).and_then(|d| slack.checked_sub(d)) {
+                Some(avail) if avail >= 0 => u64::try_from(avail / den + 1).unwrap_or(u64::MAX),
+                _ => 0,
+            },
         };
         short.min(long)
     }

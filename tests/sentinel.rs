@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use aqt_core::instability::{InstabilityConfig, InstabilityConstruction};
 use aqt_graph::{topologies, EdgeId, Graph, Route};
-use aqt_protocols::{classify, Fifo};
+use aqt_protocols::Fifo;
 use aqt_sim::{
     checkpoint, snapshot, Discipline, Engine, EngineConfig, EngineError, Injection, InvariantKind,
-    Packet, Protocol, SentinelConfig, SimError, Time,
+    Packet, Protocol, Ratio, SentinelConfig, SimError, StabilityCertificate, Time,
 };
 
 /// A length-3 route around `ring(6)` starting at edge `start`.
@@ -79,7 +79,7 @@ fn instability_replay_is_clean_under_full_sentinel_and_oracle() {
 #[test]
 fn stability_cell_is_clean_under_certificate() {
     let g = Arc::new(topologies::ring(6));
-    let spec = classify(&Fifo).certificate_spec(8, aqt_sim::Ratio::new(1, 4), 3, 0);
+    let spec = StabilityCertificate::new(8, Ratio::new(1, 4), 3).spec(Fifo.is_time_priority());
     assert_eq!(spec.bound(), Some(2), "⌈8·(1/4)⌉");
 
     let mut eng = Engine::new(Arc::clone(&g), Fifo, EngineConfig::default());

@@ -392,3 +392,56 @@ fn lemma_builders_are_rate_legal() {
             .unwrap_or_else(|err| panic!("stitch at r={num}/{den} must be legal: {err}"));
     }
 }
+
+/// `headroom ≥ 1` is a promise that `observe` succeeds, so
+/// `AdversaryModel::admit` (probe, then observe) never finds a probe
+/// that lied. Checked for every member kind over a grid of extreme
+/// parameters and injection times near `u64::MAX`, where the checked
+/// i128 potentials overflow.
+#[test]
+fn headroom_promises_what_observe_grants() {
+    const M: u64 = u64::MAX;
+    let values = [1, 2, 3, (1 << 63) - 1, M - 2, M - 1, M];
+    let scales = [1, 2, 7, M];
+    let allowances = [0, 1, 2, M];
+    let rates: Vec<Ratio> = values
+        .iter()
+        .flat_map(|&den| {
+            values
+                .iter()
+                .filter(move |&&num| num <= den)
+                .map(move |&num| Ratio::new(num, den))
+        })
+        .collect();
+    let mut specs: Vec<AdversaryModelSpec> = allowances
+        .iter()
+        .map(|&bound| AdversaryModelSpec::buffer_bound(bound))
+        .collect();
+    for &r in &rates {
+        specs.push(AdversaryModelSpec::rate(r));
+        for &l in &scales {
+            specs.push(AdversaryModelSpec::window(l, r));
+            for &sigma in &allowances {
+                specs.push(AdversaryModelSpec::burst_local(r, sigma, l));
+            }
+        }
+    }
+    let runs: [&[u64]; 4] = [&[M], &[M - 1, M], &[1, M - 1, M], &[1, 2, 3, 9, M - 2, M]];
+    for spec in &specs {
+        for times in runs {
+            let mut model = spec.build(1);
+            for &t in times {
+                for _ in 0..3 {
+                    let room = model.headroom(EdgeId(0), t);
+                    if room >= 1 {
+                        let mut probe = model.clone();
+                        if let Err(e) = probe.observe(EdgeId(0), t) {
+                            panic!("{spec} over {times:?}: headroom {room} at {t}, but {e:?}");
+                        }
+                    }
+                    assert_eq!(model.admit(&[EdgeId(0)], t), room >= 1, "{spec} at {t}");
+                }
+            }
+        }
+    }
+}
